@@ -23,12 +23,11 @@ from .continuation import (DEFAULT_PATH_BUDGET, MultiPoly, PolySystem,
 from .framework import (FIXTURE_NAMES, FrameworkError, build_constraints,
                         evaluate_members, load_fixture, load_framework)
 from .ideals import (adjacent_minors, adjacent_minor_primes,
-                     slingshot_displayed_minor, slingshot_equations,
-                     slingshot_member_constraints, slingshot_minors,
-                     slingshot_primes)
+                     slingshot_displayed_minor, slingshot_member_constraints,
+                     slingshot_minors, slingshot_primes)
 from .prestress import prestress_certificate, self_stress_basis
 from .rigidity import (RANK_REL_TOL, nullspace_decomposition, pin_moving_frame,
-                       rigid_motion_basis, rigidity_report)
+                       rigidity_report)
 from .symbolic import RationalPoly, verify_containment
 
 #: member stroke colors by kind
@@ -318,11 +317,8 @@ def _cmd_prestress(args) -> CommandOutput:
 def _read_system(path: Path):
     doc = json.loads(path.read_text())
     names = tuple(doc["variables"])
-    polys = []
-    for text in doc["equations"]:
-        rp = RationalPoly.parse(text, names)
-        polys.append(MultiPoly(len(names), {e: complex(float(c), 0.0)
-                                            for e, c in rp.terms.items()}))
+    polys = [MultiPoly(len(names), RationalPoly.parse(text, names).terms)
+             for text in doc["equations"]]
     return names, PolySystem(polys)
 
 

@@ -1,21 +1,22 @@
 """Homotopy continuation over complex polynomial systems.
 
-Sparse multivariate polynomials, Davidenko predictor-corrector path
-tracking, total-degree solving with the gamma trick, real parameter
-homotopies that deform pinned frameworks along hyperplanes, and the
-critical-point formulation of epsilon-local rigidity.
+Complex sparse polynomials on the core shared with `symbolic`, Davidenko
+predictor-corrector path tracking, total-degree solving with the gamma
+trick, real parameter homotopies that deform pinned frameworks along
+hyperplanes, and the critical-point formulation of epsilon-local rigidity.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
 from .framework import Configuration, FrameworkError, MemberConstraintSystem
 from .rigidity import numerical_nullspace, pin_moving_frame
+from .symbolic import SparsePoly
 
 #: endpoints are flagged real when no coordinate has |Im| above this
 TAU_IMAG = 1e-6
@@ -35,39 +36,20 @@ class PathBudgetError(ContinuationError):
     """Raised when a solve would track more paths than the configured budget."""
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial with complex coefficients.
+class MultiPoly(SparsePoly):
+    """Sparse multivariate polynomial with complex coefficients."""
 
-    Terms map exponent tuples to coefficients; zero coefficients are never
-    stored, so the zero polynomial has an empty term map.
-    """
-
-    __slots__ = ("nvars", "terms", "_compiled")
+    __slots__ = ()
+    coefficient = complex
+    error = ContinuationError
+    _width = staticmethod(int)
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = int(nvars)
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = complex(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != self.nvars or any(e < 0 for e in exps):
-                    raise ContinuationError(f"bad exponent vector {exps}")
-                clean[exps] = coeff
-        self.terms = clean
-        self._compiled = None
+        super().__init__(int(nvars), terms)
 
-    @classmethod
-    def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1.0})
+    @property
+    def nvars(self) -> int:
+        return self.ring
 
     @classmethod
     def from_univariate(cls, coeffs) -> "MultiPoly":
@@ -76,78 +58,7 @@ class MultiPoly:
         deg = len(coeffs) - 1
         return cls(1, {(deg - k,): c for k, c in enumerate(coeffs)})
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _binop(self, other, sign):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.nvars, other)
-        if other.nvars != self.nvars:
-            raise ContinuationError("variable count mismatch")
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged = terms.get(exps, 0j) + sign * coeff
-            if merged == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = merged
-        return MultiPoly(self.nvars, terms)
-
-    def __add__(self, other):
-        return self._binop(other, 1.0)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, -1.0)
-
-    def __rsub__(self, other):
-        return MultiPoly.constant(self.nvars, other) - self
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = complex(other)
-            return MultiPoly(self.nvars,
-                             {e: c * other for e, c in self.terms.items()})
-        if other.nvars != self.nvars:
-            raise ContinuationError("variable count mismatch")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                merged = terms.get(exps, 0j) + c1 * c2
-                if merged == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = merged
-        return MultiPoly(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ContinuationError("negative power")
-        out = MultiPoly.constant(self.nvars, 1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def diff(self, index: int) -> "MultiPoly":
-        terms = {}
-        for exps, coeff in self.terms.items():
-            k = exps[index]
-            if k == 0:
-                continue
-            lowered = list(exps)
-            lowered[index] = k - 1
-            terms[tuple(lowered)] = coeff * k
-        return MultiPoly(self.nvars, terms)
+    degree = SparsePoly.total_degree
 
     def lift(self, nvars: int, offset: int = 0) -> "MultiPoly":
         """Re-embed into a larger ring, shifting variables by offset."""
@@ -158,23 +69,8 @@ class MultiPoly:
         return MultiPoly(nvars, {pad_left + e + pad_right: c
                                  for e, c in self.terms.items()})
 
-    def _compile(self):
-        if self._compiled is None:
-            if self.terms:
-                E = np.array(list(self.terms.keys()), dtype=np.int64)
-                c = np.array(list(self.terms.values()), dtype=complex)
-            else:
-                E = np.zeros((0, self.nvars), dtype=np.int64)
-                c = np.zeros(0, dtype=complex)
-            self._compiled = (E, c)
-        return self._compiled
-
     def evaluate(self, x) -> complex:
-        E, c = self._compile()
-        if E.shape[0] == 0:
-            return 0j
-        x = np.asarray(x, dtype=complex)
-        return complex(c @ np.prod(x[None, :] ** E, axis=1))
+        return complex(_Batched([self], self.nvars, 1, [0]).evaluate(x)[0])
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.terms!r})"
@@ -191,23 +87,16 @@ class _Batched:
     """Shared-monomial evaluator for many polynomials at once."""
 
     def __init__(self, polys, nvars, nrows, rows):
-        E_parts, c_parts, row_parts = [], [], []
-        for poly, row in zip(polys, rows):
-            E, c = poly._compile()
-            if E.shape[0] == 0:
-                continue
-            E_parts.append(E)
-            c_parts.append(c)
-            row_parts.append(np.full(E.shape[0], row, dtype=np.int64))
         self.nvars = nvars
         self.nrows = nrows
-        if not E_parts:
-            self.empty = True
+        self.coeffs = np.array([c for p in polys for c in p.terms.values()],
+                               dtype=complex)
+        self.empty = self.coeffs.size == 0
+        if self.empty:
             return
-        self.empty = False
-        E = np.concatenate(E_parts, axis=0)
-        self.coeffs = np.concatenate(c_parts)
-        self.rows = np.concatenate(row_parts)
+        E = np.array([e for p in polys for e in p.terms], dtype=np.int64)
+        self.rows = np.repeat(np.asarray(rows, dtype=np.int64),
+                              [len(p.terms) for p in polys])
         # polynomials in a system share most monomials, so evaluate each
         # distinct exponent row once and scatter
         self.E_unique, self.inverse = np.unique(E, axis=0, return_inverse=True)

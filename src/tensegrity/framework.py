@@ -58,12 +58,6 @@ class FrameworkGraph:
     def m(self) -> int:
         return len(self.members)
 
-    def edge_index(self, i: int, j: int) -> int:
-        for k, (a, b, _) in enumerate(self.members):
-            if (a, b) == (i, j):
-                return k
-        raise KeyError((i, j))
-
     def kinds(self) -> tuple[str, ...]:
         return tuple(kind for _, _, kind in self.members)
 

@@ -8,7 +8,7 @@ F^T Omega_w F on a flex basis F certifies prestress rigidity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

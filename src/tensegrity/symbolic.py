@@ -1,9 +1,10 @@
 """Exact polynomial computation over the rationals.
 
-Multivariate polynomials with Fraction coefficients, lex/degrevlex monomial
-orders, multivariate division, Buchberger's algorithm with the coprime
-criterion, all r x r minors of a polynomial matrix, and ideal-containment
-checking by normal forms.
+The sparse polynomial core, shared with the complex polynomials of
+`continuation`; multivariate polynomials with Fraction coefficients,
+lex/degrevlex monomial orders, multivariate division, Buchberger's
+algorithm with the coprime criterion, all r x r minors of a polynomial
+matrix, and ideal-containment checking by normal forms.
 """
 
 from __future__ import annotations
@@ -37,30 +38,158 @@ def _key_fn(order: str, nvars: int):
     raise SymbolicError(f"unknown monomial order {order!r}")
 
 
-class RationalPoly:
+class SparsePoly:
+    """Sparse multivariate polynomial: exponent tuple -> coefficient.
+
+    Zero coefficients are never stored, so the zero polynomial has an empty
+    term map.  Subclasses set the coefficient type (`coefficient`), the
+    error class (`error`) and the number of variables of a ring (`_width`).
+    The constructor validates input from outside the program; results of
+    arithmetic go through `_make`, which trusts its arguments.
+    """
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms=None):
+        width = self._width(ring)
+        clean = {}
+        if terms:
+            for exps, coeff in terms.items():
+                coeff = self.coefficient(coeff)
+                if coeff == 0:
+                    continue
+                exps = tuple(int(e) for e in exps)
+                if len(exps) != width or any(e < 0 for e in exps):
+                    raise self.error(f"bad exponent vector {exps}")
+                clean[exps] = coeff
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, ring, terms):
+        """Wrap a term map without checks: the ring must already be valid,
+        every exponent tuple must fit it, and no coefficient may be zero."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "ring", ring)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        return type(self), (self.ring, self.terms)
+
+    @classmethod
+    def constant(cls, ring, value):
+        return cls(ring, {(0,) * cls._width(ring): value})
+
+    @classmethod
+    def variable(cls, ring, index: int):
+        exps = [0] * cls._width(ring)
+        exps[index] = 1
+        return cls(ring, {tuple(exps): 1})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
+    # -- arithmetic ---------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, SparsePoly):
+            if other.ring != self.ring:
+                raise self.error("polynomials live in different rings")
+            return other
+        return self.constant(self.ring, other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            merged = terms.get(exps, 0) + coeff
+            if merged == 0:
+                terms.pop(exps, None)
+            else:
+                terms[exps] = merged
+        return self._make(self.ring, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        if not isinstance(other, SparsePoly):
+            scalar = self.coefficient(other)
+            # a product of nonzero floats can still underflow to zero
+            return self._make(self.ring, {e: v for e, c in self.terms.items()
+                                          if (v := c * scalar) != 0})
+        other = self._coerce(other)
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                merged = terms.get(exps, 0) + c1 * c2
+                if merged == 0:
+                    terms.pop(exps, None)
+                else:
+                    terms[exps] = merged
+        return self._make(self.ring, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise self.error("negative power")
+        out = self.constant(self.ring, 1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return out
+
+    def diff(self, index: int):
+        """Partial derivative with respect to the variable at `index`."""
+        terms = {}
+        for exps, coeff in self.terms.items():
+            e = exps[index]
+            if e == 0:
+                continue
+            lowered = list(exps)
+            lowered[index] = e - 1
+            terms[tuple(lowered)] = coeff * e
+        return self._make(self.ring, terms)
+
+
+class RationalPoly(SparsePoly):
     """Polynomial in Q[variables] stored as exponent-tuple -> Fraction."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ()
+    coefficient = Fraction
+    error = SymbolicError
+    _width = staticmethod(len)
 
     def __init__(self, variables, terms=None):
         variables = tuple(str(v) for v in variables)
         if len(set(variables)) != len(variables):
             raise SymbolicError("duplicate variable names")
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(variables) or any(e < 0 for e in exps):
-                    raise SymbolicError(f"bad exponent vector {exps}")
-                clean[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(variables, terms)
 
-    def __setattr__(self, *_):
-        raise AttributeError("RationalPoly is immutable")
+    @property
+    def variables(self) -> tuple:
+        return self.ring
 
     # -- constructors -------------------------------------------------
 
@@ -69,21 +198,10 @@ class RationalPoly:
         return cls(variables, {})
 
     @classmethod
-    def constant(cls, variables, value) -> "RationalPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
-
-    @classmethod
     def parse(cls, text: str, variables) -> "RationalPoly":
         return _parse(text, tuple(str(v) for v in variables))
 
     # -- structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def leading(self, order: str = "degrevlex"):
         """(exponent tuple, coefficient) of the leading term."""
@@ -99,69 +217,8 @@ class RationalPoly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, RationalPoly):
-            if other.variables != self.variables:
-                raise SymbolicError("polynomials live in different rings")
-            return other
-        return RationalPoly.constant(self.variables, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged = terms.get(exps, 0) + coeff
-            if merged == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = merged
-        return RationalPoly(self.variables, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalPoly(self.variables,
-                            {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalPoly):
-            scalar = Fraction(other)
-            return RationalPoly(self.variables,
-                                {e: c * scalar for e, c in self.terms.items()})
-        other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                merged = terms.get(exps, 0) + c1 * c2
-                if merged == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = merged
-        return RationalPoly(self.variables, terms)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, scalar):
         return self * (Fraction(1) / Fraction(scalar))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise SymbolicError("negative power")
-        out = RationalPoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, RationalPoly):
@@ -175,17 +232,8 @@ class RationalPoly:
 
     def diff(self, variable) -> "RationalPoly":
         """Partial derivative with respect to a variable (name or index)."""
-        index = (self.variables.index(variable)
-                 if isinstance(variable, str) else int(variable))
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            lowered = list(exps)
-            lowered[index] = e - 1
-            terms[tuple(lowered)] = coeff * e
-        return RationalPoly(self.variables, terms)
+        return super().diff(self.variables.index(variable)
+                            if isinstance(variable, str) else int(variable))
 
     def substitute(self, assignment: dict) -> "RationalPoly":
         """Plug exact values into some variables; stays in the same ring."""
@@ -207,7 +255,7 @@ class RationalPoly:
                 terms.pop(shrunk, None)
             else:
                 terms[shrunk] = merged
-        return RationalPoly(self.variables, terms)
+        return RationalPoly._make(self.variables, terms)
 
     def project(self, variables) -> "RationalPoly":
         """Rewrite in a subring; fails if an eliminated variable survives."""
@@ -275,12 +323,7 @@ class RationalPoly:
 def ring_variables(names) -> tuple:
     """Generator polynomials x_i for the ring Q[names]."""
     names = tuple(str(n) for n in names)
-    out = []
-    for i in range(len(names)):
-        exps = [0] * len(names)
-        exps[i] = 1
-        out.append(RationalPoly(names, {tuple(exps): Fraction(1)}))
-    return tuple(out)
+    return tuple(RationalPoly.variable(names, i) for i in range(len(names)))
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)"
@@ -379,11 +422,11 @@ def normal_form_reduce(f: RationalPoly, G, order: str = "degrevlex") -> Rational
         for g, (eg, cg) in zip(G, leads):
             if _divides(eg, ep):
                 shift = tuple(a - b for a, b in zip(ep, eg))
-                factor = RationalPoly(f.variables, {shift: cp / cg})
+                factor = RationalPoly._make(f.variables, {shift: cp / cg})
                 p = p - factor * g
                 break
         else:
-            lead = RationalPoly(f.variables, {ep: cp})
+            lead = RationalPoly._make(f.variables, {ep: cp})
             remainder = remainder + lead
             p = p - lead
     return remainder
@@ -393,8 +436,8 @@ def s_polynomial(f: RationalPoly, g: RationalPoly, order: str = "degrevlex"):
     ef, cf = f.leading(order)
     eg, cg = g.leading(order)
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = RationalPoly(f.variables, {tuple(l - a for l, a in zip(lcm, ef)): 1 / cf})
-    mg = RationalPoly(g.variables, {tuple(l - a for l, a in zip(lcm, eg)): 1 / cg})
+    mf = RationalPoly._make(f.variables, {tuple(l - a for l, a in zip(lcm, ef)): 1 / cf})
+    mg = RationalPoly._make(g.variables, {tuple(l - a for l, a in zip(lcm, eg)): 1 / cg})
     return mf * f - mg * g
 
 
@@ -503,7 +546,7 @@ def _expand(matrix, rows, cols, memo, variables) -> RationalPoly:
     cached = memo.get(key)
     if cached is not None:
         return cached
-    det = RationalPoly.zero(variables)
+    det = RationalPoly._make(variables, {})
     sub_rows = rows[1:]
     for k, c in enumerate(cols):
         entry = matrix[rows[0]][c]
