@@ -17,9 +17,9 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .continuation import (DEFAULT_PATH_BUDGET, MultiPoly, PolySystem,
-                           deform_framework, epsilon_rigidity_check,
-                           solve_total_degree)
+from .continuation import (DEFAULT_PATH_BUDGET, ContinuationError, MultiPoly,
+                           PolySystem, deform_framework,
+                           epsilon_rigidity_check, solve_total_degree)
 from .framework import (FIXTURE_NAMES, FrameworkError, build_constraints,
                         evaluate_members, load_fixture, load_framework)
 from .ideals import (adjacent_minors, adjacent_minor_primes,
@@ -144,8 +144,7 @@ def render_svg(scene: Scene, spec: RenderSpec | None = None) -> str:
     for path in scene.trajectories:
         zs = np.asarray(path, dtype=complex).reshape(-1)
         extent.append(np.column_stack([zs.real, zs.imag]))
-    to_px = _canvas_map(np.concatenate(extent) if extent else np.zeros((0, 2)),
-                        spec)
+    to_px = _canvas_map(np.concatenate(extent), spec)
 
     root = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
@@ -254,9 +253,17 @@ def _partition_kinds(graph, sys_):
     block = sys_.metadata.get("tensegrity_partition")
     if not isinstance(block, dict):
         return None
+    members = [[i, j] for i, j, _ in graph.members]
     lookup = {}
     for kind in ("bar", "cable", "strut"):
-        for pair in block.get(kind + "s", ()):
+        pairs = block.get(kind + "s", [])
+        if not isinstance(pairs, list):
+            raise FrameworkError(
+                f"tensegrity_partition {kind}s must be a list of member pairs")
+        for pair in pairs:
+            if pair not in members or tuple(pair) in lookup:
+                raise FrameworkError(f"tensegrity_partition {kind}s entry "
+                                     f"{pair!r} is not a member or repeats one")
             lookup[tuple(pair)] = kind
     if not lookup:
         return None
@@ -316,6 +323,11 @@ def _cmd_prestress(args) -> CommandOutput:
 
 def _read_system(path: Path):
     doc = json.loads(path.read_text())
+    for key in ("variables", "equations"):
+        value = doc.get(key) if isinstance(doc, dict) else None
+        if not (isinstance(value, list)
+                and all(isinstance(v, str) for v in value)):
+            raise ContinuationError(f"system needs '{key}': a list of strings")
     names = tuple(doc["variables"])
     polys = [MultiPoly(len(names), RationalPoly.parse(text, names).terms)
              for text in doc["equations"]]
@@ -442,13 +454,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="rigidity analysis of bar and tensegrity frameworks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, framework=True, epsilon=None, budget=False, steps=False):
+    def common(sp, framework=True, tol=False, svg=False, epsilon=None,
+               budget=False, steps=False):
         if framework:
             sp.add_argument("framework",
                             help="framework JSON file or fixture name")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument("--tol", type=float, default=RANK_REL_TOL,
-                        help="relative rank tolerance")
+        if tol:
+            sp.add_argument("--tol", type=float, default=RANK_REL_TOL,
+                            help="relative rank tolerance")
         if epsilon is not None:
             sp.add_argument("--epsilon", type=float, default=epsilon,
                             help="offset / ball radius")
@@ -459,28 +473,29 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--budget", type=int, default=DEFAULT_PATH_BUDGET,
                             help="maximum number of tracked paths")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--svg", action="store_true",
-                        help="also write an SVG rendering")
+        if svg:
+            sp.add_argument("--svg", action="store_true",
+                            help="also write an SVG rendering")
 
     sp = sub.add_parser("analyze", help="ranks, coranks, rigidity verdict")
-    common(sp)
+    common(sp, tol=True, svg=True)
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("flexes", help="rigid motions and flex basis")
-    common(sp)
+    common(sp, tol=True, svg=True)
     sp.set_defaults(func=_cmd_flexes)
 
     sp = sub.add_parser("prestress", help="prestress rigidity certificate")
-    common(sp)
+    common(sp, tol=True)
     sp.set_defaults(func=_cmd_prestress)
 
     sp = sub.add_parser("solve", help="solve a polynomial system")
     sp.add_argument("system", help="JSON file with variables and equations")
-    common(sp, framework=False, budget=True)
+    common(sp, framework=False, svg=True, budget=True)
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("deform", help="hyperplane deformation walk")
-    common(sp, epsilon=0.05, steps=True)
+    common(sp, svg=True, epsilon=0.05, steps=True)
     sp.set_defaults(func=_cmd_deform)
 
     sp = sub.add_parser("epscheck", help="epsilon-local rigidity search")
@@ -493,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify_ideals)
 
     sp = sub.add_parser("plot", help="render a framework to SVG")
-    common(sp)
+    common(sp, tol=True, svg=True)
     sp.set_defaults(func=_cmd_plot)
     return parser
 
@@ -519,7 +534,7 @@ def run_command(argv) -> int:
     report_path.write_text(
         json.dumps(out.payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {report_path}")
-    if args.command == "plot" or (args.svg and out.svg is not None):
+    if out.svg is not None:
         svg_path = out_dir / f"{out.stem}_{args.command}.svg"
         svg_path.write_text(out.svg)
         print(f"wrote {svg_path}")

@@ -24,6 +24,31 @@ TAU_IMAG = 1e-6
 #: maximum residual of the start point on the start system
 TOL_START = 1e-8
 
+#: first, smallest and largest step in t; the step doubles after
+#: GROW_AFTER accepted steps in a row and halves on each rejection
+DT_INIT = 1e-2
+DT_MIN = 1e-12
+DT_MAX = 1e-1
+GROW_AFTER = 5
+
+#: Newton corrector tolerance (scaled by 1 + |x|^deg) and iteration cap
+NEWTON_TOL = 1e-10
+MAX_NEWTON = 3
+
+#: tracking stops at this t and polishes on the target instead
+T_CUTOFF = 1e-4
+
+#: a path whose norm exceeds this is labelled diverged
+DIVERGENCE = 1e10
+
+#: step cap per path, and Newton iterations of the final polish
+MAX_STEPS = 5000
+POLISH_STEPS = 30
+
+#: an endpoint is converged when its target residual is below this
+#: times 1 + |x|^deg
+TOL_END_REL = 1e-8
+
 #: refuse total-degree solves beyond this many paths unless overridden
 DEFAULT_PATH_BUDGET = 100_000
 
@@ -87,7 +112,6 @@ class _Batched:
     """Shared-monomial evaluator for many polynomials at once."""
 
     def __init__(self, polys, nvars, nrows, rows):
-        self.nvars = nvars
         self.nrows = nrows
         self.coeffs = np.array([c for p in polys for c in p.terms.values()],
                                dtype=complex)
@@ -214,23 +238,6 @@ class Homotopy:
 
 
 @dataclass(frozen=True)
-class TrackOptions:
-    dt_init: float = 1e-2
-    dt_min: float = 1e-12
-    dt_max: float = 1e-1
-    grow_after: int = 5
-    newton_tol: float = 1e-10
-    max_newton: int = 3
-    t_cutoff: float = 1e-4
-    divergence: float = 1e10
-    max_steps: int = 5000
-    polish_steps: int = 30
-    predictor: str = "euler"  # or "rk4"
-    tol_start: float = TOL_START
-    tol_end_rel: float = 1e-8
-
-
-@dataclass(frozen=True)
 class TrackResult:
     endpoint: np.ndarray
     status: str  # converged | diverged | step_underflow | no_real_solution
@@ -255,18 +262,16 @@ def _newton(system_value, system_jacobian, x, tol, max_iter):
     return x, np.linalg.norm(system_value(x)) <= tol
 
 
-def track_path(h: Homotopy, x0, opts: TrackOptions | None = None,
-               record: bool = False) -> TrackResult:
+def track_path(h: Homotopy, x0, record: bool = False) -> TrackResult:
     """Track one solution of the start system from t = 1 to the target.
 
-    Euler (or RK4) prediction on the Davidenko equation, Newton correction
-    at each accepted t, adaptive halving/doubling of the step, then a final
-    Newton polish on the target at t = 0.
+    Euler prediction on the Davidenko equation, Newton correction at each
+    accepted t, adaptive halving/doubling of the step, then a final Newton
+    polish on the target at t = 0.
     """
-    opts = opts or TrackOptions()
     x = np.asarray(x0, dtype=complex).copy()
     start_res = float(np.linalg.norm(h.value(x, 1.0)))
-    if start_res > opts.tol_start:
+    if start_res > TOL_START:
         raise ContinuationError(
             f"start point is not on the start system (residual {start_res:.2e})")
 
@@ -275,39 +280,36 @@ def track_path(h: Homotopy, x0, opts: TrackOptions | None = None,
     deg_h = max(deg, max(h.start.degrees, default=1))
 
     def tol_end(point):
-        return opts.tol_end_rel * (1.0 + np.linalg.norm(point) ** deg)
+        return TOL_END_REL * (1.0 + np.linalg.norm(point) ** deg)
 
     traj = [(1.0, x.copy())] if record else None
     t = 1.0
-    dt = opts.dt_init
+    dt = DT_INIT
     accepts = 0
     steps = 0
     status = None
 
-    while t > opts.t_cutoff:
-        if steps >= opts.max_steps:
+    while t > T_CUTOFF:
+        if steps >= MAX_STEPS:
             status = "step_underflow"
             break
         steps += 1
-        step = min(dt, t - opts.t_cutoff)
+        step = min(dt, t - T_CUTOFF)
         t_new = t - step
         try:
-            if opts.predictor == "rk4":
-                x_pred = _rk4_predict(h, x, t, step)
-            else:
-                dxdt = np.linalg.solve(h.jacobian_x(x, t), -h.dh_dt(x))
-                x_pred = x - step * dxdt
+            dxdt = np.linalg.solve(h.jacobian_x(x, t), -h.dh_dt(x))
+            x_pred = x - step * dxdt
         except np.linalg.LinAlgError:
             x_pred = None
         if x_pred is not None:
             # scale the tolerance with the local value magnitude: far from the
             # origin the residual floor is ~eps * |x|^deg and an absolute
             # threshold below it would stall the path
-            corr_tol = opts.newton_tol * (
+            corr_tol = NEWTON_TOL * (
                 1.0 + float(np.linalg.norm(x_pred)) ** deg_h)
             x_corr, ok = _newton(lambda z: h.value(z, t_new),
                                  lambda z: h.jacobian_x(z, t_new),
-                                 x_pred, corr_tol, opts.max_newton)
+                                 x_pred, corr_tol, MAX_NEWTON)
         else:
             ok = False
         if ok:
@@ -315,26 +317,26 @@ def track_path(h: Homotopy, x0, opts: TrackOptions | None = None,
             accepts += 1
             if record:
                 traj.append((t, x.copy()))
-            if np.linalg.norm(x) > opts.divergence:
+            if np.linalg.norm(x) > DIVERGENCE:
                 status = "diverged"
                 break
-            if accepts >= opts.grow_after:
-                dt = min(dt * 2.0, opts.dt_max)
+            if accepts >= GROW_AFTER:
+                dt = min(dt * 2.0, DT_MAX)
                 accepts = 0
         else:
             accepts = 0
             dt *= 0.5
-            if dt < opts.dt_min:
+            if dt < DT_MIN:
                 status = "step_underflow"
                 break
 
     if status is None:
         # endgame: Newton polish directly on the target system
         x, _ = _newton(target.evaluate, target.jacobian, x,
-                       1e-4 * tol_end(x), opts.polish_steps)
+                       1e-4 * tol_end(x), POLISH_STEPS)
         if record:
             traj.append((0.0, x.copy()))
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > opts.divergence:
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE:
             status = "diverged"
         else:
             residual = float(np.linalg.norm(target.evaluate(x)))
@@ -348,19 +350,8 @@ def track_path(h: Homotopy, x0, opts: TrackOptions | None = None,
                        trajectory=tuple(traj) if record else ())
 
 
-def _rk4_predict(h: Homotopy, x, t, step):
-    def slope(xi, ti):
-        return np.linalg.solve(h.jacobian_x(xi, ti), -h.dh_dt(xi))
-
-    k1 = slope(x, t)
-    k2 = slope(x - 0.5 * step * k1, t - 0.5 * step)
-    k3 = slope(x - 0.5 * step * k2, t - 0.5 * step)
-    k4 = slope(x - step * k3, t - step)
-    return x - (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def solve_total_degree(f, seed=None, opts: TrackOptions | None = None,
-                       budget: int | None = None, record: bool = False) -> list:
+def solve_total_degree(f, seed=None, budget: int | None = None,
+                       record: bool = False) -> list:
     """Solve a square system by tracking all product-of-degrees start roots.
 
     The start system is {x_i^{d_i} = 1}, whose solutions are products of
@@ -391,7 +382,7 @@ def solve_total_degree(f, seed=None, opts: TrackOptions | None = None,
     results = []
     for combo in itertools.product(*unity):
         results.append(track_path(h, np.array(combo, dtype=complex),
-                                  opts=opts, record=record))
+                                  record=record))
     return results
 
 
@@ -411,11 +402,10 @@ def free_coordinate_positions(n: int, d: int) -> list:
     return out
 
 
-def _require_pinned(p: Configuration) -> Configuration:
+def _require_pinned(p: Configuration) -> None:
     pinned = pin_moving_frame(p)
     if np.max(np.abs(pinned.coords - p.coords)) > 1e-9:
         raise FrameworkError("configuration must be pinned via pin_moving_frame")
-    return p
 
 
 def pinned_member_system(sys: MemberConstraintSystem, p: Configuration):
@@ -455,7 +445,7 @@ def _restore_full(free, x, n, d) -> np.ndarray:
 @dataclass(frozen=True)
 class DeformationStep:
     """One hyperplane push: the (complex) endpoint as an n x d array, the
-    raw tracking result, the reality flag at tau_imag, and the member
+    raw tracking result, the reality flag at TAU_IMAG, and the member
     residual of the real part."""
 
     point: np.ndarray
@@ -466,15 +456,15 @@ class DeformationStep:
 
 def deform_framework(sys: MemberConstraintSystem, p: Configuration,
                      direction="flex", epsilon: float = 1e-2, steps: int = 1,
-                     seed=None, opts: TrackOptions | None = None,
-                     tau_imag: float = TAU_IMAG) -> list:
+                     seed=None) -> list:
     """Push a pinned framework off p along a moving hyperplane.
 
     Adjoins l(x) = v^T x - v^T anchor - eps to the member system and tracks
     the single path from the anchor as the offset grows from 0 to eps,
-    re-anchoring at each accepted endpoint `steps` times.  The rectangular
-    system is squared by a seeded random complex matrix; the homotopy is a
-    real parameter homotopy (gamma = 1).
+    re-anchoring at each accepted endpoint `steps` times; v is the first
+    flex at p for direction="flex", else a vector over the free or all n*d
+    coordinates.  The rectangular system is squared by a seeded random
+    complex matrix; the homotopy is a real parameter homotopy (gamma = 1).
     """
     members, free, p_free = pinned_member_system(sys, p)
     n, d = sys.graph.n, sys.graph.d
@@ -487,8 +477,6 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
         if null.shape[1] == 0:
             raise FrameworkError("no flex direction at p: pinned Jacobian has full rank")
         v = null[:, 0]
-    elif isinstance(direction, str) and direction == "random":
-        v = rng.normal(size=N)
     else:
         v = np.asarray(direction, dtype=float).reshape(-1)
         if v.size == n * d:
@@ -519,7 +507,6 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
 
     results = []
     anchor = p_free.astype(complex)
-    opts = opts or TrackOptions()
     for _ in range(steps):
         shift = complex(v @ anchor)
         plane0 = linear - MultiPoly.constant(N, shift)
@@ -538,10 +525,10 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
                 real=False, member_residual=float("nan")))
             break
         h = Homotopy(target=target, start=start, gamma=1.0)
-        res = track_path(h, anchor, opts=opts)
+        res = track_path(h, anchor)
         member_res = float(np.max(np.abs(
             members.evaluate(res.endpoint.real.astype(complex)).real)))
-        real = res.max_imag <= tau_imag
+        real = res.max_imag <= TAU_IMAG
         if res.status == "converged" and not real:
             res = replace(res, status="no_real_solution")
         results.append(DeformationStep(
@@ -614,8 +601,7 @@ def _polish_real(members: PolySystem, sphere: MultiPoly, x: np.ndarray,
 
 def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
                            epsilon: float, seed=None,
-                           budget: int = DEFAULT_PATH_BUDGET,
-                           opts: TrackOptions | None = None) -> EpsilonRigidityResult:
+                           budget: int = DEFAULT_PATH_BUDGET) -> EpsilonRigidityResult:
     """Search the epsilon-sphere around pinned p for points of the variety.
 
     Sums the squares of the member constraints into one hypersurface
@@ -662,8 +648,7 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
              - MultiPoly.constant(nv, 1.0))
     eqs.append(chart)
 
-    results = solve_total_degree(PolySystem(eqs), seed=seed, opts=opts,
-                                 budget=budget)
+    results = solve_total_degree(PolySystem(eqs), seed=seed, budget=budget)
 
     witnesses = []
     seen = set()

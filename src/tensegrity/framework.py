@@ -96,10 +96,6 @@ class Configuration:
     def d(self) -> int:
         return self.coords.shape[1]
 
-    def flat(self) -> np.ndarray:
-        """Node-major flattening (x_11, ..., x_1d, x_21, ...)."""
-        return self.coords.reshape(-1).copy()
-
 
 @dataclass(frozen=True)
 class MemberConstraintSystem:
@@ -215,18 +211,13 @@ def _parse_document(doc: dict):
 def load_framework(source):
     """Load a framework document and validate it.
 
-    `source` may be a dict already parsed from JSON, a JSON string, or a
-    path to a JSON file.  Returns (FrameworkGraph, Configuration,
+    `source` may be a dict already parsed from JSON or a path to a JSON
+    file.  Returns (FrameworkGraph, Configuration,
     MemberConstraintSystem); rest squared lengths are computed from the
     embedding when the document does not carry them.
     """
     if isinstance(source, dict):
         doc = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise FrameworkError(f"invalid JSON: {exc}") from exc
     else:
         try:
             with open(source, "r", encoding="utf-8") as fh:

@@ -40,10 +40,6 @@ class SelfStress:
     w: np.ndarray
     pinned_index: int
 
-    def pinned_member(self, graph: FrameworkGraph):
-        i, j, _ = graph.members[self.pinned_index]
-        return (i, j)
-
 
 @dataclass(frozen=True)
 class StressMatrix:

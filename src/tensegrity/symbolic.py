@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-ORDERS = ("degrevlex", "lex")
-
 #: Buchberger aborts after processing this many S-pairs
 PAIR_BUDGET = 10_000
 

@@ -2,6 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -145,3 +146,32 @@ def test_render_svg_omits_zero_arrows():
     groups = root.findall(f"{SVG}g")
     assert len(groups) == 1
     assert len(groups[0].findall(f"{SVG}path")) == 1
+
+
+def test_flags_are_accepted_only_where_they_act(tmp_path):
+    out = ["--out", str(tmp_path)]
+    assert run_command(["epscheck", "triangle", "--tol", "1e-3"] + out) == 2
+    assert run_command(["prestress", "3prism", "--svg"] + out) == 2
+    assert run_command(["flexes", "hinge", "--seed", "5"] + out) == 0
+
+
+@pytest.mark.parametrize("doc", [[1, 2],
+                                 {"variables": ["x"], "equations": [3]}])
+def test_solve_rejects_malformed_system(tmp_path, capsys, doc):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(doc))
+    assert run_command(["solve", str(system), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("block", [{"cables": [1]}, {"cables": [[1, 7]]},
+                                   {"bars": [[4, 1]]},
+                                   {"cables": [[1, 2]], "struts": [[1, 2]]}])
+def test_prestress_rejects_bad_partition(tmp_path, capsys, block):
+    fixture = resources.files("tensegrity.fixtures").joinpath("3prism.json")
+    doc = json.loads(fixture.read_text())
+    doc["tensegrity_partition"] = block
+    frame = tmp_path / "prism.json"
+    frame.write_text(json.dumps(doc))
+    assert run_command(["prestress", str(frame), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tensegrity import (ContinuationError, FrameworkError, Homotopy,
-                        MultiPoly, PathBudgetError, PolySystem, TrackOptions,
+                        MultiPoly, PathBudgetError, PolySystem,
                         deform_framework, epsilon_rigidity_check, load_fixture,
                         numerical_nullspace, pin_moving_frame,
                         pinned_member_system, solve_total_degree, track_path)
@@ -131,13 +131,6 @@ def test_gamma_redraw_preserves_endpoint_multiset():
     ends1 = [r.endpoint[0] for r in solve_total_degree(f, seed=4)]
     ends2 = [r.endpoint[0] for r in solve_total_degree(f, seed=5)]
     assert _close_multisets(ends1, ends2, 1e-6)
-
-
-def test_rk4_predictor_reaches_same_roots():
-    f = _univariate([1, -7, 17, -15])
-    opts = TrackOptions(predictor="rk4")
-    res = solve_total_degree(f, seed=0, opts=opts)
-    assert _close_multisets([r.endpoint[0] for r in res], [3, 2 + 1j, 2 - 1j], 1e-8)
 
 
 def test_path_budget_is_enforced():

@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from tensegrity import verify_containment
 from tensegrity.ideals import (SLINGSHOT_PINNED, adjacent_minor_primes,
                                adjacent_minors, column_minor,

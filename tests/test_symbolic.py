@@ -4,13 +4,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 import pytest
 import sympy
 
-from tensegrity import (GroebnerBasis, PairBudgetError, RationalPoly,
-                        SymbolicError, buchberger, normal_form_reduce,
-                        ring_variables, symbolic_minors, verify_containment)
+from tensegrity import (PairBudgetError, RationalPoly, SymbolicError,
+                        buchberger, normal_form_reduce, ring_variables,
+                        symbolic_minors, verify_containment)
 from tensegrity.symbolic import s_polynomial
 
 
