@@ -9,7 +9,9 @@ hyperplanes, and the critical-point formulation of epsilon-local rigidity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -48,6 +50,10 @@ POLISH_STEPS = 30
 #: an endpoint is converged when its target residual is below this
 #: times 1 + |x|^deg
 TOL_END_REL = 1e-8
+
+#: paths tracked together in one lockstep batch; bounds the evaluator's
+#: temporaries, which grow with paths x terms
+BLOCK_PATHS = 64
 
 #: refuse total-degree solves beyond this many paths unless overridden
 DEFAULT_PATH_BUDGET = 100_000
@@ -101,41 +107,60 @@ class MultiPoly(SparsePoly):
         return f"MultiPoly({self.nvars}, {self.terms!r})"
 
 
-def _power_table(x: np.ndarray, max_exp: int) -> np.ndarray:
-    table = np.ones((max_exp + 1, x.size), dtype=complex)
-    for k in range(1, max_exp + 1):
-        table[k] = table[k - 1] * x
-    return table
-
-
 class _Batched:
-    """Shared-monomial evaluator for many polynomials at once."""
+    """Shared-monomial evaluator for many polynomials at once, at one point
+    or at each row of a (P, nvars) batch of points."""
 
     def __init__(self, polys, nvars, nrows, rows):
         self.nrows = nrows
-        self.coeffs = np.array([c for p in polys for c in p.terms.values()],
+        # 2-D, so that it multiplies a (P, T) batch as a 1-D T at one point
+        self.coeffs = np.array([[c for p in polys for c in p.terms.values()]],
                                dtype=complex)
         self.empty = self.coeffs.size == 0
         if self.empty:
             return
-        E = np.array([e for p in polys for e in p.terms], dtype=np.int64)
-        self.rows = np.repeat(np.asarray(rows, dtype=np.int64),
-                              [len(p.terms) for p in polys])
+        # bins of the interleaved real and imaginary parts of the terms
+        rows = np.repeat(np.asarray(rows, dtype=np.int64),
+                         [len(p.terms) for p in polys])
+        self.bins = (2 * rows[:, None] + np.arange(2)).ravel()
         # polynomials in a system share most monomials, so evaluate each
-        # distinct exponent row once and scatter
-        self.E_unique, self.inverse = np.unique(E, axis=0, return_inverse=True)
-        self.max_exp = int(self.E_unique.max(initial=0))
-        self.cols = np.arange(nvars)
+        # distinct exponent tuple once and scatter
+        unique = {}
+        self.inverse = np.array([unique.setdefault(e, len(unique))
+                                 for p in polys for e in p.terms], dtype=np.int64)
+        E = np.array(list(unique), dtype=np.int64).reshape(len(unique), nvars)
+        self.max_exp = int(E.max(initial=0))
+        # flat index of x_j^e in a point's (max_exp + 1, nvars) power table
+        self.gather = E * nvars + np.arange(nvars)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        X = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+        P, n = X.shape
         if self.empty:
-            return np.zeros(self.nrows, dtype=complex)
-        table = _power_table(np.asarray(x, dtype=complex), self.max_exp)
-        mono = np.prod(table[self.E_unique, self.cols[None, :]], axis=1)
-        vals = self.coeffs * mono[self.inverse]
-        out = (np.bincount(self.rows, weights=vals.real, minlength=self.nrows)
-               + 1j * np.bincount(self.rows, weights=vals.imag, minlength=self.nrows))
-        return out
+            return np.zeros(x.shape[:-1] + (self.nrows,), dtype=complex)
+        # Each row of the batch comes out bit for bit as that point would
+        # alone.  numpy multiplies complex arrays with a vector kernel whose
+        # rounding differs from its scalar fallback, and takes the fallback
+        # for strided or mismatched operands, so every complex product below
+        # has C-contiguous operands, as at a single point.  The product over
+        # the variables is a reduction, always scalar, over a C-contiguous
+        # (P, U, n) gather.  One bincount sums the real and the imaginary
+        # parts of each row in term order.
+        K = self.max_exp + 1
+        table = np.empty((K, P, n), dtype=complex)
+        table[0] = 1.0
+        for k in range(1, K):
+            np.multiply(table[k - 1], X, out=table[k])
+        table = table.transpose(1, 0, 2).reshape(P, K * n)
+        mono = np.multiply.reduce(table.take(self.gather, axis=1), axis=2)
+        vals = self.coeffs * mono.take(self.inverse, axis=1)
+        bins = self.bins if P == 1 else (
+            self.bins + 2 * self.nrows * np.arange(P)[:, None]).ravel()
+        sums = np.bincount(bins, weights=vals.view(np.float64).ravel(),
+                           minlength=2 * P * self.nrows)
+        out = sums[0::2] + 1j * sums[1::2]
+        return out.reshape(x.shape[:-1] + (self.nrows,))
 
 
 class PolySystem:
@@ -157,12 +182,12 @@ class PolySystem:
     def __len__(self):
         return len(self.polys)
 
-    def __iter__(self):
-        return iter(self.polys)
-
-    @property
+    @cached_property
     def degrees(self):
         return [p.degree() for p in self.polys]
+
+    def __iter__(self):
+        return iter(self.polys)
 
     def _value_eval(self):
         if self._value is None:
@@ -182,11 +207,13 @@ class PolySystem:
         return self._jac
 
     def evaluate(self, x) -> np.ndarray:
+        """Values at a point (m,), or at each row of a (P, n) batch (P, m)."""
         return self._value_eval().evaluate(x)
 
     def jacobian(self, x) -> np.ndarray:
+        """Jacobian at a point (m, n), or at each row of a batch (P, m, n)."""
         flat = self._jac_eval().evaluate(x)
-        return flat.reshape(len(self.polys), self.nvars)
+        return flat.reshape(flat.shape[:-1] + (len(self.polys), self.nvars))
 
 
 def _as_system(f) -> PolySystem:
@@ -214,26 +241,38 @@ class Homotopy:
         object.__setattr__(self, "_both",
                            PolySystem(list(target.polys) + list(start.polys)))
 
-    def _split_value(self, x):
+    # x is one point with a scalar t, or a (P, n) batch with one t per row.
+    # The target and start halves of the stacked evaluation are copied to
+    # C-contiguous arrays, so that they multiply as they would at a single
+    # point (see _Batched.evaluate).
+
+    def _halves(self, x) -> np.ndarray:
+        """Target and start values at x, stacked: (2, m) or (2, P, m)."""
         both = self._both.evaluate(x)
-        m = len(self.target)
-        return both[:m], both[m:]
+        both = both.reshape(both.shape[:-1] + (2, -1))
+        return np.ascontiguousarray(both.swapaxes(0, -2))
 
-    def _split_jacobian(self, x):
-        both = self._both.jacobian(x)
-        m = len(self.target)
-        return both[:m], both[m:]
-
-    def value(self, x, t: float) -> np.ndarray:
-        fv, gv = self._split_value(x)
+    def _combine(self, halves, t) -> np.ndarray:
+        """h(x, t) from the halves at x."""
+        fv, gv = halves
+        t = np.asarray(t, dtype=float)[..., None]
         return (1.0 - t) * fv + self.gamma * t * gv
 
-    def jacobian_x(self, x, t: float) -> np.ndarray:
-        fj, gj = self._split_jacobian(x)
+    def value(self, x, t) -> np.ndarray:
+        return self._combine(self._halves(x), t)
+
+    def jacobian_x(self, x, t) -> np.ndarray:
+        both = self._both.jacobian(x)
+        both = both.reshape(both.shape[:-2] + (2, -1, both.shape[-1]))
+        fj, gj = np.ascontiguousarray(both.swapaxes(0, -3))
+        t = np.asarray(t, dtype=float)[..., None, None]
         return (1.0 - t) * fj + self.gamma * t * gj
 
     def dh_dt(self, x) -> np.ndarray:
-        fv, gv = self._split_value(x)
+        return self._dh_dt(self._halves(x))
+
+    def _dh_dt(self, halves) -> np.ndarray:
+        fv, gv = halves
         return self.gamma * gv - fv
 
 
@@ -247,107 +286,216 @@ class TrackResult:
     trajectory: tuple = field(default=(), compare=False, repr=False)
 
 
-def _newton(system_value, system_jacobian, x, tol, max_iter):
-    """Newton iteration; checks the residual before each update so an exact
-    solution is returned bit-for-bit unchanged."""
-    for _ in range(max_iter + 1):
-        r = system_value(x)
-        if np.linalg.norm(r) <= tol:
-            return x, True
+def _norms(a: np.ndarray) -> np.ndarray:
+    """2-norm of each row of a complex (P, k) array, by the dot products
+    np.linalg.norm uses for one vector, so each equals that norm bit for bit."""
+    re, im = a.real[:, None, :], a.imag[:, None, :]
+    return np.sqrt(np.matmul(re, re.swapaxes(1, 2))[:, 0, 0]
+                   + np.matmul(im, im.swapaxes(1, 2))[:, 0, 0])
+
+
+def _one_plus_pow(norms: np.ndarray, deg: int) -> np.ndarray:
+    """1 + norm ** deg per row, by the scalar pow (numpy's vectorised power
+    may round differently); inf where it overflows."""
+    out = []
+    for v in norms.tolist():
         try:
-            dx = np.linalg.solve(system_jacobian(x), r)
-        except np.linalg.LinAlgError:
-            return x, False
-        x = x - dx
-    return x, np.linalg.norm(system_value(x)) <= tol
+            out.append(1.0 + v ** deg)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
 
 
-def track_path(h: Homotopy, x0, record: bool = False) -> TrackResult:
-    """Track one solution of the start system from t = 1 to the target.
+def _solve(A: np.ndarray, b: np.ndarray) -> tuple:
+    """Solve the stacked systems A[k] y = b[k].  Returns y and the list of
+    the k whose A[k] is singular; their rows of y are zero and the other
+    rows are unaffected."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], []
+    except np.linalg.LinAlgError:
+        y = np.zeros_like(b)
+        singular = []
+        for k in range(len(A)):
+            try:
+                y[k] = np.linalg.solve(A[k], b[k])
+            except np.linalg.LinAlgError:
+                singular.append(k)
+        return y, singular
+
+
+def _newton(value, jacobian, x, tol, max_iter):
+    """Newton iteration on each row of the (P, n) batch x, to the per-row
+    tolerances tol.  value(z, rows) and jacobian(z, rows) evaluate the system
+    at the points z, which stand for the rows `rows` of the batch.  A row
+    checks its residual before each update, so an exact solution comes back
+    bit for bit unchanged, and stops at a singular Jacobian.  Returns
+    (x, ok) with the last iterate of every row."""
+    x = x.copy()
+    ok = np.zeros(len(x), dtype=bool)
+    rows, z = np.arange(len(x)), x
+    for _ in range(max_iter + 1):
+        r = value(z, rows)
+        done = _norms(r) <= tol
+        finished = np.count_nonzero(done)
+        if finished == len(rows):
+            x[rows] = z
+            ok[rows] = True
+            return x, ok
+        if finished:
+            x[rows[done]] = z[done]
+            ok[rows[done]] = True
+            keep = ~done
+            rows, z, tol, r = rows[keep], z[keep], tol[keep], r[keep]
+        dz, singular = _solve(jacobian(z, rows), r)
+        if singular:
+            x[rows[singular]] = z[singular]
+            if len(singular) == len(rows):
+                return x, ok
+            keep = np.ones(len(rows), dtype=bool)
+            keep[singular] = False
+            rows, z, tol, dz = rows[keep], z[keep], tol[keep], dz[keep]
+        z = z - dz
+    ok[rows] = _norms(value(z, rows)) <= tol
+    x[rows] = z
+    return x, ok
+
+
+def track_paths(h: Homotopy, starts, record: bool = False) -> list:
+    """Track solutions of the start system from t = 1 to the target.
 
     Euler prediction on the Davidenko equation, Newton correction at each
     accepted t, adaptive halving/doubling of the step, then a final Newton
-    polish on the target at t = 0.
+    polish on the target at t = 0.  The paths advance in lockstep, up to
+    BLOCK_PATHS at a time, so each step evaluates and solves them as one
+    batch; each path keeps its own t, step size and counters and leaves the
+    batch when it ends.  A path's result does not depend on the others.
     """
-    x = np.asarray(x0, dtype=complex).copy()
-    start_res = float(np.linalg.norm(h.value(x, 1.0)))
-    if start_res > TOL_START:
-        raise ContinuationError(
-            f"start point is not on the start system (residual {start_res:.2e})")
+    starts = iter(starts)
+    results = []
+    while True:
+        block = [np.asarray(x0, dtype=complex)
+                 for x0 in itertools.islice(starts, BLOCK_PATHS)]
+        if not block:
+            return results
+        results.extend(_track_block(h, np.array(block), record))
+
+
+def track_path(h: Homotopy, x0, record: bool = False) -> TrackResult:
+    """Track one solution of the start system; see track_paths."""
+    return track_paths(h, [x0], record)[0]
+
+
+def _track_block(h: Homotopy, X: np.ndarray, record: bool) -> list:
+    P = len(X)
+    fg = h._halves(X)
+    for res in _norms(h._combine(fg, np.ones(P))):
+        if res > TOL_START:
+            raise ContinuationError(
+                f"start point is not on the start system (residual {res:.2e})")
 
     target = h.target
     deg = max(target.degrees, default=1)
     deg_h = max(deg, max(h.start.degrees, default=1))
 
-    def tol_end(point):
-        return TOL_END_REL * (1.0 + np.linalg.norm(point) ** deg)
+    def tol_end(points):
+        return TOL_END_REL * _one_plus_pow(_norms(points), deg)
 
-    traj = [(1.0, x.copy())] if record else None
-    t = 1.0
-    dt = DT_INIT
-    accepts = 0
-    steps = 0
-    status = None
+    steps_of = [0] * P
+    status = [None] * P
+    trajs = [[(1.0, x.copy())] for x in X] if record else None
 
-    while t > T_CUTOFF:
-        if steps >= MAX_STEPS:
-            status = "step_underflow"
-            break
-        steps += 1
-        step = min(dt, t - T_CUTOFF)
+    # the live paths, compacted as paths end: block row, point, t, the halves
+    # at the point (reused by the predictor), and step size, accepted steps
+    # in a row and step count as Python numbers
+    idx = np.arange(P)
+    x, t = X.copy(), np.ones(P)
+    dt, accepts, steps = [DT_INIT] * P, [0] * P, [0] * P
+
+    while idx.size:
+        step = np.array([min(d, s - T_CUTOFF) for d, s in zip(dt, t.tolist())])
         t_new = t - step
-        try:
-            dxdt = np.linalg.solve(h.jacobian_x(x, t), -h.dh_dt(x))
-            x_pred = x - step * dxdt
-        except np.linalg.LinAlgError:
-            x_pred = None
-        if x_pred is not None:
-            # scale the tolerance with the local value magnitude: far from the
-            # origin the residual floor is ~eps * |x|^deg and an absolute
-            # threshold below it would stall the path
-            corr_tol = NEWTON_TOL * (
-                1.0 + float(np.linalg.norm(x_pred)) ** deg_h)
-            x_corr, ok = _newton(lambda z: h.value(z, t_new),
-                                 lambda z: h.jacobian_x(z, t_new),
-                                 x_pred, corr_tol, MAX_NEWTON)
-        else:
-            ok = False
-        if ok:
-            x, t = x_corr, t_new
-            accepts += 1
-            if record:
-                traj.append((t, x.copy()))
-            if np.linalg.norm(x) > DIVERGENCE:
-                status = "diverged"
-                break
-            if accepts >= GROW_AFTER:
-                dt = min(dt * 2.0, DT_MAX)
-                accepts = 0
-        else:
-            accepts = 0
-            dt *= 0.5
-            if dt < DT_MIN:
-                status = "step_underflow"
-                break
+        dxdt, singular = _solve(h.jacobian_x(x, t), -h._dh_dt(fg))
+        # a row whose predictor failed is corrected too, and then rejected
+        x_pred = x - step[:, None] * dxdt
+        # scale the tolerance with the local value magnitude: far from the
+        # origin the residual floor is ~eps * |x|^deg and an absolute
+        # threshold below it would stall the path
+        corr_tol = NEWTON_TOL * _one_plus_pow(_norms(x_pred), deg_h)
+        fg_new = np.empty_like(fg)
 
-    if status is None:
-        # endgame: Newton polish directly on the target system
-        x, _ = _newton(target.evaluate, target.jacobian, x,
-                       1e-4 * tol_end(x), POLISH_STEPS)
+        def value(z, rows):
+            fg_new[:, rows] = part = h._halves(z)
+            return h._combine(part, t_new[rows])
+
+        x_corr, ok = _newton(value, lambda z, rows: h.jacobian_x(z, t_new[rows]),
+                             x_pred, corr_tol, MAX_NEWTON)
+        if singular:
+            ok[singular] = False
+        # an accepted row's last residual was taken at its new point
+        x = np.where(ok[:, None], x_corr, x)
+        fg = np.where(ok[:, None], fg_new, fg)
+        t = np.where(ok, t_new, t)
+
+        live = []
+        for k, (accepted, t_k, far) in enumerate(zip(
+                ok.tolist(), t.tolist(), (_norms(x) > DIVERGENCE).tolist())):
+            steps[k] += 1
+            if accepted:
+                accepts[k] += 1
+                if record:
+                    trajs[idx[k]].append((t_k, x[k].copy()))
+                if far:
+                    status[idx[k]] = "diverged"
+                    continue
+                if accepts[k] >= GROW_AFTER:
+                    dt[k] = min(dt[k] * 2.0, DT_MAX)
+                    accepts[k] = 0
+            else:
+                accepts[k] = 0
+                dt[k] *= 0.5
+                if dt[k] < DT_MIN:
+                    status[idx[k]] = "step_underflow"
+                    continue
+            if t_k > T_CUTOFF:
+                if steps[k] >= MAX_STEPS:
+                    status[idx[k]] = "step_underflow"
+                    continue
+                live.append(k)
+        if len(live) < idx.size:
+            X[idx] = x
+            for k, i in enumerate(idx.tolist()):
+                steps_of[i] = steps[k]
+            idx, x, fg, t = idx[live], x[live], fg[:, live], t[live]
+            dt = [dt[k] for k in live]
+            accepts = [accepts[k] for k in live]
+            steps = [steps[k] for k in live]
+
+    # endgame on the paths that reached T_CUTOFF: Newton polish directly on
+    # the target system
+    end = np.flatnonzero([s is None for s in status])
+    if end.size:
+        X[end], _ = _newton(lambda z, rows: target.evaluate(z),
+                            lambda z, rows: target.jacobian(z),
+                            X[end], 1e-4 * tol_end(X[end]), POLISH_STEPS)
         if record:
-            traj.append((0.0, x.copy()))
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE:
-            status = "diverged"
-        else:
-            residual = float(np.linalg.norm(target.evaluate(x)))
-            status = "converged" if residual <= tol_end(x) else "step_underflow"
+            for i in end:
+                trajs[i].append((0.0, X[i].copy()))
 
-    residual = float(np.linalg.norm(target.evaluate(x))) if np.all(np.isfinite(x)) \
-        else float("inf")
-    max_imag = float(np.max(np.abs(x.imag))) if x.size else 0.0
-    return TrackResult(endpoint=x, status=status, residual=residual,
-                       steps=steps, max_imag=max_imag,
-                       trajectory=tuple(traj) if record else ())
+    residual = np.full(P, np.inf)
+    finite = np.all(np.isfinite(X), axis=1)
+    if finite.any():
+        residual[finite] = _norms(target.evaluate(X[finite]))
+    far = ~finite | (_norms(X) > DIVERGENCE)
+    good = residual <= tol_end(X)
+    for i in end:
+        status[i] = ("diverged" if far[i]
+                     else "converged" if good[i] else "step_underflow")
+    max_imag = np.max(np.abs(X.imag), axis=1, initial=0.0)
+    return [TrackResult(endpoint=X[i].copy(), status=status[i],
+                        residual=float(residual[i]), steps=steps_of[i],
+                        max_imag=float(max_imag[i]),
+                        trajectory=tuple(trajs[i]) if record else ())
+            for i in range(P)]
 
 
 def solve_total_degree(f, seed=None, budget: int | None = None,
@@ -379,11 +527,7 @@ def solve_total_degree(f, seed=None, budget: int | None = None,
     h = Homotopy(target=f, start=PolySystem(start), gamma=gamma)
 
     unity = [np.exp(2j * np.pi * np.arange(d) / d) for d in degrees]
-    results = []
-    for combo in itertools.product(*unity):
-        results.append(track_path(h, np.array(combo, dtype=complex),
-                                  record=record))
-    return results
+    return track_paths(h, itertools.product(*unity), record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +615,10 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
     N = len(free)
     rng = np.random.default_rng(seed)
 
-    if isinstance(direction, str) and direction == "flex":
+    if isinstance(direction, str):
+        if direction != "flex":
+            raise FrameworkError(
+                f"direction must be \"flex\" or a vector, got {direction!r}")
         J = members.jacobian(p_free.astype(complex)).real
         null = numerical_nullspace(J)
         if null.shape[1] == 0:
@@ -515,8 +662,11 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
         target = squared(list(members.polys) + [plane1])
         # settle the anchor exactly onto the start system before tracking;
         # after the first push it is complex and only approximately on it
-        anchor, ok = _newton(start.evaluate, start.jacobian, anchor, 1e-12, 10)
-        if not ok:
+        settled, ok = _newton(lambda z, rows: start.evaluate(z),
+                              lambda z, rows: start.jacobian(z),
+                              anchor[None], np.array([1e-12]), 10)
+        anchor = settled[0]
+        if not ok[0]:
             results.append(DeformationStep(
                 point=_restore_full(free, anchor, n, d),
                 result=TrackResult(endpoint=anchor, status="step_underflow",
@@ -573,11 +723,8 @@ MIN_RESOLVED_FRACTION = 0.5
 HARVEST_IMAG = 0.5
 
 
-def _polish_real(members: PolySystem, sphere: MultiPoly, x: np.ndarray,
-                 iters: int = 50) -> tuple:
-    """Gauss-Newton on the real system {members = 0, sphere = 0}."""
-    target = PolySystem(list(members.polys) + [sphere])
-
+def _polish_real(target: PolySystem, x: np.ndarray, iters: int = 50) -> tuple:
+    """Gauss-Newton on a real system, here {members = 0, sphere = 0}."""
     def val(z):
         return target.evaluate(z.astype(complex)).real
 
@@ -650,6 +797,7 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
 
     results = solve_total_degree(PolySystem(eqs), seed=seed, budget=budget)
 
+    real_system = PolySystem(list(members.polys) + [sphere])
     witnesses = []
     seen = set()
     for res in results:
@@ -658,7 +806,7 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
             continue
         if np.max(np.abs(x_part.imag)) > HARVEST_IMAG:
             continue
-        polished, residual = _polish_real(members, sphere, x_part.real.copy())
+        polished, residual = _polish_real(real_system, x_part.real.copy())
         if residual > 1e-10:
             continue
         key = tuple(np.round(polished, 6))

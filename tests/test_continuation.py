@@ -1,5 +1,7 @@
 """Path tracking: start systems, correctors, deformation, epsilon checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tensegrity import (ContinuationError, FrameworkError, Homotopy,
                         deform_framework, epsilon_rigidity_check, load_fixture,
                         numerical_nullspace, pin_moving_frame,
                         pinned_member_system, solve_total_degree, track_path)
+from tensegrity import continuation
 from tensegrity.framework import build_constraints
 
 
@@ -215,3 +218,124 @@ def test_epsilon_check_refuses_over_budget(prism):
     sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
     with pytest.raises(PathBudgetError):
         epsilon_rigidity_check(sysp, pp, epsilon=0.1, seed=0, budget=1000)
+
+
+def test_deform_rejects_unknown_direction():
+    graph, p, sys_ = load_fixture("hinge")
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    with pytest.raises(FrameworkError, match="flex"):
+        deform_framework(sysp, pp, direction="random", epsilon=0.05, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep tracking: a batch gives every path bit for bit the result it gets
+# when tracked alone
+
+
+def _dense_system(degrees, seed):
+    rng = np.random.default_rng(seed)
+    n = len(degrees)
+    polys = []
+    for d in degrees:
+        terms = {e: complex(rng.normal(), rng.normal())
+                 for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d}
+        polys.append(MultiPoly(n, terms))
+    return PolySystem(polys)
+
+
+def _assert_same_result(a, b):
+    assert np.array_equal(a.endpoint, b.endpoint)
+    assert (a.status, a.steps) == (b.status, b.steps)
+    assert a.residual == b.residual and a.max_imag == b.max_imag
+    assert len(a.trajectory) == len(b.trajectory)
+    for (ta, xa), (tb, xb) in zip(a.trajectory, b.trajectory):
+        assert ta == tb and np.array_equal(xa, xb)
+
+
+LOCKSTEP_SYSTEMS = {
+    "cubic": _univariate([1, -7, 17, -15]),
+    # both quadratics share the leading form x^2, so two of the four paths
+    # go to infinity
+    "paths_at_infinity": PolySystem([
+        MultiPoly(2, {(2, 0): 1.0, (0, 1): 1.0, (0, 0): -3.0}),
+        MultiPoly(2, {(2, 0): 1.0, (0, 1): -1.0, (0, 0): 1.0})]),
+    # no finite solution: every path diverges
+    "inconsistent": PolySystem([
+        MultiPoly(2, {(2, 0): 1.0, (0, 1): -1.0}),
+        MultiPoly(2, {(2, 0): 1.0, (0, 1): -1.0, (0, 0): 1.0})]),
+    "dense_222": _dense_system((2, 2, 2), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_SYSTEMS))
+def test_lockstep_solve_matches_single_path_tracking(name, monkeypatch):
+    # small blocks, so that the dense system spans several of them
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 3)
+    calls = []
+    real = continuation.track_paths
+
+    def spy(h, starts, record=False):
+        starts = [np.array(x0) for x0 in starts]
+        calls.append((h, starts))
+        return real(h, starts, record)
+
+    monkeypatch.setattr(continuation, "track_paths", spy)
+    batch = solve_total_degree(LOCKSTEP_SYSTEMS[name], seed=3, record=True)
+    monkeypatch.setattr(continuation, "track_paths", real)
+    (h, starts), = calls
+    assert len(batch) == len(starts) == np.prod(h.target.degrees)
+    for res, x0 in zip(batch, starts):
+        _assert_same_result(res, track_path(h, x0, record=True))
+    if name == "inconsistent":
+        assert {r.status for r in batch} == {"diverged"}
+    if name == "paths_at_infinity":
+        assert {r.status for r in batch} >= {"converged", "step_underflow"}
+
+
+@pytest.mark.parametrize("nvars,deg,single_term", [(1, 3, False), (1, 3, True),
+                                                   (2, 2, False), (3, 4, False),
+                                                   (4, 2, True)])
+def test_batched_evaluation_rows_match_single_points(nvars, deg, single_term):
+    rng = np.random.default_rng(83 + nvars)
+    f = _dense_system((deg,) * nvars, 7 + deg)
+    if single_term:
+        f = PolySystem([MultiPoly(nvars, {(deg,) + (0,) * (nvars - 1): 2.0 - 1j})
+                        for _ in range(nvars)])
+    g = _dense_system((deg,) * nvars, 11)
+    h = Homotopy(target=f, start=g, gamma=complex(np.exp(0.7j)))
+    X = rng.normal(size=(5, nvars)) + 1j * rng.normal(size=(5, nvars))
+    t = rng.uniform(size=5)
+    values, jacobians = f.evaluate(X), f.jacobian(X)
+    h_values, h_jacobians, h_dt = h.value(X, t), h.jacobian_x(X, t), h.dh_dt(X)
+    assert values.shape == (5, nvars) and jacobians.shape == (5, nvars, nvars)
+    for k in range(5):
+        assert np.array_equal(values[k], f.evaluate(X[k]))
+        assert np.array_equal(jacobians[k], f.jacobian(X[k]))
+        assert np.array_equal(h_values[k], h.value(X[k], float(t[k])))
+        assert np.array_equal(h_jacobians[k], h.jacobian_x(X[k], float(t[k])))
+        assert np.array_equal(h_dt[k], h.dh_dt(X[k]))
+
+
+def test_batch_with_a_start_point_off_the_start_system_raises():
+    f = _univariate([1, 0, 0, -2])
+    g = _univariate([1, 0, 0, -1])
+    h = Homotopy(target=f, start=g, gamma=1.0)
+    roots = [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
+    continuation.track_paths(h, roots)
+    with pytest.raises(ContinuationError, match="start point"):
+        continuation.track_paths(h, roots[:2] + [np.array([0.5 + 0j])] + roots[2:])
+
+
+def test_singular_path_leaves_the_rest_of_its_batch_unchanged():
+    # start system x^2 (x - 1): its Jacobian vanishes exactly at the double
+    # root 0, so the path from 0 fails every predictor and corrector solve
+    f = _univariate([1, 0, 0, -2])
+    g = _univariate([1, -1, 0, 0])
+    h = Homotopy(target=f, start=g, gamma=complex(np.exp(0.3j)))
+    starts = [np.array([1.0 + 0j]), np.array([0j]), np.array([1.0 + 0j])]
+    batch = continuation.track_paths(h, starts, record=True)
+    assert batch[1].status == "step_underflow" and batch[1].steps > 1
+    assert batch[0].status == "converged"
+    for res, x0 in zip(batch, starts):
+        _assert_same_result(res, track_path(h, x0, record=True))

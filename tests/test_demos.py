@@ -1,8 +1,4 @@
-"""The demos run to completion.
-
-Demo 05 is left out: its two 512-path epsilon searches take about 21 s,
-and test_acceptance.py already runs the same searches.
-"""
+"""The demos run to completion."""
 
 import os
 import subprocess
@@ -18,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
                                   "02_self_stress_and_prestress.py",
                                   "03_homotopy_solving.py",
                                   "04_deforming_the_prism.py",
+                                  "05_epsilon_rigidity.py",
                                   "06_exact_verification.py"])
 def test_demo_exits_cleanly(name):
     env = dict(os.environ)
