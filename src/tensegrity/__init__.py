@@ -14,6 +14,7 @@ from .continuation import (
     pinned_member_system,
     solve_total_degree,
     track_path,
+    track_paths,
 )
 from .framework import (
     Configuration,
@@ -66,7 +67,8 @@ __all__ = [
     "ContinuationError", "DeformationStep", "EpsilonRigidityResult",
     "Homotopy", "MultiPoly", "PathBudgetError", "PolySystem", "TrackResult",
     "deform_framework", "epsilon_rigidity_check", "pinned_member_system",
-    "solve_total_degree", "track_path", "Configuration", "FrameworkError",
+    "solve_total_degree", "track_path", "track_paths", "Configuration",
+    "FrameworkError",
     "FrameworkGraph", "MemberConstraintSystem", "build_constraints",
     "evaluate_members", "load_fixture", "load_framework",
     "PrestressCertificate", "SelfStress", "StressMatrix",

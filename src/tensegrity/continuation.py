@@ -1,9 +1,10 @@
 """Homotopy continuation over complex polynomial systems.
 
 Complex sparse polynomials on the core shared with `symbolic`, Davidenko
-predictor-corrector path tracking, total-degree solving with the gamma
-trick, real parameter homotopies that deform pinned frameworks along
-hyperplanes, and the critical-point formulation of epsilon-local rigidity.
+predictor-corrector tracking of many paths in lockstep, total-degree
+solving with the gamma trick, real parameter homotopies that deform pinned
+frameworks along hyperplanes, and the critical-point formulation of
+epsilon-local rigidity.
 """
 
 from __future__ import annotations
@@ -182,12 +183,12 @@ class PolySystem:
     def __len__(self):
         return len(self.polys)
 
+    def __iter__(self):
+        return iter(self.polys)
+
     @cached_property
     def degrees(self):
         return [p.degree() for p in self.polys]
-
-    def __iter__(self):
-        return iter(self.polys)
 
     def _value_eval(self):
         if self._value is None:
@@ -360,6 +361,12 @@ def _newton(value, jacobian, x, tol, max_iter):
     return x, ok
 
 
+def _newton_on(system: PolySystem, x, tol, max_iter):
+    """_newton on a system without a homotopy parameter."""
+    return _newton(lambda z, rows: system.evaluate(z),
+                   lambda z, rows: system.jacobian(z), x, tol, max_iter)
+
+
 def track_paths(h: Homotopy, starts, record: bool = False) -> list:
     """Track solutions of the start system from t = 1 to the target.
 
@@ -474,9 +481,8 @@ def _track_block(h: Homotopy, X: np.ndarray, record: bool) -> list:
     # the target system
     end = np.flatnonzero([s is None for s in status])
     if end.size:
-        X[end], _ = _newton(lambda z, rows: target.evaluate(z),
-                            lambda z, rows: target.jacobian(z),
-                            X[end], 1e-4 * tol_end(X[end]), POLISH_STEPS)
+        X[end], _ = _newton_on(target, X[end], 1e-4 * tol_end(X[end]),
+                               POLISH_STEPS)
         if record:
             for i in end:
                 trajs[i].append((0.0, X[i].copy()))
@@ -662,9 +668,7 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
         target = squared(list(members.polys) + [plane1])
         # settle the anchor exactly onto the start system before tracking;
         # after the first push it is complex and only approximately on it
-        settled, ok = _newton(lambda z, rows: start.evaluate(z),
-                              lambda z, rows: start.jacobian(z),
-                              anchor[None], np.array([1e-12]), 10)
+        settled, ok = _newton_on(start, anchor[None], np.array([1e-12]), 10)
         anchor = settled[0]
         if not ok[0]:
             results.append(DeformationStep(

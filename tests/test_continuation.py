@@ -9,7 +9,8 @@ from tensegrity import (ContinuationError, FrameworkError, Homotopy,
                         MultiPoly, PathBudgetError, PolySystem,
                         deform_framework, epsilon_rigidity_check, load_fixture,
                         numerical_nullspace, pin_moving_frame,
-                        pinned_member_system, solve_total_degree, track_path)
+                        pinned_member_system, solve_total_degree, track_path,
+                        track_paths)
 from tensegrity import continuation
 from tensegrity.framework import build_constraints
 
@@ -322,9 +323,9 @@ def test_batch_with_a_start_point_off_the_start_system_raises():
     g = _univariate([1, 0, 0, -1])
     h = Homotopy(target=f, start=g, gamma=1.0)
     roots = [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
-    continuation.track_paths(h, roots)
+    track_paths(h, roots)
     with pytest.raises(ContinuationError, match="start point"):
-        continuation.track_paths(h, roots[:2] + [np.array([0.5 + 0j])] + roots[2:])
+        track_paths(h, roots[:2] + [np.array([0.5 + 0j])] + roots[2:])
 
 
 def test_singular_path_leaves_the_rest_of_its_batch_unchanged():
@@ -334,7 +335,7 @@ def test_singular_path_leaves_the_rest_of_its_batch_unchanged():
     g = _univariate([1, -1, 0, 0])
     h = Homotopy(target=f, start=g, gamma=complex(np.exp(0.3j)))
     starts = [np.array([1.0 + 0j]), np.array([0j]), np.array([1.0 + 0j])]
-    batch = continuation.track_paths(h, starts, record=True)
+    batch = track_paths(h, starts, record=True)
     assert batch[1].status == "step_underflow" and batch[1].steps > 1
     assert batch[0].status == "converged"
     for res, x0 in zip(batch, starts):
