@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -186,7 +185,7 @@ class PolySystem:
     def __iter__(self):
         return iter(self.polys)
 
-    @cached_property
+    @property
     def degrees(self):
         return [p.degree() for p in self.polys]
 
@@ -338,13 +337,11 @@ def _newton(value, jacobian, x, tol, max_iter):
         r = value(z, rows)
         done = _norms(r) <= tol
         finished = np.count_nonzero(done)
-        if finished == len(rows):
-            x[rows] = z
-            ok[rows] = True
-            return x, ok
         if finished:
             x[rows[done]] = z[done]
             ok[rows[done]] = True
+            if finished == len(rows):
+                return x, ok
             keep = ~done
             rows, z, tol, r = rows[keep], z[keep], tol[keep], r[keep]
         dz, singular = _solve(jacobian(z, rows), r)
