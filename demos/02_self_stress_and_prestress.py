@@ -18,7 +18,7 @@ graph, p, sys_ = load_fixture("3prism")
 
 basis = self_stress_basis(sys_, p)
 print(f"self stress space dimension: {len(basis)}")
-w = basis[0].w / basis[0].w[0]
+w = basis[0] / basis[0][0]
 print("stress entries by member:")
 for (i, j, _), wk in zip(graph.members, w):
     print(f"  ({i}, {j}): {wk:+.3f}")
@@ -35,6 +35,6 @@ print(f"\ncertificate: {cert.verdict}, "
 
 # re-verify off the search path: restrict Omega_w to the flex space
 dec = nullspace_decomposition(sys_, p)
-omega = stress_matrix(graph, cert.stress).omega
+omega = stress_matrix(graph, cert.stress)
 reduced = dec.flexes.T @ omega @ dec.flexes
 print(f"independent check, eigenvalues: {np.linalg.eigvalsh(reduced)}")

@@ -28,8 +28,6 @@ from .framework import (
 )
 from .prestress import (
     PrestressCertificate,
-    SelfStress,
-    StressMatrix,
     prestress_certificate,
     self_stress_basis,
     stiffness_and_energy,
@@ -71,9 +69,9 @@ __all__ = [
     "FrameworkError",
     "FrameworkGraph", "MemberConstraintSystem", "build_constraints",
     "evaluate_members", "load_fixture", "load_framework",
-    "PrestressCertificate", "SelfStress", "StressMatrix",
-    "prestress_certificate", "self_stress_basis", "stiffness_and_energy",
-    "stress_matrix", "NullspaceDecomposition", "RigidityMatrices",
+    "PrestressCertificate", "prestress_certificate", "self_stress_basis",
+    "stiffness_and_energy", "stress_matrix", "NullspaceDecomposition",
+    "RigidityMatrices",
     "RigidityReport", "incidence_matrix", "jacobian_at",
     "laplacian_eigenpairs", "numerical_nullspace", "nullspace_decomposition",
     "pin_moving_frame", "rigid_motion_basis", "rigidity_and_incidence",

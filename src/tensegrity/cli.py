@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -43,38 +43,23 @@ ISOMETRIC = np.array([
     [1.0 / np.sqrt(6.0), 1.0 / np.sqrt(6.0), -2.0 / np.sqrt(6.0)],
 ])
 
+#: canvas size, margin around the drawing and node radius, in pixels
+WIDTH, HEIGHT, MARGIN, NODE_RADIUS = 640.0, 480.0, 48.0, 4.0
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """How to draw a scene: 2 x d projection (None picks identity for
-    d <= 2 and the fixed isometric map for d = 3) plus styling."""
+#: side of an arrow head, in pixels
+ARROW_HEAD = 6.0
 
-    projection: np.ndarray | None = None
-    member_colors: dict = field(default_factory=lambda: dict(MEMBER_COLORS))
-    arrow_colors: tuple = ARROW_COLORS
-    arrow_scale: float = 1.0
-    width: float = 640.0
-    height: float = 480.0
-    margin: float = 48.0
-    node_radius: float = 4.0
 
-    def __post_init__(self):
-        if not self.arrow_scale > 0:
-            raise ValueError("arrow scale must be positive")
-
-    def projection_for(self, d: int) -> np.ndarray:
-        if self.projection is not None:
-            proj = np.asarray(self.projection, dtype=float)
-            if proj.shape != (2, d):
-                raise ValueError(f"projection must be 2x{d}")
-            return proj
-        if d == 1:
-            return np.array([[1.0], [0.0]])
-        if d == 2:
-            return np.eye(2)
-        if d == 3:
-            return ISOMETRIC
-        raise ValueError(f"dimension {d} scene needs an explicit projection")
+def _projection(d: int) -> np.ndarray:
+    """2 x d map onto the canvas: identity for d <= 2, the fixed isometric
+    map for d = 3."""
+    if d == 1:
+        return np.array([[1.0], [0.0]])
+    if d == 2:
+        return np.eye(2)
+    if d == 3:
+        return ISOMETRIC
+    raise ValueError(f"cannot draw a dimension {d} scene")
 
 
 @dataclass(frozen=True)
@@ -89,7 +74,7 @@ class Scene:
     trajectories: tuple = ()
 
 
-def _canvas_map(points, spec: RenderSpec):
+def _canvas_map(points):
     """Affine map from scene coordinates to SVG pixels (y flipped)."""
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -97,13 +82,13 @@ def _canvas_map(points, spec: RenderSpec):
     else:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    scale = min((spec.width - 2 * spec.margin) / span[0],
-                (spec.height - 2 * spec.margin) / span[1])
+    scale = min((WIDTH - 2 * MARGIN) / span[0],
+                (HEIGHT - 2 * MARGIN) / span[1])
     mid = 0.5 * (lo + hi)
 
     def to_px(p):
-        x = spec.width / 2 + (p[0] - mid[0]) * scale
-        y = spec.height / 2 - (p[1] - mid[1]) * scale
+        x = WIDTH / 2 + (p[0] - mid[0]) * scale
+        y = HEIGHT / 2 - (p[1] - mid[1]) * scale
         return float(x), float(y)
 
     return to_px
@@ -113,18 +98,17 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_svg(scene: Scene, spec: RenderSpec | None = None) -> str:
+def render_svg(scene: Scene) -> str:
     """Draw a scene as an SVG document string.
 
     Nodes become circles, members lines styled by kind, each displacement
     basis vector one group of arrows (zero-length arrows omitted), and each
     trajectory a polyline through the complex plane.
     """
-    spec = spec or RenderSpec()
     nodes = np.asarray(scene.nodes, dtype=float)
     n = nodes.shape[0]
     d = nodes.shape[1] if nodes.ndim == 2 and n else 2
-    proj = spec.projection_for(d) if n else np.eye(2)
+    proj = _projection(d) if n else np.eye(2)
     flat = nodes @ proj.T if n else np.zeros((0, 2))
 
     disp2d = None
@@ -135,7 +119,7 @@ def render_svg(scene: Scene, spec: RenderSpec | None = None) -> str:
         if vecs.shape[0] != n * d:
             raise ValueError(f"displacement field must have {n * d} rows")
         # per vector: (n, 2) projected arrows
-        disp2d = [vecs[:, k].reshape(n, d) @ proj.T * spec.arrow_scale
+        disp2d = [vecs[:, k].reshape(n, d) @ proj.T
                   for k in range(vecs.shape[1])]
 
     extent = [flat]
@@ -144,12 +128,12 @@ def render_svg(scene: Scene, spec: RenderSpec | None = None) -> str:
     for path in scene.trajectories:
         zs = np.asarray(path, dtype=complex).reshape(-1)
         extent.append(np.column_stack([zs.real, zs.imag]))
-    to_px = _canvas_map(np.concatenate(extent), spec)
+    to_px = _canvas_map(np.concatenate(extent))
 
     root = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
-        "width": _fmt(spec.width), "height": _fmt(spec.height),
-        "viewBox": f"0 0 {_fmt(spec.width)} {_fmt(spec.height)}",
+        "width": _fmt(WIDTH), "height": _fmt(HEIGHT),
+        "viewBox": f"0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}",
     })
     ET.SubElement(root, "rect", {"width": "100%", "height": "100%",
                                  "fill": "#ffffff"})
@@ -169,14 +153,14 @@ def render_svg(scene: Scene, spec: RenderSpec | None = None) -> str:
         ET.SubElement(root, "line", {
             "class": f"member {kind}",
             "x1": _fmt(x1), "y1": _fmt(y1), "x2": _fmt(x2), "y2": _fmt(y2),
-            "stroke": spec.member_colors.get(kind, "#333333"),
+            "stroke": MEMBER_COLORS.get(kind, "#333333"),
             "stroke-width": "2",
             "stroke-dasharray": "6,3" if kind == "strut" else "none",
         })
 
     if disp2d:
         for k, vec in enumerate(disp2d):
-            color = spec.arrow_colors[k % len(spec.arrow_colors)]
+            color = ARROW_COLORS[k % len(ARROW_COLORS)]
             group = ET.SubElement(root, "g", {"class": "arrows",
                                               "data-vector": str(k),
                                               "stroke": color})
@@ -195,20 +179,21 @@ def render_svg(scene: Scene, spec: RenderSpec | None = None) -> str:
         x, y = to_px(flat[i])
         ET.SubElement(root, "circle", {
             "class": "node", "cx": _fmt(x), "cy": _fmt(y),
-            "r": _fmt(spec.node_radius), "fill": "#000000",
+            "r": _fmt(NODE_RADIUS), "fill": "#000000",
         })
 
     return ET.tostring(root, encoding="unicode")
 
 
-def _arrow_head(x1, y1, x2, y2, size=6.0):
+def _arrow_head(x1, y1, x2, y2):
     v = np.array([x2 - x1, y2 - y1])
     norm = np.linalg.norm(v)
     if norm <= 1e-12:
         return ""
     u = v / norm
-    left = np.array([x2, y2]) - size * u + size * 0.5 * np.array([-u[1], u[0]])
-    right = np.array([x2, y2]) - size * u - size * 0.5 * np.array([-u[1], u[0]])
+    tip = np.array([x2, y2]) - ARROW_HEAD * u
+    side = ARROW_HEAD * 0.5 * np.array([-u[1], u[0]])
+    left, right = tip + side, tip - side
     return (f"M {_fmt(left[0])} {_fmt(left[1])} L {_fmt(x2)} {_fmt(y2)} "
             f"L {_fmt(right[0])} {_fmt(right[1])}")
 

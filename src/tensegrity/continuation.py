@@ -91,14 +91,12 @@ class MultiPoly(SparsePoly):
 
     degree = SparsePoly.total_degree
 
-    def lift(self, nvars: int, offset: int = 0) -> "MultiPoly":
-        """Re-embed into a larger ring, shifting variables by offset."""
-        if offset + self.nvars > nvars:
+    def lift(self, nvars: int) -> "MultiPoly":
+        """Re-embed into a larger ring, as its leading variables."""
+        if self.nvars > nvars:
             raise ContinuationError("lift does not fit")
-        pad_left = (0,) * offset
-        pad_right = (0,) * (nvars - offset - self.nvars)
-        return MultiPoly(nvars, {pad_left + e + pad_right: c
-                                 for e, c in self.terms.items()})
+        pad = (0,) * (nvars - self.nvars)
+        return MultiPoly(nvars, {e + pad: c for e, c in self.terms.items()})
 
     def evaluate(self, x) -> complex:
         return complex(_Batched([self], self.nvars, 1, [0]).evaluate(x)[0])
@@ -641,28 +639,31 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
     m = len(members)
     M = (rng.normal(size=(N, m + 1)) + 1j * rng.normal(size=(N, m + 1)))
 
-    def squared(polys):
-        out = []
-        for r in range(N):
-            acc = MultiPoly.constant(N, 0.0)
-            for c, poly in zip(M[r], polys):
-                acc = acc + poly * c
-            out.append(acc)
-        return PolySystem(out)
-
     vpoly = [MultiPoly.variable(N, i) * v[i] for i in range(N)]
     linear = vpoly[0]
     for term in vpoly[1:]:
         linear = linear + term
 
+    # M [g; v.x - c] is affine in the plane offset c, so the members and
+    # v.x are squared up once and each push only adds its constant -c M[:, m]
+    polys = list(members.polys) + [linear]
+    rows = []
+    for r in range(N):
+        acc = MultiPoly.constant(N, 0.0)
+        for c, poly in zip(M[r], polys):
+            acc = acc + poly * c
+        rows.append(acc)
+
+    def squared(offset):
+        const = -MultiPoly.constant(N, offset)
+        return PolySystem([row + const * M[r, m] for r, row in enumerate(rows)])
+
     results = []
     anchor = p_free.astype(complex)
     for _ in range(steps):
         shift = complex(v @ anchor)
-        plane0 = linear - MultiPoly.constant(N, shift)
-        plane1 = plane0 - MultiPoly.constant(N, epsilon)
-        start = squared(list(members.polys) + [plane0])
-        target = squared(list(members.polys) + [plane1])
+        start = squared(shift)
+        target = squared(shift + epsilon)
         # settle the anchor exactly onto the start system before tracking;
         # after the first push it is complex and only approximately on it
         settled, ok = _newton_on(start, anchor[None], np.array([1e-12]), 10)
@@ -723,8 +724,11 @@ MIN_RESOLVED_FRACTION = 0.5
 #: loose on purpose, the 1e-10 polish residual does the real filtering
 HARVEST_IMAG = 0.5
 
+#: Gauss-Newton steps of the real polish of a harvested endpoint
+REAL_POLISH_STEPS = 50
 
-def _polish_real(target: PolySystem, x: np.ndarray, iters: int = 50) -> tuple:
+
+def _polish_real(target: PolySystem, x: np.ndarray) -> tuple:
     """Gauss-Newton on a real system, here {members = 0, sphere = 0}."""
     def val(z):
         return target.evaluate(z.astype(complex)).real
@@ -733,7 +737,7 @@ def _polish_real(target: PolySystem, x: np.ndarray, iters: int = 50) -> tuple:
         return target.jacobian(z.astype(complex)).real
 
     prev = np.inf
-    for _ in range(iters):
+    for _ in range(REAL_POLISH_STEPS):
         r = val(x)
         worst = np.max(np.abs(r))
         if worst <= 1e-12 or worst >= prev:

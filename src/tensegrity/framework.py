@@ -16,7 +16,7 @@ import numpy as np
 
 MEMBER_KINDS = ("bar", "cable", "strut")
 
-#: default slack when deciding whether a member constraint is satisfied;
+#: slack when deciding whether a member constraint is satisfied;
 #: floating residuals of exact solutions sit near 1e-15, so this is generous.
 FEASIBILITY_TOL = 1e-9
 
@@ -145,23 +145,23 @@ def build_constraints(graph: FrameworkGraph, p: Configuration,
     return MemberConstraintSystem(graph, np.asarray(rest_sq_lengths, dtype=float))
 
 
-def evaluate_members(sys: MemberConstraintSystem, x: Configuration,
-                     feas_tol: float = FEASIBILITY_TOL):
+def evaluate_members(sys: MemberConstraintSystem, x: Configuration):
     """Residuals g_ij(x) and a per-member feasibility flag.
 
-    Bars require |g| <= feas_tol, cables g <= feas_tol and struts
-    g >= -feas_tol.  Returns (residuals, feasible) as arrays of length m.
+    Bars require |g| <= FEASIBILITY_TOL, cables g <= FEASIBILITY_TOL and
+    struts g >= -FEASIBILITY_TOL.  Returns (residuals, feasible) as arrays
+    of length m.
     """
     residuals = squared_lengths(sys.graph, x) - sys.rest_sq_lengths
     feasible = np.empty(sys.m, dtype=bool)
     for k, (_, _, kind) in enumerate(sys.graph.members):
         g = residuals[k]
         if kind == "bar":
-            feasible[k] = abs(g) <= feas_tol
+            feasible[k] = abs(g) <= FEASIBILITY_TOL
         elif kind == "cable":
-            feasible[k] = g <= feas_tol
+            feasible[k] = g <= FEASIBILITY_TOL
         else:
-            feasible[k] = g >= -feas_tol
+            feasible[k] = g >= -FEASIBILITY_TOL
     return residuals, feasible
 
 

@@ -29,24 +29,6 @@ SEARCH_STARTS = 20
 
 
 @dataclass(frozen=True)
-class SelfStress:
-    """One self-stress vector, scaled so its largest entry magnitude is 1.
-
-    The sign is fixed by making the entry of the first member carrying a
-    nonzero stress positive; pinned_index records the first entry of
-    magnitude 1.
-    """
-
-    w: np.ndarray
-    pinned_index: int
-
-
-@dataclass(frozen=True)
-class StressMatrix:
-    omega: np.ndarray
-
-
-@dataclass(frozen=True)
 class PrestressCertificate:
     """Outcome of the prestress search.
 
@@ -86,7 +68,7 @@ class PrestressCertificate:
 
 def self_stress_basis(sys: MemberConstraintSystem, p: Configuration,
                       tol_rel: float = RANK_REL_TOL) -> list:
-    """Basis of the left nullspace of dg|_p, one SelfStress per dimension.
+    """Basis of the left nullspace of dg|_p, one stress vector per dimension.
 
     Starts from an orthonormal basis, then rescales each vector so the
     largest entry magnitude is 1 and the first stressed member is positive.
@@ -101,18 +83,18 @@ def self_stress_basis(sys: MemberConstraintSystem, p: Configuration,
         nonzero = np.nonzero(np.abs(w) > SIGN_MARGIN)[0]
         if nonzero.size and w[nonzero[0]] < 0.0:
             w = -w
-        out.append(SelfStress(w=w, pinned_index=idx))
+        out.append(w)
     return out
 
 
-def stress_matrix(graph: FrameworkGraph, w) -> StressMatrix:
+def stress_matrix(graph: FrameworkGraph, w) -> np.ndarray:
     """Omega_w: the w-weighted graph Laplacian Kronecker-spread by I_d."""
-    w = np.asarray(getattr(w, "w", w), dtype=float)
+    w = np.asarray(w, dtype=float)
     if w.shape != (graph.m,):
         raise FrameworkError(f"expected {graph.m} stress entries, got shape {w.shape}")
     inc = incidence_matrix(graph)
     lap = inc.T @ (w[:, None] * inc)
-    return StressMatrix(omega=np.kron(lap, np.eye(graph.d)))
+    return np.kron(lap, np.eye(graph.d))
 
 
 def stiffness_and_energy(sys: MemberConstraintSystem, p: Configuration,
@@ -125,8 +107,7 @@ def stiffness_and_energy(sys: MemberConstraintSystem, p: Configuration,
         raise FrameworkError("material constants must be nonnegative")
     dg = jacobian_at(sys, p)
     K = dg.T @ (c[:, None] * dg)
-    omega = stress_matrix(sys.graph, w).omega
-    return K, omega + K
+    return K, stress_matrix(sys.graph, w) + K
 
 
 def _min_eig_and_gradient(reduced_parts, a):
@@ -137,11 +118,11 @@ def _min_eig_and_gradient(reduced_parts, a):
     return vals[0], grad
 
 
-def _maximize_min_eigenvalue(reduced_parts, rng, starts=SEARCH_STARTS):
+def _maximize_min_eigenvalue(reduced_parts, rng):
     """Multi-start projected gradient ascent of lambda_min over the unit sphere."""
     k = len(reduced_parts)
     best_val, best_a = -np.inf, None
-    for _ in range(starts):
+    for _ in range(SEARCH_STARTS):
         a = rng.normal(size=k)
         a /= np.linalg.norm(a)
         val, grad = _min_eig_and_gradient(reduced_parts, a)
@@ -175,8 +156,11 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     basis to no_self_stress.  With one basis stress the sign choice is
     exhaustive; otherwise a seeded multi-start search maximizes the minimum
     eigenvalue over unit coefficient vectors.  Positive definiteness of the
-    winner is re-verified from scratch, and cable/strut sign feasibility is
-    reported against `partition` (defaults to the member kinds of sys).
+    winner is re-verified from scratch: its minimum eigenvalue must exceed
+    tol_rel times the spectral norm of its stress matrix, so that rounding
+    noise on a flex the stress does not reach is not taken for positive
+    definiteness.  Cable/strut sign feasibility is reported against
+    `partition` (defaults to the member kinds of sys).
     """
     graph = sys.graph
     kinds = tuple(partition) if partition is not None else graph.kinds()
@@ -191,7 +175,7 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     if not basis:
         return PrestressCertificate(verdict="no_self_stress")
 
-    reduced_parts = [F.T @ stress_matrix(graph, s).omega @ F for s in basis]
+    reduced_parts = [F.T @ stress_matrix(graph, w) @ F for w in basis]
     if len(basis) == 1:
         candidates = [np.array([1.0]), np.array([-1.0])]
         a = max(candidates, key=lambda c: _min_eig_and_gradient(reduced_parts, c)[0])
@@ -199,11 +183,13 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
         rng = np.random.default_rng(seed)
         a = _maximize_min_eigenvalue(reduced_parts, rng)
 
-    stress = sum(ai * s.w for ai, s in zip(a, basis))
+    stress = sum(ai * w for ai, w in zip(a, basis))
     # independent re-verification: rebuild the reduced matrix from the
     # combined stress rather than reusing the search's running value
-    reduced = F.T @ stress_matrix(graph, stress).omega @ F
+    omega = stress_matrix(graph, stress)
+    reduced = F.T @ omega @ F
     min_eig = float(np.linalg.eigvalsh(reduced)[0])
+    definite = min_eig > tol_rel * np.linalg.norm(omega, 2)
 
     violations = []
     zero_members = []
@@ -221,7 +207,7 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
             struts_ok = False
 
     return PrestressCertificate(
-        verdict="found" if min_eig > 0.0 else "not_found",
+        verdict="found" if definite else "not_found",
         coefficients=np.asarray(a, dtype=float),
         stress=np.asarray(stress, dtype=float),
         reduced=reduced,

@@ -29,6 +29,9 @@ SPAN_REL_TOL = 1e-10
 #: members shorter than this are treated as degenerate
 MIN_MEMBER_LENGTH = 1e-12
 
+#: random configurations surveyed for the generic corank
+GENERIC_TRIALS = 3
+
 
 @dataclass(frozen=True)
 class RigidityMatrices:
@@ -131,14 +134,14 @@ def rigidity_and_incidence(sys: MemberConstraintSystem, x: Configuration):
     return mats, incidence_matrix(graph)
 
 
-def _orthonormal_span(columns: np.ndarray, tol_rel: float = SPAN_REL_TOL) -> np.ndarray:
+def _orthonormal_span(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span, dropping near-dependent directions."""
     if columns.size == 0:
         return np.zeros((columns.shape[0], 0))
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((columns.shape[0], 0))
-    return u[:, s > tol_rel * s[0]]
+    return u[:, s > SPAN_REL_TOL * s[0]]
 
 
 def rigid_motion_basis(x: Configuration) -> np.ndarray:
@@ -196,7 +199,7 @@ def random_configuration(graph: FrameworkGraph, rng) -> Configuration:
     return Configuration(rng.uniform(-1.0, 1.0, size=(graph.n, graph.d)))
 
 
-def affine_span_dimension(x: Configuration, tol_rel: float = SPAN_REL_TOL) -> int:
+def affine_span_dimension(x: Configuration) -> int:
     coords = np.asarray(x.coords, dtype=float)
     centered = coords - coords[0]
     if centered.shape[0] == 1:
@@ -204,24 +207,22 @@ def affine_span_dimension(x: Configuration, tol_rel: float = SPAN_REL_TOL) -> in
     s = np.linalg.svd(centered, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol_rel * s[0]))
+    return int(np.count_nonzero(s > SPAN_REL_TOL * s[0]))
 
 
 def rigidity_report(sys: MemberConstraintSystem, p: Configuration,
-                    trials: int = 3, tol_rel: float = RANK_REL_TOL,
+                    tol_rel: float = RANK_REL_TOL,
                     seed=None) -> RigidityReport:
     """Corank survey and infinitesimal-rigidity verdict at p.
 
-    generic_corank is the minimum corank of dg over `trials` random
+    generic_corank is the minimum corank of dg over GENERIC_TRIALS random
     configurations with i.i.d. uniform [-1, 1] coordinates; the verdict
     compares corank at p against binom(d+1, 2) for full-span embeddings.
     """
-    if trials < 1:
-        raise FrameworkError(f"trials must be >= 1, got {trials}")
     graph = sys.graph
     rng = np.random.default_rng(seed)
     coranks = []
-    for _ in range(trials):
+    for _ in range(GENERIC_TRIALS):
         q = random_configuration(graph, rng)
         coranks.append(numerical_nullspace(jacobian_at(sys, q), tol_rel).shape[1])
     generic_corank = min(coranks)

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from tensegrity.cli import ISOMETRIC, RenderSpec, Scene, render_svg, run_command
+from tensegrity.cli import ISOMETRIC, Scene, _projection, render_svg, run_command
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -122,18 +122,14 @@ def test_plot_writes_svg(tmp_path):
 
 
 def test_render_svg_projections_and_validation():
-    spec = RenderSpec()
-    assert np.allclose(spec.projection_for(2), np.eye(2))
-    assert np.allclose(spec.projection_for(3), ISOMETRIC)
+    assert np.allclose(_projection(1), [[1.0], [0.0]])
+    assert np.allclose(_projection(2), np.eye(2))
+    assert np.allclose(_projection(3), ISOMETRIC)
     # the isometric rows are orthonormal and kill the view direction
     assert np.allclose(ISOMETRIC @ ISOMETRIC.T, np.eye(2))
     assert np.allclose(ISOMETRIC @ np.ones(3), 0.0)
     with pytest.raises(ValueError):
-        spec.projection_for(4)
-    with pytest.raises(ValueError):
-        RenderSpec(arrow_scale=0.0)
-    explicit = RenderSpec(projection=np.zeros((2, 4)))
-    assert explicit.projection_for(4).shape == (2, 4)
+        _projection(4)
 
 
 def test_render_svg_omits_zero_arrows():

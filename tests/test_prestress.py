@@ -1,12 +1,14 @@
 """Self stresses, stress matrices, and the prestress certificate search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from tensegrity import (Configuration, FrameworkError, build_constraints,
-                        jacobian_at, load_fixture, nullspace_decomposition,
-                        prestress_certificate, self_stress_basis,
-                        stiffness_and_energy, stress_matrix)
+                        jacobian_at, load_fixture, load_framework,
+                        nullspace_decomposition, prestress_certificate,
+                        self_stress_basis, stiffness_and_energy, stress_matrix)
 
 from conftest import random_framework
 
@@ -23,15 +25,15 @@ def test_stress_basis_is_left_nullspace():
         _, q, s = random_framework(rng)
         dg = jacobian_at(s, q)
         for stress in self_stress_basis(s, q):
-            bound = 1e-8 * np.linalg.norm(stress.w) * np.linalg.norm(dg)
-            assert np.max(np.abs(stress.w @ dg)) <= max(bound, 1e-12)
+            bound = 1e-8 * np.linalg.norm(stress) * np.linalg.norm(dg)
+            assert np.max(np.abs(stress @ dg)) <= max(bound, 1e-12)
 
 
 def test_prism_stress_dimension_and_table(prism):
     graph, p, sys_ = prism
     basis = self_stress_basis(sys_, p)
     assert len(basis) == 1
-    w = basis[0].w / basis[0].w[0]
+    w = basis[0] / basis[0][0]
     assert np.max(np.abs(w - PRINTED_STRESS)) <= 1e-2
 
 
@@ -40,7 +42,7 @@ def test_stress_matrix_annihilates_translations():
     for _ in range(20):
         graph, q, s = random_framework(rng)
         w = rng.normal(size=graph.m)
-        omega = stress_matrix(graph, w).omega
+        omega = stress_matrix(graph, w)
         for k in range(graph.d):
             t = np.zeros((graph.n, graph.d))
             t[:, k] = 1.0
@@ -53,8 +55,8 @@ def test_stress_matrix_is_linear_in_the_stress():
     w1 = rng.normal(size=graph.m)
     w2 = rng.normal(size=graph.m)
     a, b = rng.normal(size=2)
-    combined = stress_matrix(graph, a * w1 + b * w2).omega
-    split = a * stress_matrix(graph, w1).omega + b * stress_matrix(graph, w2).omega
+    combined = stress_matrix(graph, a * w1 + b * w2)
+    split = a * stress_matrix(graph, w1) + b * stress_matrix(graph, w2)
     assert np.max(np.abs(combined - split)) <= 1e-12
 
 
@@ -64,7 +66,7 @@ def test_stiffness_identity_and_psd(prism):
     c = rng.uniform(0.0, 1.0, size=graph.m)
     w = rng.normal(size=graph.m)
     K, H = stiffness_and_energy(sys_, p, c, w)
-    assert np.max(np.abs(H - (stress_matrix(graph, w).omega + K))) == 0.0
+    assert np.max(np.abs(H - (stress_matrix(graph, w) + K))) == 0.0
     assert np.linalg.eigvalsh(K).min() >= -1e-10
     with pytest.raises(FrameworkError):
         stiffness_and_energy(sys_, p, -c - 0.1, w)
@@ -78,7 +80,7 @@ def test_prism_certificate_found_with_margin(prism):
     assert cert.min_eigenvalue == pytest.approx(3.370477247161058, abs=1e-9)
     # re-verify the certificate off the search path
     dec = nullspace_decomposition(sys_, p)
-    omega = stress_matrix(graph, cert.stress).omega
+    omega = stress_matrix(graph, cert.stress)
     reduced = dec.flexes.T @ omega @ dec.flexes
     assert np.linalg.eigvalsh(reduced).min() > 0.0
 
@@ -87,9 +89,9 @@ def test_certificate_is_scale_invariant(prism):
     graph, p, sys_ = prism
     cert = prestress_certificate(sys_, p, seed=0)
     dec = nullspace_decomposition(sys_, p)
-    reduced = dec.flexes.T @ stress_matrix(graph, cert.stress).omega @ dec.flexes
+    reduced = dec.flexes.T @ stress_matrix(graph, cert.stress) @ dec.flexes
     for alpha in (0.5, 2.0, 7.0):
-        scaled = dec.flexes.T @ stress_matrix(graph, alpha * cert.stress).omega @ dec.flexes
+        scaled = dec.flexes.T @ stress_matrix(graph, alpha * cert.stress) @ dec.flexes
         assert np.max(np.abs(scaled - alpha * reduced)) <= 1e-9
         assert (np.linalg.eigvalsh(scaled).min() > 0) == (np.linalg.eigvalsh(reduced).min() > 0)
 
@@ -106,6 +108,21 @@ def test_square_has_no_self_stress():
     graph, p, sys_ = load_fixture("square")
     cert = prestress_certificate(sys_, p, seed=0)
     assert cert.verdict == "no_self_stress"
+
+
+def test_flex_the_stress_does_not_reach_is_not_certified():
+    # a braced quadrilateral carries the one self stress; node 5 hangs off
+    # node 2 by an unstressed bar and swings freely, so the reduced stress
+    # matrix is exactly zero and its computed eigenvalue is rounding noise
+    quad = [[0.0, 0.0], [1.0, 0.0], [1.1, 0.9], [0.1, 1.2]]
+    members = [{"i": i, "j": j}
+               for i, j in itertools.combinations(range(1, 5), 2)]
+    _, p, sys_ = load_framework({
+        "dimension": 2, "nodes": quad + [[2.0, 0.4]],
+        "members": members + [{"i": 2, "j": 5}]})
+    cert = prestress_certificate(sys_, p, seed=0)
+    assert abs(cert.min_eigenvalue) <= 1e-12
+    assert cert.verdict == "not_found"
 
 
 def test_tensegrity_partition_signs(prism):
@@ -128,7 +145,7 @@ def test_tensegrity_partition_signs(prism):
 def test_quadratic_form_regression(prism):
     # the 3-digit rounded flex and stress land at 89.8896, not 89.569
     graph, _, _ = prism
-    omega = stress_matrix(graph, PRINTED_STRESS).omega
+    omega = stress_matrix(graph, PRINTED_STRESS)
     value = PRINTED_FLEX @ omega @ PRINTED_FLEX
     assert value == pytest.approx(89.88957920000001, abs=1e-9)
 
@@ -141,5 +158,5 @@ def test_quadratic_form_with_exact_data(prism):
     dec = nullspace_decomposition(sys_, p)
     v = dec.flexes[:, 0]
     v = v * (np.sqrt(2.5) / np.max(np.abs(v)))
-    value = v @ stress_matrix(graph, w).omega @ v
+    value = v @ stress_matrix(graph, w) @ v
     assert value == pytest.approx(90.0, abs=1e-9)

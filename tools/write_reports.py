@@ -1,0 +1,79 @@
+"""Write a fixed set of CLI reports into one directory.
+
+    python3 tools/write_reports.py OUT_DIR
+
+Runs the subcommands below through `tensegrity.cli.run_command`, from the
+sources of the checkout this file sits in, each writing into OUT_DIR.  Run
+it in two checkouts and compare with `diff -r OUT_A OUT_B`: reports are
+byte-stable for a fixed seed and input, so an empty diff means the two
+checkouts agree on every report in the set.
+
+- `analyze --svg`, `flexes --svg`, `prestress` and `plot --svg` on all six
+  fixtures;
+- `deform --steps 3 --svg` on 3prism, square and hinge;
+- `solve --svg` on a cubic and on a system with fractional coefficients;
+- `epscheck` on triangle and hinge;
+- `verify-ideals`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tensegrity.cli import run_command  # noqa: E402
+from tensegrity.framework import FIXTURE_NAMES  # noqa: E402
+
+SEED = "5"
+
+SYSTEMS = {
+    "cubic": {"variables": ["x"],
+              "equations": ["x^3 - 7*x^2 + 17*x - 15"]},
+    "fractional": {"variables": ["x", "y"],
+                   "equations": ["x^2 + 1/3*y^2 - 2", "x*y - 1/2*x + 3/4"]},
+}
+
+
+def commands(system_dir: Path) -> list:
+    out = []
+    for fx in FIXTURE_NAMES:
+        out += [["analyze", fx, "--svg"], ["flexes", fx, "--svg"],
+                ["prestress", fx], ["plot", fx, "--svg"]]
+    for fx in ("3prism", "square", "hinge"):
+        out.append(["deform", fx, "--steps", "3", "--svg"])
+    for name in SYSTEMS:
+        out.append(["solve", str(system_dir / f"{name}.json"), "--svg"])
+    for fx in ("triangle", "hinge"):
+        out.append(["epscheck", fx])
+    out.append(["verify-ideals"])
+    return out
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/write_reports.py OUT_DIR", file=sys.stderr)
+        return 2
+    out_dir = Path(argv[0])
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        system_dir = Path(tmp)
+        for name, doc in SYSTEMS.items():
+            (system_dir / f"{name}.json").write_text(json.dumps(doc))
+        for cmd in commands(system_dir):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run_command(cmd + ["--seed", SEED, "--out", str(out_dir)])
+            if code != 0:
+                failed += 1
+                print(f"exit {code}: {' '.join(cmd)}", file=sys.stderr)
+    print(f"wrote reports to {out_dir} ({failed} commands failed)")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
