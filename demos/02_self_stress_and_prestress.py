@@ -16,7 +16,9 @@ from tensegrity import (load_fixture, nullspace_decomposition,
 
 graph, p, sys_ = load_fixture("3prism")
 
-basis = self_stress_basis(sys_, p)
+# one SVD of the Jacobian gives the flexes and the self stresses
+dec = nullspace_decomposition(sys_, p)
+basis = self_stress_basis(dec)
 print(f"self stress space dimension: {len(basis)}")
 w = basis[0] / basis[0][0]
 print("stress entries by member:")
@@ -34,7 +36,6 @@ print(f"\ncertificate: {cert.verdict}, "
       f"min eigenvalue of the reduced matrix: {cert.min_eigenvalue:.6f}")
 
 # re-verify off the search path: restrict Omega_w to the flex space
-dec = nullspace_decomposition(sys_, p)
 omega = stress_matrix(graph, cert.stress)
 reduced = dec.flexes.T @ omega @ dec.flexes
 print(f"independent check, eigenvalues: {np.linalg.eigvalsh(reduced)}")

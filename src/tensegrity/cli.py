@@ -9,6 +9,7 @@ domain errors, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .framework import (FIXTURE_NAMES, FrameworkError, build_constraints,
 from .ideals import (adjacent_minors, adjacent_minor_primes,
                      slingshot_displayed_minor, slingshot_member_constraints,
                      slingshot_minors, slingshot_primes)
-from .prestress import prestress_certificate, self_stress_basis
+from .prestress import prestress_certificate
 from .rigidity import (RANK_REL_TOL, nullspace_decomposition, pin_moving_frame,
                        rigidity_report)
 from .symbolic import RationalPoly, verify_containment
@@ -296,10 +297,8 @@ def _cmd_prestress(args) -> CommandOutput:
     partition = _partition_kinds(graph, sys_)
     cert = prestress_certificate(sys_, p, partition=partition,
                                  tol_rel=args.tol, seed=args.seed)
-    basis = self_stress_basis(sys_, p, tol_rel=args.tol)
     payload = {
         "input": stem,
-        "self_stress_dim": len(basis),
         "partition": list(partition) if partition else None,
         **cert.to_json_dict(),
     }
@@ -433,6 +432,7 @@ def _cmd_plot(args) -> CommandOutput:
                          summary=f"{graph.n} nodes, {graph.m} members")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensegrity",

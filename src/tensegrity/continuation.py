@@ -611,6 +611,8 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
     coordinates.  The rectangular system is squared by a seeded random
     complex matrix; the homotopy is a real parameter homotopy (gamma = 1).
     """
+    if not math.isfinite(epsilon):
+        raise FrameworkError(f"epsilon must be a finite number, got {epsilon}")
     members, free, p_free = pinned_member_system(sys, p)
     n, d = sys.graph.n, sys.graph.d
     N = len(free)
@@ -766,8 +768,8 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
     endpoints.  Candidates are harvested from all endpoints, polished
     against the real system, and accepted as witnesses at residual 1e-10.
     """
-    if epsilon <= 0.0:
-        raise FrameworkError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise FrameworkError(f"epsilon must be a positive finite number, got {epsilon}")
     members, free, p_free = pinned_member_system(sys, p)
     n, d = sys.graph.n, sys.graph.d
     N = len(free)

@@ -15,9 +15,9 @@ import numpy as np
 from .framework import Configuration, FrameworkError, FrameworkGraph, MemberConstraintSystem
 from .rigidity import (
     RANK_REL_TOL,
+    NullspaceDecomposition,
     incidence_matrix,
     jacobian_at,
-    numerical_nullspace,
     nullspace_decomposition,
 )
 
@@ -33,11 +33,12 @@ class PrestressCertificate:
     """Outcome of the prestress search.
 
     verdict is one of {found, infinitesimally_rigid, no_self_stress,
-    not_found}; the remaining fields are populated when a stress basis
-    exists (reduced-matrix data requires a nonempty flex space too).
+    not_found}; self_stress_dim is always set, and the remaining fields are
+    populated when a stress basis and a nonempty flex space both exist.
     """
 
     verdict: str
+    self_stress_dim: int
     coefficients: np.ndarray | None = None
     stress: np.ndarray | None = None
     reduced: np.ndarray | None = None
@@ -48,7 +49,7 @@ class PrestressCertificate:
     zero_members: tuple = ()
 
     def to_json_dict(self) -> dict:
-        out = {"verdict": self.verdict}
+        out = {"verdict": self.verdict, "self_stress_dim": self.self_stress_dim}
         if self.coefficients is not None:
             out["coefficients"] = list(self.coefficients)
         if self.stress is not None:
@@ -66,24 +67,17 @@ class PrestressCertificate:
         return out
 
 
-def self_stress_basis(sys: MemberConstraintSystem, p: Configuration,
-                      tol_rel: float = RANK_REL_TOL) -> list:
+def self_stress_basis(decomp: NullspaceDecomposition) -> list:
     """Basis of the left nullspace of dg|_p, one stress vector per dimension.
 
-    Starts from an orthonormal basis, then rescales each vector so the
-    largest entry magnitude is 1 and the first stressed member is positive.
+    Rescales each orthonormal stress of the decomposition so the largest
+    entry magnitude is 1 and the first stressed member is positive.
     """
-    dg = jacobian_at(sys, p)
-    left = numerical_nullspace(dg.T, tol_rel)
     out = []
-    for col in range(left.shape[1]):
-        w = left[:, col].copy()
-        idx = int(np.argmax(np.abs(w)))
-        w /= np.abs(w[idx])
+    for w in decomp.self_stresses.T:
+        w = w / np.max(np.abs(w))
         nonzero = np.nonzero(np.abs(w) > SIGN_MARGIN)[0]
-        if nonzero.size and w[nonzero[0]] < 0.0:
-            w = -w
-        out.append(w)
+        out.append(-w if nonzero.size and w[nonzero[0]] < 0.0 else w)
     return out
 
 
@@ -169,11 +163,12 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
 
     decomp = nullspace_decomposition(sys, p, tol_rel)
     F = decomp.flexes
+    basis = self_stress_basis(decomp)
     if F.shape[1] == 0:
-        return PrestressCertificate(verdict="infinitesimally_rigid")
-    basis = self_stress_basis(sys, p, tol_rel)
+        return PrestressCertificate(verdict="infinitesimally_rigid",
+                                    self_stress_dim=len(basis))
     if not basis:
-        return PrestressCertificate(verdict="no_self_stress")
+        return PrestressCertificate(verdict="no_self_stress", self_stress_dim=0)
 
     reduced_parts = [F.T @ stress_matrix(graph, w) @ F for w in basis]
     if len(basis) == 1:
@@ -208,6 +203,7 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
 
     return PrestressCertificate(
         verdict="found" if definite else "not_found",
+        self_stress_dim=len(basis),
         coefficients=np.asarray(a, dtype=float),
         stress=np.asarray(stress, dtype=float),
         reduced=reduced,

@@ -48,11 +48,14 @@ class RigidityMatrices:
 
 @dataclass(frozen=True)
 class NullspaceDecomposition:
-    """Null dg|_p split as R (rigid motions) plus F (flexes), F orthogonal to R."""
+    """Null dg|_p split as R (rigid motions) plus F (flexes), F orthogonal to R,
+    and an orthonormal basis of the left nullspace (self stresses, as columns).
+    One rank r of dg|_p fixes both: corank = n*d - r, m - r stresses."""
 
     rigid_motions: np.ndarray
     flexes: np.ndarray
     tol: float
+    self_stresses: np.ndarray
 
     @property
     def corank(self) -> int:
@@ -134,14 +137,17 @@ def rigidity_and_incidence(sys: MemberConstraintSystem, x: Configuration):
     return mats, incidence_matrix(graph)
 
 
+def _numerical_rank(s: np.ndarray, tol_rel: float) -> int:
+    """Number of singular values (descending) above tol_rel * sigma_max."""
+    if not 0.0 < tol_rel < 1.0:
+        raise FrameworkError(f"rank tolerance must be a number in (0, 1), got {tol_rel}")
+    return int(np.count_nonzero(s > tol_rel * s[0])) if s.size else 0
+
+
 def _orthonormal_span(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span, dropping near-dependent directions."""
-    if columns.size == 0:
-        return np.zeros((columns.shape[0], 0))
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((columns.shape[0], 0))
-    return u[:, s > SPAN_REL_TOL * s[0]]
+    return u[:, :_numerical_rank(s, SPAN_REL_TOL)]
 
 
 def rigid_motion_basis(x: Configuration) -> np.ndarray:
@@ -174,25 +180,23 @@ def numerical_nullspace(M: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndar
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     _, s, vh = np.linalg.svd(M, full_matrices=True)
-    if s.size == 0:
-        return np.eye(M.shape[1])
-    rank = int(np.count_nonzero(s > tol_rel * s[0]))
-    return vh[rank:].T
+    return vh[_numerical_rank(s, tol_rel):].T
 
 
 def nullspace_decomposition(sys: MemberConstraintSystem, p: Configuration,
                             tol_rel: float = RANK_REL_TOL) -> NullspaceDecomposition:
-    """Split Null dg|_p into rigid motions R and the orthogonal flex complement F."""
-    null = numerical_nullspace(jacobian_at(sys, p), tol_rel)
+    """Split Null dg|_p into rigid motions R and the orthogonal flex complement
+    F, and take the self stresses from the same SVD of dg|_p."""
+    u, s, vh = np.linalg.svd(jacobian_at(sys, p), full_matrices=True)
+    rank = _numerical_rank(s, tol_rel)
+    null = vh[rank:].T
     R = rigid_motion_basis(p)
-    flex_raw = null - R @ (R.T @ null)
-    F = _orthonormal_span(flex_raw)
     # R spans rigid motions globally; inside Null dg the complement has
     # exactly corank - dim R dimensions, so trim spurious near-zero columns.
-    want = null.shape[1] - R.shape[1]
-    if F.shape[1] > max(want, 0):
-        F = F[:, :max(want, 0)]
-    return NullspaceDecomposition(rigid_motions=R, flexes=F, tol=tol_rel)
+    F = _orthonormal_span(null - R @ (R.T @ null))
+    F = F[:, :max(null.shape[1] - R.shape[1], 0)]
+    return NullspaceDecomposition(rigid_motions=R, flexes=F, tol=tol_rel,
+                                  self_stresses=u[:, rank:])
 
 
 def random_configuration(graph: FrameworkGraph, rng) -> Configuration:
@@ -201,13 +205,8 @@ def random_configuration(graph: FrameworkGraph, rng) -> Configuration:
 
 def affine_span_dimension(x: Configuration) -> int:
     coords = np.asarray(x.coords, dtype=float)
-    centered = coords - coords[0]
-    if centered.shape[0] == 1:
-        return 0
-    s = np.linalg.svd(centered, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > SPAN_REL_TOL * s[0]))
+    s = np.linalg.svd(coords - coords[0], compute_uv=False)
+    return _numerical_rank(s, SPAN_REL_TOL)
 
 
 def rigidity_report(sys: MemberConstraintSystem, p: Configuration,

@@ -1,13 +1,16 @@
 """Exit codes, report stability, and SVG structure of the batch CLI."""
 
 import json
+import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from tensegrity import rigidity
 from tensegrity.cli import ISOMETRIC, Scene, _projection, render_svg, run_command
+from tensegrity.framework import FIXTURE_NAMES
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -171,3 +174,40 @@ def test_prestress_rejects_bad_partition(tmp_path, capsys, block):
     frame.write_text(json.dumps(doc))
     assert run_command(["prestress", str(frame), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "3prism", "--tol", "-1"],
+                                  ["analyze", "3prism", "--tol", "0"],
+                                  ["flexes", "square", "--tol", "2"],
+                                  ["flexes", "square", "--tol", "nan"],
+                                  ["prestress", "3prism", "--tol", "inf"],
+                                  ["plot", "hinge", "--tol", "nan"],
+                                  ["epscheck", "triangle", "--epsilon", "nan"],
+                                  ["epscheck", "triangle", "--epsilon", "inf"],
+                                  ["deform", "hinge", "--epsilon", "nan"],
+                                  ["deform", "hinge", "--epsilon", "inf"]])
+def test_out_of_range_tolerance_or_epsilon_is_rejected(tmp_path, capsys, argv):
+    assert run_command(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, calls", [
+    ("analyze", 1 + rigidity.GENERIC_TRIALS), ("flexes", 1),
+    ("prestress", 1), ("plot", 1)])
+def test_one_jacobian_per_command(tmp_path, monkeypatch, command, calls):
+    original = rigidity.jacobian_at
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    # the package re-exports jacobian_at, so wrap it under every name
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "tensegrity"
+                and getattr(module, "jacobian_at", None) is original):
+            monkeypatch.setattr(module, "jacobian_at", counted)
+    for fixture in FIXTURE_NAMES:
+        seen.clear()
+        assert run_command([command, fixture, "--out", str(tmp_path)]) == 0
+        assert len(seen) == calls, fixture

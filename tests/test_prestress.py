@@ -9,6 +9,8 @@ from tensegrity import (Configuration, FrameworkError, build_constraints,
                         jacobian_at, load_fixture, load_framework,
                         nullspace_decomposition, prestress_certificate,
                         self_stress_basis, stiffness_and_energy, stress_matrix)
+from tensegrity.framework import FIXTURE_NAMES
+from tensegrity.rigidity import RANK_REL_TOL
 
 from conftest import random_framework
 
@@ -21,17 +23,24 @@ PRINTED_FLEX = np.array([0.000, 1.58, 0.263, -1.37, -0.789, 0.263,
 
 def test_stress_basis_is_left_nullspace():
     rng = np.random.default_rng(41)
-    for _ in range(40):
-        _, q, s = random_framework(rng)
+    frameworks = [load_fixture(name) for name in FIXTURE_NAMES]
+    frameworks += [random_framework(rng) for _ in range(40)]
+    for _, q, s in frameworks:
         dg = jacobian_at(s, q)
-        for stress in self_stress_basis(s, q):
+        dec = nullspace_decomposition(s, q)
+        basis = self_stress_basis(dec)
+        for stress in basis:
             bound = 1e-8 * np.linalg.norm(stress) * np.linalg.norm(dg)
             assert np.max(np.abs(stress @ dg)) <= max(bound, 1e-12)
+        # one rank r of dg|_p fixes both nullspaces
+        r = np.linalg.matrix_rank(dg, rtol=RANK_REL_TOL)
+        assert len(basis) == s.m - r
+        assert dec.corank == dg.shape[1] - r
 
 
 def test_prism_stress_dimension_and_table(prism):
     graph, p, sys_ = prism
-    basis = self_stress_basis(sys_, p)
+    basis = self_stress_basis(nullspace_decomposition(sys_, p))
     assert len(basis) == 1
     w = basis[0] / basis[0][0]
     assert np.max(np.abs(w - PRINTED_STRESS)) <= 1e-2
