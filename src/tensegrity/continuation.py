@@ -402,19 +402,21 @@ def _track_block(h: Homotopy, X: np.ndarray, record: bool) -> list:
     def tol_end(points):
         return TOL_END_REL * _one_plus_pow(_norms(points), deg)
 
-    steps_of = [0] * P
-    status = [None] * P
+    # per block row, written when the path ends; "" marks a path that
+    # reached T_CUTOFF and goes on to the endgame
+    status = np.full(P, "", dtype=object)
+    steps_of = np.zeros(P, int)
     trajs = [[(1.0, x.copy())] for x in X] if record else None
 
-    # the live paths, compacted as paths end: block row, point, t, the halves
-    # at the point (reused by the predictor), and step size, accepted steps
-    # in a row and step count as Python numbers
+    # the live paths, compacted together as paths end: block row, point, t,
+    # the halves at the point (reused by the predictor), step size, accepted
+    # steps in a row and step count
     idx = np.arange(P)
     x, t = X.copy(), np.ones(P)
-    dt, accepts, steps = [DT_INIT] * P, [0] * P, [0] * P
+    dt, accepts, steps = np.full(P, DT_INIT), np.zeros(P, int), np.zeros(P, int)
 
     while idx.size:
-        step = np.array([min(d, s - T_CUTOFF) for d, s in zip(dt, t.tolist())])
+        step = np.minimum(dt, t - T_CUTOFF)
         t_new = t - step
         dxdt, singular = _solve(h.jacobian_x(x, t), -h._dh_dt(fg))
         # a row whose predictor failed is corrected too, and then rejected
@@ -431,50 +433,39 @@ def _track_block(h: Homotopy, X: np.ndarray, record: bool) -> list:
 
         x_corr, ok = _newton(value, lambda z, rows: h.jacobian_x(z, t_new[rows]),
                              x_pred, corr_tol, MAX_NEWTON)
-        if singular:
-            ok[singular] = False
+        ok[singular] = False
         # an accepted row's last residual was taken at its new point
         x = np.where(ok[:, None], x_corr, x)
         fg = np.where(ok[:, None], fg_new, fg)
         t = np.where(ok, t_new, t)
+        if record:
+            for k, t_k in zip(np.flatnonzero(ok).tolist(), t[ok].tolist()):
+                trajs[idx[k]].append((t_k, x[k].copy()))
 
-        live = []
-        for k, (accepted, t_k, far) in enumerate(zip(
-                ok.tolist(), t.tolist(), (_norms(x) > DIVERGENCE).tolist())):
-            steps[k] += 1
-            if accepted:
-                accepts[k] += 1
-                if record:
-                    trajs[idx[k]].append((t_k, x[k].copy()))
-                if far:
-                    status[idx[k]] = "diverged"
-                    continue
-                if accepts[k] >= GROW_AFTER:
-                    dt[k] = min(dt[k] * 2.0, DT_MAX)
-                    accepts[k] = 0
-            else:
-                accepts[k] = 0
-                dt[k] *= 0.5
-                if dt[k] < DT_MIN:
-                    status[idx[k]] = "step_underflow"
-                    continue
-            if t_k > T_CUTOFF:
-                if steps[k] >= MAX_STEPS:
-                    status[idx[k]] = "step_underflow"
-                    continue
-                live.append(k)
-        if len(live) < idx.size:
-            X[idx] = x
-            for k, i in enumerate(idx.tolist()):
-                steps_of[i] = steps[k]
-            idx, x, fg, t = idx[live], x[live], fg[:, live], t[live]
-            dt = [dt[k] for k in live]
-            accepts = [accepts[k] for k in live]
-            steps = [steps[k] for k in live]
+        steps += 1
+        accepts = np.where(ok, accepts + 1, 0)
+        grow = accepts >= GROW_AFTER
+        accepts[grow] = 0
+        dt = np.where(grow, np.minimum(dt * 2.0, DT_MAX),
+                      np.where(ok, dt, dt * 0.5))
+        diverged = ok & (_norms(x) > DIVERGENCE)
+        # a path short of T_CUTOFF ends step_underflow at the step cap or on
+        # a rejection below DT_MIN; one past it goes on to the endgame
+        keep = ((t > T_CUTOFF) & (steps < MAX_STEPS) & (ok | (dt >= DT_MIN))
+                & ~diverged)
+        if not keep.all():
+            ended = ~keep
+            X[idx[ended]] = x[ended]
+            steps_of[idx[ended]] = steps[ended]
+            status[idx[ended & (t > T_CUTOFF)]] = "step_underflow"
+            status[idx[diverged]] = "diverged"
+            idx, x, fg, t, dt, accepts, steps = (
+                idx[keep], x[keep], fg[:, keep], t[keep], dt[keep],
+                accepts[keep], steps[keep])
 
     # endgame on the paths that reached T_CUTOFF: Newton polish directly on
     # the target system
-    end = np.flatnonzero([s is None for s in status])
+    end = np.flatnonzero(status == "")
     if end.size:
         X[end], _ = _newton_on(target, X[end], 1e-4 * tol_end(X[end]),
                                POLISH_STEPS)
@@ -488,12 +479,11 @@ def _track_block(h: Homotopy, X: np.ndarray, record: bool) -> list:
         residual[finite] = _norms(target.evaluate(X[finite]))
     far = ~finite | (_norms(X) > DIVERGENCE)
     good = residual <= tol_end(X)
-    for i in end:
-        status[i] = ("diverged" if far[i]
-                     else "converged" if good[i] else "step_underflow")
+    status[end] = np.where(far[end], "diverged",
+                           np.where(good[end], "converged", "step_underflow"))
     max_imag = np.max(np.abs(X.imag), axis=1, initial=0.0)
     return [TrackResult(endpoint=X[i].copy(), status=status[i],
-                        residual=float(residual[i]), steps=steps_of[i],
+                        residual=float(residual[i]), steps=int(steps_of[i]),
                         max_imag=float(max_imag[i]),
                         trajectory=tuple(trajs[i]) if record else ())
             for i in range(P)]
@@ -613,6 +603,8 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
     """
     if not math.isfinite(epsilon):
         raise FrameworkError(f"epsilon must be a finite number, got {epsilon}")
+    if steps < 1:
+        raise FrameworkError(f"steps must be at least 1, got {steps}")
     members, free, p_free = pinned_member_system(sys, p)
     n, d = sys.graph.n, sys.graph.d
     N = len(free)

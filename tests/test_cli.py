@@ -185,7 +185,9 @@ def test_prestress_rejects_bad_partition(tmp_path, capsys, block):
                                   ["epscheck", "triangle", "--epsilon", "nan"],
                                   ["epscheck", "triangle", "--epsilon", "inf"],
                                   ["deform", "hinge", "--epsilon", "nan"],
-                                  ["deform", "hinge", "--epsilon", "inf"]])
+                                  ["deform", "hinge", "--epsilon", "inf"],
+                                  ["deform", "hinge", "--steps", "0"],
+                                  ["deform", "hinge", "--steps", "-2"]])
 def test_out_of_range_tolerance_or_epsilon_is_rejected(tmp_path, capsys, argv):
     assert run_command(argv + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")

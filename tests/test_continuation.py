@@ -269,10 +269,8 @@ LOCKSTEP_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LOCKSTEP_SYSTEMS))
-def test_lockstep_solve_matches_single_path_tracking(name, monkeypatch):
-    # small blocks, so that the dense system spans several of them
-    monkeypatch.setattr(continuation, "BLOCK_PATHS", 3)
+def _solve_matching_single_paths(f, monkeypatch):
+    """Solve f in lockstep and check every path against tracking it alone."""
     calls = []
     real = continuation.track_paths
 
@@ -282,12 +280,20 @@ def test_lockstep_solve_matches_single_path_tracking(name, monkeypatch):
         return real(h, starts, record)
 
     monkeypatch.setattr(continuation, "track_paths", spy)
-    batch = solve_total_degree(LOCKSTEP_SYSTEMS[name], seed=3, record=True)
+    batch = solve_total_degree(f, seed=3, record=True)
     monkeypatch.setattr(continuation, "track_paths", real)
     (h, starts), = calls
     assert len(batch) == len(starts) == np.prod(h.target.degrees)
     for res, x0 in zip(batch, starts):
         _assert_same_result(res, track_path(h, x0, record=True))
+    return batch
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_SYSTEMS))
+def test_lockstep_solve_matches_single_path_tracking(name, monkeypatch):
+    # small blocks, so that the dense system spans several of them
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 3)
+    batch = _solve_matching_single_paths(LOCKSTEP_SYSTEMS[name], monkeypatch)
     if name == "inconsistent":
         assert {r.status for r in batch} == {"diverged"}
     if name == "paths_at_infinity":
@@ -340,3 +346,10 @@ def test_singular_path_leaves_the_rest_of_its_batch_unchanged():
     assert batch[0].status == "converged"
     for res, x0 in zip(batch, starts):
         _assert_same_result(res, track_path(h, x0, record=True))
+
+
+def test_step_cap_ends_every_path_as_step_underflow(monkeypatch):
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 2)
+    monkeypatch.setattr(continuation, "MAX_STEPS", 3)
+    batch = _solve_matching_single_paths(LOCKSTEP_SYSTEMS["cubic"], monkeypatch)
+    assert [(r.status, r.steps) for r in batch] == [("step_underflow", 3)] * 3

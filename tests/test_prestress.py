@@ -9,6 +9,7 @@ from tensegrity import (Configuration, FrameworkError, build_constraints,
                         jacobian_at, load_fixture, load_framework,
                         nullspace_decomposition, prestress_certificate,
                         self_stress_basis, stiffness_and_energy, stress_matrix)
+from tensegrity import prestress
 from tensegrity.framework import FIXTURE_NAMES
 from tensegrity.rigidity import RANK_REL_TOL
 
@@ -169,3 +170,31 @@ def test_quadratic_form_with_exact_data(prism):
     v = v * (np.sqrt(2.5) / np.max(np.abs(v)))
     value = v @ stress_matrix(graph, w) @ v
     assert value == pytest.approx(90.0, abs=1e-9)
+
+
+# lambda_min(cos(th) A + sin(th) B) = min(cos(th), cos(th - 120 deg)): it
+# peaks at 1/2 at 60 deg, and 240 deg, where both branches are -1/2, is a
+# spurious local maximum on the unit circle
+SEARCH_PARTS = [np.diag([1.0, -0.5]), np.diag([0.0, np.sqrt(3.0) / 2.0])]
+
+
+def _lambda_min(a):
+    return np.linalg.eigvalsh(sum(ai * Mi for ai, Mi in zip(a, SEARCH_PARTS)))[0]
+
+
+def test_multi_stress_search_finds_the_global_maximum():
+    a = prestress._maximize_min_eigenvalue(SEARCH_PARTS,
+                                           np.random.default_rng(0))
+    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+    assert _lambda_min(a) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_one_search_start_stalls_at_the_spurious_maximum(monkeypatch):
+    # why SEARCH_STARTS exists: ascent from 240 deg never leaves the kink
+    class At240:
+        def normal(self, size):
+            return np.array([np.cos(4 * np.pi / 3), np.sin(4 * np.pi / 3)])
+
+    monkeypatch.setattr(prestress, "SEARCH_STARTS", 1)
+    a = prestress._maximize_min_eigenvalue(SEARCH_PARTS, At240())
+    assert _lambda_min(a) == pytest.approx(-0.5, abs=1e-9)

@@ -11,7 +11,8 @@ checkouts agree on every report in the set.
 - `analyze --svg`, `flexes --svg`, `prestress` and `plot --svg` on all six
   fixtures;
 - `deform --steps 3 --svg` on 3prism, square and hinge;
-- `solve --svg` on a cubic and on a system with fractional coefficients;
+- `solve --svg` on a cubic, on a system with fractional coefficients, and
+  on a 75-path system whose recorded solve spans two tracking blocks;
 - `epscheck` on triangle and hinge;
 - `verify-ideals`.
 """
@@ -37,6 +38,10 @@ SYSTEMS = {
               "equations": ["x^3 - 7*x^2 + 17*x - 15"]},
     "fractional": {"variables": ["x", "y"],
                    "equations": ["x^2 + 1/3*y^2 - 2", "x*y - 1/2*x + 3/4"]},
+    "quintic": {"variables": ["x", "y", "z"],
+                "equations": ["x^5 - 2*x*y + 1/3*z^2 - 1",
+                              "y^5 + 3/2*x*z - y + 2",
+                              "z^3 - x*y*z + 1/5*x - 3/4"]},
 }
 
 
