@@ -104,40 +104,47 @@ def stiffness_and_energy(sys: MemberConstraintSystem, p: Configuration,
     return K, stress_matrix(sys.graph, w) + K
 
 
-def _min_eig_and_gradient(reduced_parts, a):
-    M = sum(ai * Mi for ai, Mi in zip(a, reduced_parts))
+def _min_eigs_and_gradients(parts, A: np.ndarray) -> tuple:
+    """lambda_min of sum_i A[s, i] * parts[i] for each row s of A, from one
+    stacked eigh, and its gradient u^T parts[i] u, u the unit eigenvector."""
+    M = sum(c[:, None, None] * R for c, R in zip(A.T, parts))
     vals, vecs = np.linalg.eigh(M)
-    u = vecs[:, 0]
-    grad = np.array([u @ Mi @ u for Mi in reduced_parts])
-    return vals[0], grad
+    U = vecs[:, :, 0]
+    # this matmul form gives each row bit for bit u @ R @ u; einsum does not
+    grad = np.stack([((U[:, None, :] @ R) @ U[:, :, None])[:, 0, 0] for R in parts], axis=1)
+    return vals[:, 0], grad
 
 
-def _maximize_min_eigenvalue(reduced_parts, rng):
-    """Multi-start projected gradient ascent of lambda_min over the unit sphere."""
-    k = len(reduced_parts)
-    best_val, best_a = -np.inf, None
-    for _ in range(SEARCH_STARTS):
-        a = rng.normal(size=k)
-        a /= np.linalg.norm(a)
-        val, grad = _min_eig_and_gradient(reduced_parts, a)
-        step = 0.5
-        for _ in range(200):
-            cand = a + step * grad
-            norm = np.linalg.norm(cand)
-            if norm == 0.0:
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
+
+
+def _maximize_min_eigenvalue(parts, rng):
+    """Multi-start projected gradient ascent of lambda_min over the unit sphere,
+    all SEARCH_STARTS starts in lockstep; the first best final value wins."""
+    a = np.array([rng.normal(size=len(parts)) for _ in range(SEARCH_STARTS)])
+    a /= _row_norms(a)[:, None]
+    val, grad = _min_eigs_and_gradients(parts, a)
+    final_val, final_a = np.empty_like(val), np.empty_like(a)
+    # live starts, compacted as they end: index, coefficients, value, gradient, step
+    idx, step = np.arange(SEARCH_STARTS), np.full(SEARCH_STARTS, 0.5)
+    for _ in range(200):
+        cand = a + step[:, None] * grad
+        norm = _row_norms(cand)
+        moved = norm != 0.0  # a zero candidate ends its start
+        cand /= np.where(moved, norm, 1.0)[:, None]
+        cand_val, cand_grad = _min_eigs_and_gradients(parts, cand)
+        better = moved & (cand_val > val)
+        a[better], val[better], grad[better] = cand[better], cand_val[better], cand_grad[better]
+        step = np.where(better, np.minimum(step * 1.5, 2.0), step * 0.5)
+        keep = moved & (better | (step >= 1e-12))
+        if not keep.all():
+            final_val[idx[~keep]], final_a[idx[~keep]] = val[~keep], a[~keep]
+            idx, a, val, grad, step = idx[keep], a[keep], val[keep], grad[keep], step[keep]
+            if not idx.size:
                 break
-            cand /= norm
-            cand_val, cand_grad = _min_eig_and_gradient(reduced_parts, cand)
-            if cand_val > val:
-                a, val, grad = cand, cand_val, cand_grad
-                step = min(step * 1.5, 2.0)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        if val > best_val:
-            best_val, best_a = val, a
-    return best_a
+    final_val[idx], final_a[idx] = val, a
+    return final_a[np.argmax(final_val)]
 
 
 def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
@@ -172,11 +179,10 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
 
     reduced_parts = [F.T @ stress_matrix(graph, w) @ F for w in basis]
     if len(basis) == 1:
-        candidates = [np.array([1.0]), np.array([-1.0])]
-        a = max(candidates, key=lambda c: _min_eig_and_gradient(reduced_parts, c)[0])
+        signs = np.array([[1.0], [-1.0]])
+        a = signs[np.argmax(_min_eigs_and_gradients(reduced_parts, signs)[0])]
     else:
-        rng = np.random.default_rng(seed)
-        a = _maximize_min_eigenvalue(reduced_parts, rng)
+        a = _maximize_min_eigenvalue(reduced_parts, np.random.default_rng(seed))
 
     stress = sum(ai * w for ai, w in zip(a, basis))
     # independent re-verification: rebuild the reduced matrix from the

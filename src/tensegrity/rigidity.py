@@ -50,12 +50,15 @@ class RigidityMatrices:
 class NullspaceDecomposition:
     """Null dg|_p split as R (rigid motions) plus F (flexes), F orthogonal to R,
     and an orthonormal basis of the left nullspace (self stresses, as columns).
-    One rank r of dg|_p fixes both: corank = n*d - r, m - r stresses."""
+    One rank r of dg|_p fixes both: corank = n*d - r, m - r stresses.
+    rank_gap is s[r-1] / s[r] over the singular values of dg|_p, the margin
+    of that decision; inf when none falls below the cut or dg|_p = 0."""
 
     rigid_motions: np.ndarray
     flexes: np.ndarray
     tol: float
     self_stresses: np.ndarray
+    rank_gap: float
 
     @property
     def corank(self) -> int:
@@ -195,8 +198,9 @@ def nullspace_decomposition(sys: MemberConstraintSystem, p: Configuration,
     # exactly corank - dim R dimensions, so trim spurious near-zero columns.
     F = _orthonormal_span(null - R @ (R.T @ null))
     F = F[:, :max(null.shape[1] - R.shape[1], 0)]
+    gap = s[rank - 1] / s[rank] if 0 < rank < s.size else np.inf
     return NullspaceDecomposition(rigid_motions=R, flexes=F, tol=tol_rel,
-                                  self_stresses=u[:, rank:])
+                                  self_stresses=u[:, rank:], rank_gap=float(gap))
 
 
 def random_configuration(graph: FrameworkGraph, rng) -> Configuration:

@@ -198,3 +198,58 @@ def test_one_search_start_stalls_at_the_spurious_maximum(monkeypatch):
     monkeypatch.setattr(prestress, "SEARCH_STARTS", 1)
     a = prestress._maximize_min_eigenvalue(SEARCH_PARTS, At240())
     assert _lambda_min(a) == pytest.approx(-0.5, abs=1e-9)
+
+
+def _per_start_search(reduced_parts, rng):
+    # the search as it ran one start at a time: the oracle for the lockstep one
+    def min_eig_and_gradient(a):
+        M = sum(ai * Mi for ai, Mi in zip(a, reduced_parts))
+        vals, vecs = np.linalg.eigh(M)
+        u = vecs[:, 0]
+        return vals[0], np.array([u @ Mi @ u for Mi in reduced_parts])
+
+    k = len(reduced_parts)
+    best_val, best_a = -np.inf, None
+    for _ in range(prestress.SEARCH_STARTS):
+        a = rng.normal(size=k)
+        a /= np.linalg.norm(a)
+        val, grad = min_eig_and_gradient(a)
+        step = 0.5
+        for _ in range(200):
+            cand = a + step * grad
+            norm = np.linalg.norm(cand)
+            if norm == 0.0:
+                break
+            cand /= norm
+            cand_val, cand_grad = min_eig_and_gradient(cand)
+            if cand_val > val:
+                a, val, grad = cand, cand_val, cand_grad
+                step = min(step * 1.5, 2.0)
+            else:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+        if val > best_val:
+            best_val, best_a = val, a
+    return best_a
+
+
+@pytest.mark.parametrize("starts", [prestress.SEARCH_STARTS, 3])
+@pytest.mark.parametrize("k, f", [(2, 1), (3, 6), (6, 18)])
+def test_lockstep_search_matches_the_per_start_loop(monkeypatch, k, f, starts):
+    monkeypatch.setattr(prestress, "SEARCH_STARTS", starts)
+    rng = np.random.default_rng([k, f])
+    B = rng.normal(size=(k, f, f))
+    parts = list(B + B.transpose(0, 2, 1))
+    live = []
+    evaluate = prestress._min_eigs_and_gradients
+
+    def counting(parts, A):
+        live.append(len(A))
+        return evaluate(parts, A)
+
+    monkeypatch.setattr(prestress, "_min_eigs_and_gradients", counting)
+    a = prestress._maximize_min_eigenvalue(parts, np.random.default_rng(k * f))
+    assert np.array_equal(a, _per_start_search(parts, np.random.default_rng(k * f)))
+    # starts ended at different steps, so the live arrays were compacted
+    assert len(set(live)) > 1

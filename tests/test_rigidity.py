@@ -6,10 +6,12 @@ import sympy
 
 from tensegrity import (Configuration, FrameworkError, build_constraints,
                         evaluate_members, incidence_matrix, jacobian_at,
-                        laplacian_eigenpairs, numerical_nullspace,
+                        laplacian_eigenpairs, load_fixture, numerical_nullspace,
                         nullspace_decomposition, pin_moving_frame,
                         rigid_motion_basis, rigidity_and_incidence,
                         rigidity_report)
+from tensegrity.framework import FIXTURE_NAMES
+from tensegrity.rigidity import RANK_REL_TOL
 
 from conftest import random_framework
 
@@ -98,6 +100,18 @@ def test_flex_complement_is_orthogonal(prism):
     assert np.max(np.abs(dec.rigid_motions.T @ dec.flexes)) <= 1e-10
     dg = jacobian_at(sys_, p)
     assert np.max(np.abs(dg @ dec.flexes)) <= 1e-8 * np.linalg.norm(dg)
+
+
+def test_rank_gap_clears_the_tolerance_on_the_fixtures():
+    # no fixture's rank decision is a near-tie: below the cut lies rounding
+    # noise or nothing at all (gap inf)
+    for name in FIXTURE_NAMES:
+        _, p, sys_ = load_fixture(name)
+        dec = nullspace_decomposition(sys_, p)
+        assert dec.rank_gap > 1.0 / RANK_REL_TOL
+        s = np.linalg.svd(jacobian_at(sys_, p))[1]
+        r = sys_.m - dec.self_stresses.shape[1]
+        assert dec.rank_gap == (s[r - 1] / s[r] if r < s.size else np.inf)
 
 
 def test_pinning_preserves_residuals_and_is_idempotent():

@@ -13,6 +13,8 @@ checkouts agree on every report in the set.
 - `deform --steps 3 --svg` on 3prism, square and hinge;
 - `solve --svg` on a cubic, on a system with fractional coefficients, and
   on a 75-path system whose recorded solve spans two tracking blocks;
+- `prestress` on five collinear nodes in 3-space, all pairs joined: 6 self
+  stresses and 6 flexes, so the multi-start search runs;
 - `epscheck` on triangle and hinge;
 - `verify-ideals`.
 """
@@ -44,8 +46,15 @@ SYSTEMS = {
                               "z^3 - x*y*z + 1/5*x - 3/4"]},
 }
 
+FRAMEWORKS = {
+    "collinear5": {"dimension": 3,
+                   "nodes": [[x, 0.0, 0.0] for x in (0.0, 1.0, 2.5, 4.0, 4.75)],
+                   "members": [{"i": i, "j": j}
+                               for i in range(1, 6) for j in range(i + 1, 6)]},
+}
 
-def commands(system_dir: Path) -> list:
+
+def commands(input_dir: Path) -> list:
     out = []
     for fx in FIXTURE_NAMES:
         out += [["analyze", fx, "--svg"], ["flexes", fx, "--svg"],
@@ -53,7 +62,9 @@ def commands(system_dir: Path) -> list:
     for fx in ("3prism", "square", "hinge"):
         out.append(["deform", fx, "--steps", "3", "--svg"])
     for name in SYSTEMS:
-        out.append(["solve", str(system_dir / f"{name}.json"), "--svg"])
+        out.append(["solve", str(input_dir / f"{name}.json"), "--svg"])
+    for name in FRAMEWORKS:
+        out.append(["prestress", str(input_dir / f"{name}.json")])
     for fx in ("triangle", "hinge"):
         out.append(["epscheck", fx])
     out.append(["verify-ideals"])
@@ -67,10 +78,10 @@ def main(argv) -> int:
     out_dir = Path(argv[0])
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        system_dir = Path(tmp)
-        for name, doc in SYSTEMS.items():
-            (system_dir / f"{name}.json").write_text(json.dumps(doc))
-        for cmd in commands(system_dir):
+        input_dir = Path(tmp)
+        for name, doc in {**SYSTEMS, **FRAMEWORKS}.items():
+            (input_dir / f"{name}.json").write_text(json.dumps(doc))
+        for cmd in commands(input_dir):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = run_command(cmd + ["--seed", SEED, "--out", str(out_dir)])
             if code != 0:
