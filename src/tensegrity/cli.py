@@ -508,6 +508,8 @@ def run_command(argv) -> int:
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
 
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         out = args.func(args)
     except (ValueError, OSError, KeyError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,7 @@ class PrestressCertificate:
     coefficients: np.ndarray | None = None
     stress: np.ndarray | None = None
     reduced: np.ndarray | None = None
+    reduced_eigenvalues: np.ndarray | None = None
     min_eigenvalue: float | None = None
     cables_positive: bool | None = None
     struts_negative: bool | None = None
@@ -56,7 +57,7 @@ class PrestressCertificate:
             out["stress"] = list(self.stress)
         if self.reduced is not None:
             out["reduced_matrix"] = self.reduced.tolist()
-            out["reduced_eigenvalues"] = np.linalg.eigvalsh(self.reduced).tolist()
+            out["reduced_eigenvalues"] = self.reduced_eigenvalues.tolist()
         if self.min_eigenvalue is not None:
             out["min_eigenvalue"] = self.min_eigenvalue
         if self.cables_positive is not None:
@@ -119,6 +120,29 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
 
 
+def _no_stress_reaches_the_flexes(graph: FrameworkGraph, basis, parts,
+                                  tol_rel: float) -> bool:
+    """True when no combination of the basis stresses can pass the
+    re-verification in prestress_certificate, so a search would be futile.
+
+    With G_P[i, j] = <P_i, P_j>_F over the reduced parts and G_L[i, j] =
+    <L_i, L_j>_F over the weighted Laplacians, Omega_i = L_i (x) I_d, so
+    ||Omega(a)||_F^2 = d a^T G_L a.  For every unit a,
+      lambda_min(sum a_i P_i) <= ||sum a_i P_i||_F <= sqrt(lambda_max(G_P))
+      ||Omega(a)||_2 >= ||Omega(a)||_F / sqrt(nd) >= sqrt(lambda_min(G_L) / n),
+    so lambda_max(G_P) n < tol_rel^2 lambda_min(G_L) gives
+    lambda_min(sum a_i P_i) < tol_rel ||Omega(a)||_2 for every a.
+    """
+    P = np.reshape(parts, (len(parts), -1))
+    W = np.array(basis)
+    inc = incidence_matrix(graph)
+    # <L_a, L_b>_F = tr(D_a Q D_b Q) = a^T (Q o Q) b with Q = inc inc^T
+    Q = inc @ inc.T
+    gram_parts = np.linalg.eigvalsh(P @ P.T)[-1]
+    gram_laplacians = np.linalg.eigvalsh(W @ (Q * Q) @ W.T)[0]
+    return gram_parts * graph.n < tol_rel ** 2 * gram_laplacians
+
+
 def _maximize_min_eigenvalue(parts, rng):
     """Multi-start projected gradient ascent of lambda_min over the unit sphere,
     all SEARCH_STARTS starts in lockstep; the first best final value wins."""
@@ -154,14 +178,17 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     the flex space.
 
     Empty flex space short-circuits to infinitesimally_rigid, empty stress
-    basis to no_self_stress.  With one basis stress the sign choice is
-    exhaustive; otherwise a seeded multi-start search maximizes the minimum
-    eigenvalue over unit coefficient vectors.  Positive definiteness of the
-    winner is re-verified from scratch: its minimum eigenvalue must exceed
-    tol_rel times the spectral norm of its stress matrix, so that rounding
-    noise on a flex the stress does not reach is not taken for positive
-    definiteness.  Cable/strut sign feasibility is reported against
-    `partition` (defaults to the member kinds of sys).
+    basis to no_self_stress.  When the reduced parts F^T Omega_i F are too
+    small for any combination to pass the re-verification below, the first
+    basis stress is taken without a search.  Otherwise, with one basis
+    stress the sign choice is exhaustive, and with more a seeded multi-start
+    search maximizes the minimum eigenvalue over unit coefficient vectors.
+    Positive definiteness of the winner is re-verified from scratch: its
+    minimum eigenvalue must exceed tol_rel times the spectral norm of its
+    stress matrix, so that rounding noise on a flex the stress does not
+    reach is not taken for positive definiteness.  Cable/strut sign
+    feasibility is reported against `partition` (defaults to the member
+    kinds of sys).
     """
     graph = sys.graph
     kinds = tuple(partition) if partition is not None else graph.kinds()
@@ -178,7 +205,9 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
         return PrestressCertificate(verdict="no_self_stress", self_stress_dim=0)
 
     reduced_parts = [F.T @ stress_matrix(graph, w) @ F for w in basis]
-    if len(basis) == 1:
+    if _no_stress_reaches_the_flexes(graph, basis, reduced_parts, tol_rel):
+        a = np.eye(len(basis))[0]
+    elif len(basis) == 1:
         signs = np.array([[1.0], [-1.0]])
         a = signs[np.argmax(_min_eigs_and_gradients(reduced_parts, signs)[0])]
     else:
@@ -189,7 +218,8 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     # combined stress rather than reusing the search's running value
     omega = stress_matrix(graph, stress)
     reduced = F.T @ omega @ F
-    min_eig = float(np.linalg.eigvalsh(reduced)[0])
+    eigenvalues = np.linalg.eigvalsh(reduced)
+    min_eig = float(eigenvalues[0])
     definite = min_eig > tol_rel * np.linalg.norm(omega, 2)
 
     violations = []
@@ -213,6 +243,7 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
         coefficients=np.asarray(a, dtype=float),
         stress=np.asarray(stress, dtype=float),
         reduced=reduced,
+        reduced_eigenvalues=eigenvalues,
         min_eigenvalue=min_eig,
         cables_positive=cables_ok,
         struts_negative=struts_ok,

@@ -187,10 +187,30 @@ def test_prestress_rejects_bad_partition(tmp_path, capsys, block):
                                   ["deform", "hinge", "--epsilon", "nan"],
                                   ["deform", "hinge", "--epsilon", "inf"],
                                   ["deform", "hinge", "--steps", "0"],
-                                  ["deform", "hinge", "--steps", "-2"]])
+                                  ["deform", "hinge", "--steps", "-2"],
+                                  ["analyze", "3prism", "--seed", "-1"],
+                                  ["flexes", "3prism", "--seed", "-1"],
+                                  ["prestress", "3prism", "--seed", "-1"],
+                                  ["plot", "hinge", "--seed", "-1"],
+                                  ["deform", "hinge", "--seed", "-1"],
+                                  ["epscheck", "triangle", "--seed", "-1"],
+                                  ["verify-ideals", "--seed", "-1"]])
 def test_out_of_range_tolerance_or_epsilon_is_rejected(tmp_path, capsys, argv):
     assert run_command(argv + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "3prism"], ["flexes", "3prism"],
+                                  ["prestress", "3prism"], ["plot", "hinge"],
+                                  ["deform", "hinge"], ["epscheck", "triangle"],
+                                  ["verify-ideals"], ["solve", "cubic.json"]])
+def test_negative_seed_is_rejected_naming_the_flag(tmp_path, capsys, argv):
+    (tmp_path / "cubic.json").write_text(
+        json.dumps({"variables": ["x"], "equations": ["x^3 - 2"]}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert run_command(argv + ["--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: --seed ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cubic.json"]
 
 
 @pytest.mark.parametrize("command, calls", [

@@ -253,3 +253,93 @@ def test_lockstep_search_matches_the_per_start_loop(monkeypatch, k, f, starts):
     assert np.array_equal(a, _per_start_search(parts, np.random.default_rng(k * f)))
     # starts ended at different steps, so the live arrays were compacted
     assert len(set(live)) > 1
+
+
+def _complete(nodes):
+    return [{"i": i, "j": j} for i, j in itertools.combinations(nodes, 2)]
+
+
+# three self stresses on the planar K5; node 6 swings on one bar from node 2
+K5_PENDANT = {"dimension": 2,
+              "nodes": [[0.0, 0.0], [1.0, 0.1], [1.3, 0.9], [0.4, 1.4],
+                        [-0.3, 0.8], [2.2, 0.3]],
+              "members": _complete(range(1, 6)) + [{"i": 2, "j": 6}]}
+
+# five collinear nodes in 3-space, all pairs joined: 6 self stresses, found
+COLLINEAR5 = {"dimension": 3,
+              "nodes": [[x, 0.0, 0.0] for x in (0.0, 1.0, 2.5, 4.0, 4.75)],
+              "members": _complete(range(1, 6))}
+
+
+def _clustered_framework(rng):
+    # a complete graph on the first d + 3 nodes carries the self stresses;
+    # each later node hangs off d earlier nodes (braced) or one (swinging),
+    # and the last always swings, so the flexes live off the cluster
+    d = int(rng.integers(2, 4))
+    cluster, n = d + 3, d + 3 + int(rng.integers(1, 5))
+    members = _complete(range(1, cluster + 1))
+    for v in range(cluster + 1, n + 1):
+        ties = 1 if v == n or rng.random() < 0.5 else d
+        members += [{"i": int(u), "j": v}
+                    for u in sorted(rng.choice(np.arange(1, v), ties, replace=False))]
+    nodes = rng.uniform(-1.0, 1.0, size=(n, d)).tolist()
+    return load_framework({"dimension": d, "nodes": nodes, "members": members})
+
+
+def _spy_on_the_bound(monkeypatch):
+    fired = []
+    bound = prestress._no_stress_reaches_the_flexes
+
+    def spy(*args):
+        fired.append(bound(*args))
+        return fired[-1]
+
+    monkeypatch.setattr(prestress, "_no_stress_reaches_the_flexes", spy)
+    return fired
+
+
+def test_stresses_that_miss_the_flex_skip_the_search(monkeypatch):
+    def search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(prestress, "_maximize_min_eigenvalue", search)
+    _, p, sys_ = load_framework(K5_PENDANT)
+    cert = prestress_certificate(sys_, p, seed=0)
+    assert cert.verdict == "not_found"
+    assert cert.self_stress_dim == 3
+    assert np.array_equal(cert.coefficients, [1.0, 0.0, 0.0])
+    first = self_stress_basis(nullspace_decomposition(sys_, p))[0]
+    assert np.array_equal(cert.stress, first)
+    assert np.array_equal(cert.reduced_eigenvalues, np.linalg.eigvalsh(cert.reduced))
+
+
+def test_skipped_searches_would_not_have_found_a_stress(monkeypatch):
+    rng = np.random.default_rng(61)
+    frameworks = [_clustered_framework(rng) for _ in range(30)]
+    fired = _spy_on_the_bound(monkeypatch)
+    skipped = [prestress_certificate(s, q, seed=3) for _, q, s in frameworks]
+    assert fired == [True] * 30
+    assert {c.self_stress_dim for c in skipped} == {3}
+    # the old path: search (or sign choice) and re-verification
+    monkeypatch.setattr(prestress, "_no_stress_reaches_the_flexes",
+                        lambda *args: False)
+    for (_, q, s), cert in zip(frameworks, skipped):
+        assert cert.verdict == "not_found"
+        assert prestress_certificate(s, q, seed=3).verdict == "not_found"
+
+
+@pytest.mark.parametrize("tol_rel", [RANK_REL_TOL, 0.1])
+@pytest.mark.parametrize("name, min_eigenvalue", [
+    ("3prism", 3.370477247161058), ("slingshot", 0.625),
+    ("collinear5", 1.8885719554455065)])
+def test_stresses_that_reach_the_flexes_still_search(monkeypatch, name,
+                                                     min_eigenvalue, tol_rel):
+    # at tol_rel 0.1 the bound's two sides are within a factor 300 on 3prism,
+    # so a bound loosened by that much would skip a certificate that exists
+    _, p, sys_ = (load_framework(COLLINEAR5) if name == "collinear5"
+                  else load_fixture(name))
+    fired = _spy_on_the_bound(monkeypatch)
+    cert = prestress_certificate(sys_, p, tol_rel=tol_rel, seed=0)
+    assert fired == [False]
+    assert cert.verdict == "found"
+    assert cert.min_eigenvalue == pytest.approx(min_eigenvalue, abs=1e-9)

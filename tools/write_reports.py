@@ -15,6 +15,9 @@ checkouts agree on every report in the set.
   on a 75-path system whose recorded solve spans two tracking blocks;
 - `prestress` on five collinear nodes in 3-space, all pairs joined: 6 self
   stresses and 6 flexes, so the multi-start search runs;
+- `prestress` on a planar K5 with a pendant node: its 3 self stresses live
+  on the K5 and its one flex swings the pendant node, so no stress reaches
+  the flex and the search is skipped;
 - `epscheck` on triangle and hinge;
 - `verify-ideals`.
 """
@@ -51,6 +54,12 @@ FRAMEWORKS = {
                    "nodes": [[x, 0.0, 0.0] for x in (0.0, 1.0, 2.5, 4.0, 4.75)],
                    "members": [{"i": i, "j": j}
                                for i in range(1, 6) for j in range(i + 1, 6)]},
+    "k5pendant": {"dimension": 2,
+                  "nodes": [[0.0, 0.0], [1.0, 0.1], [1.3, 0.9], [0.4, 1.4],
+                            [-0.3, 0.8], [2.2, 0.3]],
+                  "members": [{"i": i, "j": j}
+                              for i in range(1, 6) for j in range(i + 1, 6)]
+                             + [{"i": 2, "j": 6}]},
 }
 
 
