@@ -12,8 +12,10 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 #: Buchberger aborts after processing this many S-pairs
 PAIR_BUDGET = 10_000
@@ -27,13 +29,27 @@ class PairBudgetError(SymbolicError):
     """Raised when Buchberger exceeds its S-pair budget."""
 
 
-def _key_fn(order: str, nvars: int):
-    if order == "lex":
-        return lambda e: e
+def _order_key(order: str):
+    """Heap key of a monomial order: the larger monomial has the smaller key.
+
+    Both keys are linear in the exponent vector, so the key of a product of
+    monomials is the sum of their keys, and each key determines its
+    exponent vector (see `_key_exponents`).
+    """
     if order == "degrevlex":
         # graded, ties broken by *smallest* power of the *last* variable
-        return lambda e: (sum(e), tuple(-e[k] for k in range(nvars - 1, -1, -1)))
-    raise SymbolicError(f"unknown monomial order {order!r}")
+        return lambda e: (-sum(e),) + e[::-1]
+    if order == "lex":
+        return lambda e: tuple(map(neg, e))
+    raise SymbolicError(
+        f"unknown monomial order {order!r}: order must be 'degrevlex' or 'lex'")
+
+
+def _key_exponents(order: str):
+    """Inverse of `_order_key(order)`: heap key -> exponent vector."""
+    if order == "degrevlex":
+        return lambda k: k[:0:-1]
+    return lambda k: tuple(map(neg, k))
 
 
 class SparsePoly:
@@ -205,8 +221,7 @@ class RationalPoly(SparsePoly):
         """(exponent tuple, coefficient) of the leading term."""
         if not self.terms:
             raise SymbolicError("zero polynomial has no leading term")
-        key = _key_fn(order, len(self.variables))
-        exps = max(self.terms, key=key)
+        exps = min(self.terms, key=_order_key(order))
         return exps, self.terms[exps]
 
     def monic(self, order: str = "degrevlex") -> "RationalPoly":
@@ -294,9 +309,8 @@ class RationalPoly(SparsePoly):
     def __str__(self):
         if not self.terms:
             return "0"
-        key = _key_fn("degrevlex", len(self.variables))
         pieces = []
-        for exps in sorted(self.terms, key=key, reverse=True):
+        for exps in sorted(self.terms, key=_order_key("degrevlex")):
             coeff = self.terms[exps]
             mono = "*".join(
                 f"{name}^{e}" if e > 1 else name
@@ -406,28 +420,74 @@ def _divides(ea, eb) -> bool:
     return all(a <= b for a, b in zip(ea, eb))
 
 
+def _small(c: Fraction):
+    """An integral Fraction as an int, which multiplies and adds faster."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def normal_form_reduce(f: RationalPoly, G, order: str = "degrevlex") -> RationalPoly:
-    """Remainder of f under multivariate division by the list G."""
-    G = [g for g in G if not g.is_zero()]
+    """Remainder of f under multivariate division by the list G.
+
+    Each step takes the leading term of the dividend and cancels it with the
+    first member of G whose leading monomial divides it, or moves it to the
+    remainder (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+    section 2.3).  The dividend is a dict keyed by `_order_key`, changed in
+    place, with a heap of its keys for the leading term (Monagan & Pearce,
+    CASC 2007).  A key whose term has cancelled stays in the heap and is
+    skipped when popped; every term added is below the current leading one,
+    so a popped key never returns.  Integral coefficients are held as ints
+    inside the loop and the remainder gets Fractions back.
+    """
+    key = _order_key(order)
+    exponents = _key_exponents(order)
+    # per divisor: its leading key, the support of its leading monomial, and
+    # its tail divided by the leading coefficient and negated
+    divisors = []
     for g in G:
+        if g.is_zero():
+            continue
         if g.variables != f.variables:
             raise SymbolicError("polynomials live in different rings")
-    leads = [g.leading(order) for g in G]
-    remainder = RationalPoly.zero(f.variables)
-    p = f
-    while not p.is_zero():
-        ep, cp = p.leading(order)
-        for g, (eg, cg) in zip(G, leads):
-            if _divides(eg, ep):
-                shift = tuple(a - b for a, b in zip(ep, eg))
-                factor = RationalPoly._make(f.variables, {shift: cp / cg})
-                p = p - factor * g
+        elead = min(g.terms, key=key)
+        lc = g.terms[elead]
+        support = tuple((i, a) for i, a in enumerate(elead) if a)
+        scale = -1 if lc == 1 else -1 / lc
+        divisors.append((key(elead), support,
+                         [(key(e), _small(_small(c) * scale))
+                          for e, c in g.terms.items() if e != elead]))
+
+    p = {key(e): _small(c) for e, c in f.terms.items()}
+    heap = list(p)
+    heapify(heap)
+    remainder = {}
+    while heap:
+        kp = heappop(heap)
+        cp = p.pop(kp, None)
+        if cp is None:
+            continue  # cancelled after its key was pushed
+        ep = exponents(kp)
+        for klead, support, tail in divisors:
+            for i, a in support:
+                if ep[i] < a:
+                    break
+            else:
+                shift = tuple(map(sub, kp, klead))
+                for kt, ct in tail:
+                    k = tuple(map(add, shift, kt))
+                    c = p.get(k)
+                    if c is None:
+                        p[k] = cp * ct
+                        heappush(heap, k)
+                    else:
+                        c += cp * ct
+                        if c:
+                            p[k] = c
+                        else:
+                            del p[k]
                 break
         else:
-            lead = RationalPoly._make(f.variables, {ep: cp})
-            remainder = remainder + lead
-            p = p - lead
-    return remainder
+            remainder[ep] = Fraction(cp)
+    return RationalPoly._make(f.variables, remainder)
 
 
 def s_polynomial(f: RationalPoly, g: RationalPoly, order: str = "degrevlex"):
@@ -441,8 +501,18 @@ def s_polynomial(f: RationalPoly, g: RationalPoly, order: str = "degrevlex"):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A reduced Groebner basis and the work `buchberger` spent on it.
+
+    The counters take no part in equality or hashing: `pairs_processed` is
+    every S-pair taken from the queue (what `pair_budget` limits),
+    `pairs_skipped` those of them skipped by the coprime criterion, and
+    `peak_basis_size` the most generators held before the final reduction.
+    """
     generators: tuple
     order: str
+    pairs_processed: int = field(default=0, compare=False)
+    pairs_skipped: int = field(default=0, compare=False)
+    peak_basis_size: int = field(default=0, compare=False)
 
     def reduce(self, f: RationalPoly) -> RationalPoly:
         return normal_form_reduce(f, self.generators, self.order)
@@ -456,8 +526,15 @@ def buchberger(gens, order: str = "degrevlex",
     """Reduced Groebner basis by Buchberger's algorithm.
 
     S-pairs with coprime leading monomials are skipped; processing more
-    than `pair_budget` pairs aborts with PairBudgetError.
+    than `pair_budget` pairs aborts with PairBudgetError.  An unknown
+    `order`, or a `pair_budget` that is not a nonnegative integer, raises
+    SymbolicError.
     """
+    _order_key(order)  # rejects an unknown order
+    if (not isinstance(pair_budget, int) or isinstance(pair_budget, bool)
+            or pair_budget < 0):
+        raise SymbolicError(
+            f"pair_budget must be a nonnegative integer, got {pair_budget!r}")
     basis = [g.monic(order) for g in gens if not g.is_zero()]
     if not basis:
         return GroebnerBasis((), order)
@@ -466,7 +543,7 @@ def buchberger(gens, order: str = "degrevlex",
         raise SymbolicError("generators live in different rings")
 
     pairs = deque(itertools.combinations(range(len(basis)), 2))
-    processed = 0
+    processed = skipped = 0
     while pairs:
         i, j = pairs.popleft()
         processed += 1
@@ -476,6 +553,7 @@ def buchberger(gens, order: str = "degrevlex",
         ei, _ = basis[i].leading(order)
         ej, _ = basis[j].leading(order)
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+            skipped += 1
             continue  # coprime leading monomials reduce to zero
         rem = normal_form_reduce(s_polynomial(basis[i], basis[j], order),
                                  basis, order)
@@ -484,12 +562,14 @@ def buchberger(gens, order: str = "degrevlex",
             new = len(basis) - 1
             pairs.extend((k, new) for k in range(new))
 
-    return GroebnerBasis(_reduce_basis(basis, order), order)
+    return GroebnerBasis(_reduce_basis(basis, order), order,
+                         pairs_processed=processed, pairs_skipped=skipped,
+                         peak_basis_size=len(basis))
 
 
 def _reduce_basis(basis, order) -> tuple:
     """Canonical reduced form: minimal leading monomials, tails reduced."""
-    key = _key_fn(order, len(basis[0].variables))
+    key = _order_key(order)
     leads = [g.leading(order)[0] for g in basis]
     keep = []
     for i, e in enumerate(leads):
@@ -504,7 +584,7 @@ def _reduce_basis(basis, order) -> tuple:
         r = normal_form_reduce(g, others, order)
         if not r.is_zero():
             reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: key(g.leading(order)[0]))
+    reduced.sort(key=lambda g: key(g.leading(order)[0]), reverse=True)
     return tuple(reduced)
 
 

@@ -172,3 +172,162 @@ def test_mixed_rings_are_rejected():
         _ = x + u
     with pytest.raises(SymbolicError):
         buchberger([x, u])
+
+
+# -- division kernel ----------------------------------------------------------
+
+
+def _scan_leading(p, order):
+    """Leading term by scanning every term, as the division loop did before
+    the heap-ordered kernel."""
+    n = len(p.variables)
+    if order == "lex":
+        key = lambda e: e  # noqa: E731
+    else:
+        key = lambda e: (sum(e), tuple(-e[k] for k in range(n - 1, -1, -1)))  # noqa: E731
+    exps = max(p.terms, key=key)
+    return exps, p.terms[exps]
+
+
+def _list_scanning_division(f, G, order):
+    """Reference division: rescans the dividend for its leading term and
+    rebuilds it as p - factor * g at every step."""
+    G = [g for g in G if not g.is_zero()]
+    leads = [_scan_leading(g, order) for g in G]
+    remainder = RationalPoly.zero(f.variables)
+    p = f
+    while not p.is_zero():
+        ep, cp = _scan_leading(p, order)
+        for g, (eg, cg) in zip(G, leads):
+            if all(a <= b for a, b in zip(eg, ep)):
+                shift = tuple(a - b for a, b in zip(ep, eg))
+                p = p - RationalPoly(f.variables, {shift: cp / cg}) * g
+                break
+        else:
+            lead = RationalPoly(f.variables, {ep: cp})
+            remainder = remainder + lead
+            p = p - lead
+    return remainder
+
+
+def _small_coefficient_poly(rng, variables, max_terms, max_deg):
+    """Few distinct coefficients, so that terms often cancel exactly."""
+    coeffs = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
+    return RationalPoly(variables, {
+        tuple(rng.randint(0, max_deg) for _ in variables): rng.choice(coeffs)
+        for _ in range(rng.randint(1, max_terms))})
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_division_matches_the_list_scanning_loop(order):
+    rng = random.Random(211 if order == "lex" else 223)
+    variables = ("x", "y", "z")
+    zero = RationalPoly.zero(variables)
+    for case in range(150):
+        G = [_small_coefficient_poly(rng, variables, 3, 2)
+             for _ in range(rng.randint(1, 4))]
+        if case % 3 == 0:
+            G.insert(rng.randint(0, len(G)), zero)
+        if case % 4 == 0:
+            G = [_random_poly(rng, variables, max_deg=2) * Fraction(-7, 3)
+                 for _ in range(rng.randint(1, 3))] + G
+        f = zero if case % 10 == 0 else \
+            _small_coefficient_poly(rng, variables, 8, 4)
+        if case % 5 == 1:  # a combination of G cancels many terms
+            f = f + sum((_small_coefficient_poly(rng, variables, 3, 2) * g
+                         for g in G), zero)
+        got = normal_form_reduce(f, G, order)
+        want = _list_scanning_division(f, G, order)
+        assert got.terms == want.terms
+        assert list(got.terms) == list(want.terms)  # and in the same order
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_first_dividing_generator_wins():
+    # Cox, Little & O'Shea, section 2.3: not a Groebner basis, so the
+    # remainder depends on the order of the divisors
+    variables = ("x", "y")
+    f = RationalPoly.parse("x^2*y + x*y^2 + y^2", variables)
+    g1 = RationalPoly.parse("x*y - 1", variables)
+    g2 = RationalPoly.parse("y^2 - 1", variables)
+    assert normal_form_reduce(f, [g1, g2], "lex") == \
+        RationalPoly.parse("x + y + 1", variables)
+    assert normal_form_reduce(f, [g2, g1], "lex") == \
+        RationalPoly.parse("2*x + 1", variables)
+
+
+def test_cancelled_terms_leave_no_remainder():
+    variables = ("x", "y")
+    f = RationalPoly.parse("x^2 - y^2", variables)
+    g = RationalPoly.parse("3*x - 3*y", variables)
+    for order in ("degrevlex", "lex"):
+        assert normal_form_reduce(f, [g], order).terms == {}
+
+
+def _to_sympy(p, symbols):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+                for exps, c in p.terms.items()), sympy.Integer(0))
+
+
+def test_normal_form_modulo_a_groebner_basis_matches_sympy():
+    rng = random.Random(227)
+    variables = ("x", "y", "z")
+    symbols = sympy.symbols(variables)
+    checked = 0
+    for case in range(60):
+        order = "lex" if case % 2 else "degrevlex"
+        gens = [_random_poly(rng, variables, max_terms=3, max_deg=2)
+                for _ in range(2)]
+        if any(g.is_zero() for g in gens):
+            continue
+        gb = buchberger(gens, order=order)
+        f = _random_poly(rng, variables, max_terms=6, max_deg=3)
+        _, r = sympy.reduced(_to_sympy(f, symbols),
+                             [_to_sympy(g, symbols) for g in gb.generators],
+                             *symbols, order="lex" if order == "lex" else "grevlex")
+        want = {tuple(m): Fraction(int(c.p), int(c.q))
+                for m, c in sympy.Poly(r, *symbols).terms() if c != 0}
+        assert gb.reduce(f).terms == want
+        checked += 1
+    assert checked >= 50
+
+
+# -- Buchberger boundary and counters -----------------------------------------
+
+
+def test_buchberger_rejects_an_unknown_order():
+    x, = ring_variables(("x",))
+    zero = RationalPoly.zero(("x",))
+    for gens in ([], [zero], [x]):
+        with pytest.raises(SymbolicError, match="order"):
+            buchberger(gens, "bogus")
+    with pytest.raises(SymbolicError, match="order"):
+        normal_form_reduce(x, [x], "bogus")
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, "10", True])
+def test_buchberger_rejects_a_bad_pair_budget(budget):
+    x, y = ring_variables(("x", "y"))
+    with pytest.raises(SymbolicError, match="pair_budget") as info:
+        buchberger([x * x + y, x * y], "lex", pair_budget=budget)
+    assert not isinstance(info.value, PairBudgetError)
+
+
+def test_buchberger_counts_pairs_and_basis_size():
+    # pair (x^2 + y^2, x*y) reduces to y^3, which joins the basis; then
+    # (x^2 + y^2, y^3) is coprime and skipped, and (x*y, y^3) reduces to 0
+    variables = ("x", "y")
+    gens = [RationalPoly.parse("x^2 + y^2", variables),
+            RationalPoly.parse("x*y", variables)]
+    basis = buchberger(gens, order="lex")
+    assert (basis.pairs_processed, basis.pairs_skipped,
+            basis.peak_basis_size) == (3, 1, 3)
+    bare = type(basis)(basis.generators, basis.order)
+    assert bare == basis and hash(bare) == hash(basis)
+    empty = buchberger([], order="lex")
+    assert (empty.pairs_processed, empty.pairs_skipped,
+            empty.peak_basis_size) == (0, 0, 0)
+    assert buchberger(gens, order="lex", pair_budget=3) == basis
+    with pytest.raises(PairBudgetError):
+        buchberger(gens, order="lex", pair_budget=2)
