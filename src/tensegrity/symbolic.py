@@ -1,10 +1,11 @@
 """Exact polynomial computation over the rationals.
 
 The sparse polynomial core, shared with the complex polynomials of
-`continuation`; multivariate polynomials with Fraction coefficients,
-lex/degrevlex monomial orders, multivariate division, Buchberger's
-algorithm with the coprime criterion, all r x r minors of a polynomial
-matrix, and ideal-containment checking by normal forms.
+`continuation`; multivariate polynomials with exact coefficients (an int
+when integral, a Fraction otherwise), lex/degrevlex monomial orders,
+multivariate division, Buchberger's algorithm with the coprime
+criterion, all r x r minors of a polynomial matrix, and
+ideal-containment checking by normal forms.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, neg, sub
@@ -187,11 +189,34 @@ class SparsePoly:
         return self._make(self.ring, terms)
 
 
+def _exact(value):
+    """An exact coefficient: an int when `value` is integral, else a Fraction.
+
+    Ints add and multiply several times faster than Fractions, and an
+    integral Fraction compares, hashes and prints like its int.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise SymbolicError(f"zero denominator in {value!r}") from None
+    return value.numerator if value.denominator == 1 else value
+
+
 class RationalPoly(SparsePoly):
-    """Polynomial in Q[variables] stored as exponent-tuple -> Fraction."""
+    """Polynomial in Q[variables] stored as exponent-tuple -> coefficient.
+
+    A coefficient is an int when it is integral and a Fraction otherwise:
+    the constructor, `parse` and scalar operands go through `_exact`, so
+    integral input stays on ints through +, -, *, `substitute` and
+    `symbolic_minors`.  Arithmetic on Fractions may leave an integral
+    Fraction, which compares, hashes and prints like its int.
+    """
 
     __slots__ = ()
-    coefficient = Fraction
+    coefficient = staticmethod(_exact)
     error = SymbolicError
     _width = staticmethod(len)
 
@@ -231,7 +256,10 @@ class RationalPoly(SparsePoly):
     # -- arithmetic ---------------------------------------------------
 
     def __truediv__(self, scalar):
-        return self * (Fraction(1) / Fraction(scalar))
+        scalar = _exact(scalar)
+        if scalar == 0:
+            raise SymbolicError("division of a polynomial by zero")
+        return self * Fraction(1, scalar)
 
     def __eq__(self, other):
         if isinstance(other, RationalPoly):
@@ -250,7 +278,7 @@ class RationalPoly(SparsePoly):
 
     def substitute(self, assignment: dict) -> "RationalPoly":
         """Plug exact values into some variables; stays in the same ring."""
-        pos = {self.variables.index(name): Fraction(value)
+        pos = {self.variables.index(name): _exact(value)
                for name, value in assignment.items()}
         terms = {}
         for exps, coeff in self.terms.items():
@@ -353,7 +381,7 @@ def _tokenize(text: str):
             break
         pos = m.end()
         if m.lastgroup == "num":
-            out.append(("num", Fraction(m.group("num").replace(" ", ""))))
+            out.append(("num", _exact(m.group("num").replace(" ", ""))))
         elif m.lastgroup == "name":
             out.append(("name", m.group("name")))
         else:
@@ -367,10 +395,10 @@ def _parse(text: str, variables) -> RationalPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise SymbolicError("empty polynomial text")
-    result = RationalPoly.zero(variables)
+    terms = {}
     i = 0
     while i < len(tokens):
-        sign = Fraction(1)
+        sign = 1
         while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
             if tokens[i][1] == "-":
                 sign = -sign
@@ -399,7 +427,8 @@ def _parse(text: str, variables) -> RationalPoly:
                 if i + 1 < len(tokens) and tokens[i] == ("op", "^"):
                     nkind, nvalue = tokens[i + 1]
                     if nkind != "num" or nvalue.denominator != 1:
-                        raise SymbolicError("exponent must be an integer")
+                        raise SymbolicError(
+                            "exponent must be a nonnegative integer")
                     power = int(nvalue)
                     i += 2
                 exps[index[value]] += power
@@ -408,8 +437,9 @@ def _parse(text: str, variables) -> RationalPoly:
             expect_factor = False
         if expect_factor:
             raise SymbolicError("dangling operator")
-        result = result + RationalPoly(variables, {tuple(exps): coeff})
-    return result
+        exps = tuple(exps)
+        terms[exps] = terms.get(exps, 0) + coeff
+    return RationalPoly(variables, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -420,43 +450,41 @@ def _divides(ea, eb) -> bool:
     return all(a <= b for a, b in zip(ea, eb))
 
 
-def _small(c: Fraction):
-    """An integral Fraction as an int, which multiplies and adds faster."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def normal_form_reduce(f: RationalPoly, G, order: str = "degrevlex") -> RationalPoly:
-    """Remainder of f under multivariate division by the list G.
-
-    Each step takes the leading term of the dividend and cancels it with the
-    first member of G whose leading monomial divides it, or moves it to the
-    remainder (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
-    section 2.3).  The dividend is a dict keyed by `_order_key`, changed in
-    place, with a heap of its keys for the leading term (Monagan & Pearce,
-    CASC 2007).  A key whose term has cancelled stays in the heap and is
-    skipped when popped; every term added is below the current leading one,
-    so a popped key never returns.  Integral coefficients are held as ints
-    inside the loop and the remainder gets Fractions back.
+def _divisor(g: RationalPoly, key):
+    """A nonzero g prepared for `_divide`: its leading key, the support of
+    its leading monomial, and its tail divided by the leading coefficient
+    and negated (through Fraction, so that an int lead never gives a float).
     """
+    elead = min(g.terms, key=key)
+    scale = _exact(Fraction(-1, g.terms[elead]))
+    support = tuple((i, a) for i, a in enumerate(elead) if a)
+    tail = [(key(e), _exact(c * scale))
+            for e, c in g.terms.items() if e != elead]
+    return key(elead), support, tail
+
+
+def _prepare(G, order: str):
+    """The ring of the nonzero members of G, and each of them as a divisor."""
     key = _order_key(order)
-    exponents = _key_exponents(order)
-    # per divisor: its leading key, the support of its leading monomial, and
-    # its tail divided by the leading coefficient and negated
-    divisors = []
+    ring, divisors = None, []
     for g in G:
         if g.is_zero():
             continue
-        if g.variables != f.variables:
+        if ring is None:
+            ring = g.variables
+        elif g.variables != ring:
             raise SymbolicError("polynomials live in different rings")
-        elead = min(g.terms, key=key)
-        lc = g.terms[elead]
-        support = tuple((i, a) for i, a in enumerate(elead) if a)
-        scale = -1 if lc == 1 else -1 / lc
-        divisors.append((key(elead), support,
-                         [(key(e), _small(_small(c) * scale))
-                          for e, c in g.terms.items() if e != elead]))
+        divisors.append(_divisor(g, key))
+    return ring, divisors
 
-    p = {key(e): _small(c) for e, c in f.terms.items()}
+
+def _divide(f: RationalPoly, ring, divisors, order: str) -> RationalPoly:
+    """Remainder of f under division by divisors prepared by `_prepare`."""
+    if divisors and f.variables != ring:
+        raise SymbolicError("polynomials live in different rings")
+    key = _order_key(order)
+    exponents = _key_exponents(order)
+    p = {key(e): _exact(c) for e, c in f.terms.items()}
     heap = list(p)
     heapify(heap)
     remainder = {}
@@ -490,12 +518,33 @@ def normal_form_reduce(f: RationalPoly, G, order: str = "degrevlex") -> Rational
     return RationalPoly._make(f.variables, remainder)
 
 
+def normal_form_reduce(f: RationalPoly, G, order: str = "degrevlex") -> RationalPoly:
+    """Remainder of f under multivariate division by the list G.
+
+    Each step takes the leading term of the dividend and cancels it with the
+    first member of G whose leading monomial divides it, or moves it to the
+    remainder (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+    section 2.3).  The dividend is a dict keyed by `_order_key`, changed in
+    place, with a heap of its keys for the leading term (Monagan & Pearce,
+    CASC 2007).  A key whose term has cancelled stays in the heap and is
+    skipped when popped; every term added is below the current leading one,
+    so a popped key never returns.  Integral coefficients are held as ints
+    inside the loop and the remainder gets Fractions.
+
+    G is prepared for division on every call; `GroebnerBasis.reduce`
+    prepares its generators once.
+    """
+    return _divide(f, *_prepare(G, order), order)
+
+
 def s_polynomial(f: RationalPoly, g: RationalPoly, order: str = "degrevlex"):
     ef, cf = f.leading(order)
     eg, cg = g.leading(order)
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = RationalPoly._make(f.variables, {tuple(l - a for l, a in zip(lcm, ef)): 1 / cf})
-    mg = RationalPoly._make(g.variables, {tuple(l - a for l, a in zip(lcm, eg)): 1 / cg})
+    mf = RationalPoly._make(f.variables, {
+        tuple(l - a for l, a in zip(lcm, ef)): _exact(Fraction(1, cf))})
+    mg = RationalPoly._make(g.variables, {
+        tuple(l - a for l, a in zip(lcm, eg)): _exact(Fraction(1, cg))})
     return mf * f - mg * g
 
 
@@ -507,6 +556,8 @@ class GroebnerBasis:
     every S-pair taken from the queue (what `pair_budget` limits),
     `pairs_skipped` those of them skipped by the coprime criterion, and
     `peak_basis_size` the most generators held before the final reduction.
+    The generators are prepared for division on the first `reduce`, and
+    every later one reuses them.
     """
     generators: tuple
     order: str
@@ -514,8 +565,12 @@ class GroebnerBasis:
     pairs_skipped: int = field(default=0, compare=False)
     peak_basis_size: int = field(default=0, compare=False)
 
+    @cached_property
+    def _divisors(self):
+        return _prepare(self.generators, self.order)
+
     def reduce(self, f: RationalPoly) -> RationalPoly:
-        return normal_form_reduce(f, self.generators, self.order)
+        return _divide(f, *self._divisors, self.order)
 
     def contains(self, f: RationalPoly) -> bool:
         return self.reduce(f).is_zero()
@@ -528,9 +583,10 @@ def buchberger(gens, order: str = "degrevlex",
     S-pairs with coprime leading monomials are skipped; processing more
     than `pair_budget` pairs aborts with PairBudgetError.  An unknown
     `order`, or a `pair_budget` that is not a nonnegative integer, raises
-    SymbolicError.
+    SymbolicError.  Each generator is prepared for division once, when it
+    joins the basis.
     """
-    _order_key(order)  # rejects an unknown order
+    key = _order_key(order)  # rejects an unknown order
     if (not isinstance(pair_budget, int) or isinstance(pair_budget, bool)
             or pair_budget < 0):
         raise SymbolicError(
@@ -541,6 +597,7 @@ def buchberger(gens, order: str = "degrevlex",
     variables = basis[0].variables
     if any(g.variables != variables for g in basis):
         raise SymbolicError("generators live in different rings")
+    divisors = [_divisor(g, key) for g in basis]
 
     pairs = deque(itertools.combinations(range(len(basis)), 2))
     processed = skipped = 0
@@ -555,21 +612,27 @@ def buchberger(gens, order: str = "degrevlex",
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             skipped += 1
             continue  # coprime leading monomials reduce to zero
-        rem = normal_form_reduce(s_polynomial(basis[i], basis[j], order),
-                                 basis, order)
+        rem = _divide(s_polynomial(basis[i], basis[j], order),
+                      variables, divisors, order)
         if not rem.is_zero():
-            basis.append(rem.monic(order))
+            g = rem.monic(order)
+            basis.append(g)
+            divisors.append(_divisor(g, key))
             new = len(basis) - 1
             pairs.extend((k, new) for k in range(new))
 
-    return GroebnerBasis(_reduce_basis(basis, order), order,
+    return GroebnerBasis(_reduce_basis(basis, divisors, order), order,
                          pairs_processed=processed, pairs_skipped=skipped,
                          peak_basis_size=len(basis))
 
 
-def _reduce_basis(basis, order) -> tuple:
-    """Canonical reduced form: minimal leading monomials, tails reduced."""
+def _reduce_basis(basis, divisors, order) -> tuple:
+    """Canonical reduced form: minimal leading monomials, tails reduced.
+
+    `divisors` are the members of `basis` prepared for division.
+    """
     key = _order_key(order)
+    variables = basis[0].variables
     leads = [g.leading(order)[0] for g in basis]
     keep = []
     for i, e in enumerate(leads):
@@ -577,11 +640,10 @@ def _reduce_basis(basis, order) -> tuple:
                and (leads[j] != e or j < i) for j in range(len(basis))):
             continue
         keep.append(i)
-    minimal = [basis[i] for i in keep]
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form_reduce(g, others, order)
+    for i in keep:
+        others = [divisors[j] for j in keep if j != i]
+        r = _divide(basis[i], variables, others, order)
         if not r.is_zero():
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: key(g.leading(order)[0]), reverse=True)
@@ -602,6 +664,11 @@ def symbolic_minors(matrix, r: int) -> list:
     nrows = len(matrix)
     if nrows == 0 or any(len(row) != len(matrix[0]) for row in matrix):
         raise SymbolicError("matrix must be rectangular and nonempty")
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if not isinstance(entry, RationalPoly):
+                raise SymbolicError(
+                    f"matrix entry ({i}, {j}) is not a RationalPoly: {entry!r}")
     ncols = len(matrix[0])
     if not (0 < r <= min(nrows, ncols)):
         raise SymbolicError(f"invalid minor size {r}")
@@ -609,30 +676,42 @@ def symbolic_minors(matrix, r: int) -> list:
     if any(entry.variables != variables for row in matrix for entry in row):
         raise SymbolicError("matrix entries live in different rings")
 
+    terms = [[entry.terms for entry in row] for row in matrix]
     out = []
     for rows in itertools.combinations(range(nrows), r):
         memo = {}
         for cols in itertools.combinations(range(ncols), r):
-            out.append(_expand(matrix, rows, cols, memo, variables))
+            out.append(RationalPoly._make(
+                variables, _expand(terms, rows, cols, memo)))
     return out
 
 
-def _expand(matrix, rows, cols, memo, variables) -> RationalPoly:
+def _expand(terms, rows, cols, memo) -> dict:
+    """Term map of the minor on rows x cols, by cofactor expansion along
+    its first row; every cofactor product is summed into one dict."""
     if len(rows) == 1:
-        return matrix[rows[0]][cols[0]]
+        return terms[rows[0]][cols[0]]
     key = (rows, cols)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    det = RationalPoly._make(variables, {})
-    sub_rows = rows[1:]
+    det = memo.get(key)
+    if det is not None:
+        return det
+    det = {}
+    top, sub_rows = terms[rows[0]], rows[1:]
     for k, c in enumerate(cols):
-        entry = matrix[rows[0]][c]
-        if entry.is_zero():
+        entry = top[c]
+        if not entry:
             continue
-        sub = _expand(matrix, sub_rows, cols[:k] + cols[k + 1:], memo, variables)
-        term = entry * sub
-        det = det + (term if k % 2 == 0 else -term)
+        minor = _expand(terms, sub_rows, cols[:k] + cols[k + 1:], memo)
+        for e1, c1 in entry.items():
+            if k % 2:
+                c1 = -c1
+            for e2, c2 in minor.items():
+                e = tuple(map(add, e1, e2))
+                v = det.get(e, 0) + c1 * c2
+                if v:
+                    det[e] = v
+                else:
+                    del det[e]
     memo[key] = det
     return det
 

@@ -233,3 +233,13 @@ def test_one_jacobian_per_command(tmp_path, monkeypatch, command, calls):
         seen.clear()
         assert run_command([command, fixture, "--out", str(tmp_path)]) == 0
         assert len(seen) == calls, fixture
+
+
+def test_solve_rejects_a_zero_denominator(tmp_path, capsys):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"variables": ["x"],
+                                  "equations": ["x^2 - 1/0"]}))
+    assert run_command(["solve", str(system), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert not (tmp_path / "system_solve.json").exists()

@@ -1,9 +1,12 @@
 """The worked structured-matrix ideals: adjacent minors and the slingshot."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 from tensegrity import verify_containment
-from tensegrity.ideals import (SLINGSHOT_PINNED, adjacent_minor_primes,
+from tensegrity.ideals import (SLINGSHOT_PINNED, SLINGSHOT_VARIABLES,
+                               adjacent_minor_primes,
                                adjacent_minors, column_minor,
                                slingshot_displayed_minor, slingshot_equations,
                                slingshot_matrix, slingshot_matrix_derived,
@@ -94,3 +97,47 @@ def test_primes_vanish_on_their_own_point():
         values = [point[v] for v in prime[0].variables]
         for eq in slingshot_equations():
             assert eq.evaluate(values) == 0
+
+
+def _bareiss_determinant(matrix):
+    """Fraction-free Gaussian elimination with row swaps: each division by
+    the previous pivot is exact."""
+    a = [list(row) for row in matrix]
+    n, sign, previous = len(a), 1, Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / previous
+        previous = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def test_bareiss_determinant_of_a_small_matrix():
+    # 2*(1*3 - 0) - 1*(0*3 - 0) + 0 = 6, with a zero pivot forcing a swap
+    assert _bareiss_determinant([[0, 1, 0], [2, 1, 0], [1, 5, 3]]) == -6
+    assert _bareiss_determinant([[1, 2], [2, 4]]) == 0
+
+
+def test_every_slingshot_minor_matches_a_bareiss_determinant():
+    rng = random.Random(307)
+    matrix = slingshot_matrix()
+    minors = slingshot_minors()
+    for _ in range(3):
+        # no zero coordinate, so that only the 25 zero minors vanish
+        point = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                          rng.randint(1, 6)) for _ in SLINGSHOT_VARIABLES]
+        values = [[entry.evaluate(point) for entry in row] for row in matrix]
+        nonzero = 0
+        for minor, cols in zip(minors, combinations(range(10), 7),
+                               strict=True):
+            det = _bareiss_determinant([[row[c] for c in cols]
+                                        for row in values])
+            assert minor.evaluate(point) == det
+            nonzero += det != 0
+        assert nonzero == 95

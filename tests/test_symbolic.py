@@ -7,9 +7,9 @@ from itertools import combinations
 import pytest
 import sympy
 
-from tensegrity import (PairBudgetError, RationalPoly, SymbolicError,
-                        buchberger, normal_form_reduce, ring_variables,
-                        symbolic_minors, verify_containment)
+from tensegrity import (GroebnerBasis, PairBudgetError, RationalPoly,
+                        SymbolicError, buchberger, normal_form_reduce,
+                        ring_variables, symbolic_minors, verify_containment)
 from tensegrity.symbolic import s_polynomial
 
 
@@ -331,3 +331,132 @@ def test_buchberger_counts_pairs_and_basis_size():
     assert buchberger(gens, order="lex", pair_budget=3) == basis
     with pytest.raises(PairBudgetError):
         buchberger(gens, order="lex", pair_budget=2)
+
+
+# -- exact coefficients -------------------------------------------------------
+
+
+def test_integral_coefficients_are_ints():
+    variables = ("x", "y", "z")
+    x, y, z = ring_variables(variables)
+    f = RationalPoly.parse("2*x^2*y - 3*z + 4/2 + 1/2*x + 1/2*x", variables)
+    g = RationalPoly(variables, {(1, 0, 0): Fraction(6, 3), (0, 1, 0): 5,
+                                 (0, 0, 1): 2.0, (0, 0, 0): "-7"})
+    results = [f, g, f + g, f - g, f * g, f * 3, 2 - g, f ** 2,
+               f.substitute({"x": 2, "y": Fraction(4, 2)}),
+               f.substitute({"z": Fraction(-9, 3)})]
+    results += symbolic_minors([[f, g, x - y], [z * 7, y * y, f + 1]], 2)
+    for p in results:
+        assert p.terms and {type(c) for c in p.terms.values()} == {int}
+    half = RationalPoly.parse("1/2*x - 2/3", variables)
+    assert {type(c) for c in half.terms.values()} == {Fraction}
+
+
+def test_int_and_fraction_coefficients_compare_hash_and_print_alike():
+    rng = random.Random(229)
+    variables = ("x", "y", "z")
+    for _ in range(40):
+        p = _random_poly(rng, variables) * 12  # mostly integral coefficients
+        # division by nothing returns the same terms with Fraction coefficients
+        twin = normal_form_reduce(p, [])
+        assert all(type(c) is Fraction for c in twin.terms.values())
+        assert twin == p and hash(twin) == hash(p) and str(twin) == str(p)
+    three = RationalPoly.constant(variables, 3)
+    assert three == 3 == normal_form_reduce(three, []) == Fraction(3)
+
+
+@pytest.mark.parametrize("lead", [2, -3])
+def test_division_by_a_non_monic_integral_divisor_stays_exact(lead):
+    rng = random.Random(233 + lead)
+    variables = ("x", "y")
+    symbols = sympy.symbols(variables)
+    g = RationalPoly(variables, {(2, 0): lead, (1, 1): 3, (0, 1): 1, (0, 0): -1})
+    for order in ("degrevlex", "lex"):
+        for _ in range(20):
+            f = RationalPoly(variables, {
+                (rng.randint(0, 4), rng.randint(0, 3)): rng.randint(-5, 5)
+                for _ in range(rng.randint(1, 6))})
+            # a single divisor is a Groebner basis, so the remainder is unique
+            got = normal_form_reduce(f, [g], order)
+            assert all(type(c) is Fraction for c in got.terms.values())
+            _, r = sympy.reduced(_to_sympy(f, symbols), [_to_sympy(g, symbols)],
+                                 *symbols,
+                                 order="lex" if order == "lex" else "grevlex")
+            want = {tuple(m): Fraction(int(c.p), int(c.q))
+                    for m, c in sympy.Poly(r, *symbols).terms() if c != 0}
+            assert got.terms == want
+
+
+def test_minors_with_fractional_entries_match_sympy():
+    rng = random.Random(251)
+    variables = ("a", "b", "c")
+    symbols = sympy.symbols(variables)
+    coeffs = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 1, -2, 3)
+    matrix = [[RationalPoly(variables, {
+        tuple(rng.randint(0, 1) for _ in variables): rng.choice(coeffs)
+        for _ in range(rng.randint(1, 3))}) for _ in range(5)] for _ in range(4)]
+    minors = symbolic_minors(matrix, 4)
+    assert len(minors) == 5
+    types = set()
+    for minor, cols in zip(minors, combinations(range(5), 4)):
+        numeric = sympy.Matrix(
+            4, 4, lambda i, j: _to_sympy(matrix[i][cols[j]], symbols))
+        det = numeric.det(method="berkowitz")
+        assert sympy.expand(det - _to_sympy(minor, symbols)) == 0
+        types |= {type(c) for c in minor.terms.values()}
+    assert types == {int, Fraction}
+
+
+# -- boundary errors of the exact layer ---------------------------------------
+
+
+def test_a_zero_denominator_is_a_symbolic_error():
+    with pytest.raises(SymbolicError, match="zero denominator"):
+        RationalPoly.parse("x^2 - 1/0", ("x",))
+    x, = ring_variables(("x",))
+    for zero in (0, Fraction(0), 0.0):
+        with pytest.raises(SymbolicError, match="by zero"):
+            x / zero
+    assert x / 2 == x * Fraction(1, 2)
+
+
+def test_minors_name_an_entry_that_is_not_a_polynomial():
+    x, = ring_variables(("x",))
+    with pytest.raises(SymbolicError, match=r"entry \(0, 0\).*: 1$"):
+        symbolic_minors([[1]], 1)
+    with pytest.raises(SymbolicError, match=r"entry \(1, 0\)"):
+        symbolic_minors([[x, x], ["x", x]], 1)
+
+
+@pytest.mark.parametrize("text", ["x^-1", "x^1/2", "x^y"])
+def test_a_bad_exponent_asks_for_a_nonnegative_integer(text):
+    with pytest.raises(SymbolicError, match="exponent must be a nonnegative integer"):
+        RationalPoly.parse(text, ("x", "y"))
+
+
+# -- prepared divisors --------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_groebner_basis_reduction_reuses_no_state_across_bases(order):
+    rng = random.Random(239 if order == "lex" else 241)
+    variables = ("x", "y", "z")
+    bases = []
+    while len(bases) < 2:
+        gens = [_random_poly(rng, variables, max_terms=3, max_deg=2)
+                for _ in range(2)]
+        if not any(g.is_zero() for g in gens):
+            bases.append(buchberger(gens, order=order))
+    assert bases[0] != bases[1]
+    # not a Groebner basis: the first dividing generator must still win
+    bare = GroebnerBasis((RationalPoly.parse("x*y - 1", variables),
+                          RationalPoly.parse("y^2 - 1", variables)), order)
+    bases.append(bare)
+    for k in range(90):  # interleave reductions against the three bases
+        gb = bases[k % 3]
+        f = _random_poly(rng, variables, max_terms=6, max_deg=3)
+        got = gb.reduce(f)
+        want = normal_form_reduce(f, gb.generators, gb.order)
+        assert got.terms == want.terms
+        assert list(got.terms) == list(want.terms)
+        assert gb.contains(f) == want.is_zero()
