@@ -99,7 +99,7 @@ class MultiPoly(SparsePoly):
         return MultiPoly(nvars, {e + pad: c for e, c in self.terms.items()})
 
     def evaluate(self, x) -> complex:
-        return complex(_Batched([self], self.nvars, 1, [0]).evaluate(x)[0])
+        return complex(_Batched.of([self], self.nvars, 1, [0]).evaluate(x)[0])
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.terms!r})"
@@ -107,29 +107,99 @@ class MultiPoly(SparsePoly):
 
 class _Batched:
     """Shared-monomial evaluator for many polynomials at once, at one point
-    or at each row of a (P, nvars) batch of points."""
+    or at each row of a (P, nvars) batch of points.
 
-    def __init__(self, polys, nvars, nrows, rows):
+    Each distinct monomial is a column of one (P, W) table.  The first
+    (max_exp + 1) * nvars columns are the powers x_j^k (column k * nvars + j),
+    which are every monomial in at most one variable; the constant 1 is
+    x_0^0 in column 0.  A monomial in L >= 2 variables is its prefix, the same
+    monomial without its last variable, times that variable's power, so it
+    is built with one product; prefixes that no polynomial uses are added.
+    The columns after the powers hold these monomials level by level,
+    L = 2, 3, ..., and each level is one two-factor reduction over
+    (prefix, power) column pairs.  The products run left to right over the
+    variables, like a product over all of them with the x^0 = 1 factors
+    left out.  At finite points those factors are exact, so leaving them
+    out can change only the sign of a zero, which the bincount sum drops.
+    """
+
+    def __init__(self, coeffs, rows, exponents, monomial, nrows):
+        """Terms as arrays: each term's coefficient, output row and monomial,
+        an index into the distinct exponent tuples, the rows of `exponents`."""
         self.nrows = nrows
+        self.term_arrays = coeffs, rows, exponents, monomial
         # 2-D, so that it multiplies a (P, T) batch as a 1-D T at one point
-        self.coeffs = np.array([[c for p in polys for c in p.terms.values()]],
-                               dtype=complex)
-        self.empty = self.coeffs.size == 0
+        self.coeffs = coeffs[None]
+        self.empty = coeffs.size == 0
         if self.empty:
             return
         # bins of the interleaved real and imaginary parts of the terms
-        rows = np.repeat(np.asarray(rows, dtype=np.int64),
-                         [len(p.terms) for p in polys])
         self.bins = (2 * rows[:, None] + np.arange(2)).ravel()
+        E, nvars = exponents, exponents.shape[1]
+        self.max_exp = int(E.max(initial=0))
+        power = E * nvars + np.arange(nvars)  # column of x_j^e
+        level = np.count_nonzero(E, axis=1)
+        count = np.cumsum(E != 0, axis=1)  # nonzero variables up to each j
+        # column of each monomial's part in its first k variables, as k grows
+        # from 0 (the constant 1)
+        column = np.zeros(len(E), dtype=np.int64)
+        self.width = (self.max_exp + 1) * nvars
+        self.levels = []  # per level: (its columns, (u, 2) (prefix, power) pairs)
+        for k in range(1, int(level.max(initial=0)) + 1):
+            wide = np.flatnonzero(level >= k)
+            kth = power[wide, np.argmax(count[wide] == k, axis=1)]
+            if k == 1:
+                column[wide] = kth
+                continue
+            # a part in k variables is its prefix times its k-th power, so
+            # the pair of columns names it; parts shared by several
+            # monomials are built once
+            slot = {}
+            at = np.array([slot.setdefault(pair, len(slot)) for pair in
+                           zip(column[wide].tolist(), kth.tolist())], dtype=np.int64)
+            self.levels.append((slice(self.width, self.width + len(slot)),
+                                np.array(list(slot), dtype=np.int64)))
+            column[wide] = self.width + at
+            self.width += len(slot)
+        self.inverse = column[monomial]
+
+    @classmethod
+    def of(cls, polys, nvars, nrows, rows) -> "_Batched":
+        """The evaluator of polynomials with the given output rows."""
+        sizes = [len(p.terms) for p in polys]
+        coeffs = np.fromiter(
+            itertools.chain.from_iterable(p.terms.values() for p in polys),
+            dtype=complex, count=sum(sizes))
         # polynomials in a system share most monomials, so evaluate each
         # distinct exponent tuple once and scatter
         unique = {}
-        self.inverse = np.array([unique.setdefault(e, len(unique))
-                                 for p in polys for e in p.terms], dtype=np.int64)
-        E = np.array(list(unique), dtype=np.int64).reshape(len(unique), nvars)
-        self.max_exp = int(E.max(initial=0))
-        # flat index of x_j^e in a point's (max_exp + 1, nvars) power table
-        self.gather = E * nvars + np.arange(nvars)
+        monomial = np.array([unique.setdefault(e, len(unique))
+                             for p in polys for e in p.terms], dtype=np.int64)
+        exponents = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
+        return cls(coeffs, np.repeat(np.asarray(rows, dtype=np.int64), sizes),
+                   exponents, monomial, nrows)
+
+    def jacobian(self) -> "_Batched":
+        """The evaluator of every partial derivative, d row_i / d x_j in row
+        i * nvars + j.  A term c x^e gives the terms c e_j x^(e - 1_j), in
+        the order and with the coefficients of MultiPoly.diff (a complex
+        times a small integer rounds once either way), but without building
+        the derivative polynomials."""
+        coeffs, rows, E, monomial = self.term_arrays
+        n = E.shape[1]
+        # the distinct lowered monomials, one per nonzero (monomial, j)
+        u, j = np.nonzero(E)
+        lowered = E[u]
+        lowered[np.arange(len(u)), j] -= 1
+        unique = {}
+        index = np.zeros_like(E)
+        index[u, j] = [unique.setdefault(e, len(unique))
+                       for e in map(tuple, lowered.tolist())]
+        exps = E[monomial]
+        t, j = np.nonzero(exps)
+        return _Batched(coeffs[t] * exps[t, j], rows[t] * n + j,
+                        np.array(list(unique), dtype=np.int64).reshape(-1, n),
+                        index[monomial[t], j], self.nrows * n)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -138,20 +208,24 @@ class _Batched:
         if self.empty:
             return np.zeros(x.shape[:-1] + (self.nrows,), dtype=complex)
         # Each row of the batch comes out bit for bit as that point would
-        # alone.  numpy multiplies complex arrays with a vector kernel whose
-        # rounding differs from its scalar fallback, and takes the fallback
-        # for strided or mismatched operands, so every complex product below
-        # has C-contiguous operands, as at a single point.  The product over
-        # the variables is a reduction, always scalar, over a C-contiguous
-        # (P, U, n) gather.  One bincount sums the real and the imaginary
-        # parts of each row in term order.
+        # alone.  numpy's elementwise complex multiply may take a vector
+        # kernel whose rounding differs from its scalar loop, and which one
+        # it takes depends on the operands' layout, so every elementwise
+        # complex product below has C-contiguous operands, as at a single
+        # point.  A monomial is a reduction over the last axis of a
+        # C-contiguous (P, u, 2) gather, which takes the scalar product
+        # whatever P is (a * b on the two halves would take the vector
+        # kernel).  One bincount sums the real and the imaginary parts of
+        # each row in term order.
         K = self.max_exp + 1
         table = np.empty((K, P, n), dtype=complex)
         table[0] = 1.0
         for k in range(1, K):
             np.multiply(table[k - 1], X, out=table[k])
-        table = table.transpose(1, 0, 2).reshape(P, K * n)
-        mono = np.multiply.reduce(table.take(self.gather, axis=1), axis=2)
+        mono = np.empty((P, self.width), dtype=complex)
+        mono[:, :K * n] = table.transpose(1, 0, 2).reshape(P, K * n)
+        for columns, pairs in self.levels:
+            np.multiply.reduce(mono.take(pairs, axis=1), axis=2, out=mono[:, columns])
         vals = self.coeffs * mono.take(self.inverse, axis=1)
         bins = self.bins if P == 1 else (
             self.bins + 2 * self.nrows * np.arange(P)[:, None]).ravel()
@@ -190,18 +264,12 @@ class PolySystem:
     def _value_eval(self):
         if self._value is None:
             m = len(self.polys)
-            self._value = _Batched(self.polys, self.nvars, m, range(m))
+            self._value = _Batched.of(self.polys, self.nvars, m, range(m))
         return self._value
 
     def _jac_eval(self):
         if self._jac is None:
-            m, n = len(self.polys), self.nvars
-            polys, rows = [], []
-            for i, p in enumerate(self.polys):
-                for j in range(n):
-                    polys.append(p.diff(j))
-                    rows.append(i * n + j)
-            self._jac = _Batched(polys, n, m * n, rows)
+            self._jac = self._value_eval().jacobian()
         return self._jac
 
     def evaluate(self, x) -> np.ndarray:
@@ -367,55 +435,57 @@ def track_paths(h: Homotopy, starts, record: bool = False) -> list:
 
     Euler prediction on the Davidenko equation, Newton correction at each
     accepted t, adaptive halving/doubling of the step, then a final Newton
-    polish on the target at t = 0.  The paths advance in lockstep, up to
-    BLOCK_PATHS at a time, so each step evaluates and solves them as one
-    batch; each path keeps its own t, step size and counters and leaves the
-    batch when it ends.  A path's result does not depend on the others.
+    polish on the target at t = 0.  The paths advance in lockstep, so each
+    step evaluates and solves them as one batch of up to BLOCK_PATHS rows.
+    Each path keeps its own t, step size and counters and leaves the batch
+    when it ends, and a new start takes its row at once, so the batch stays
+    full until the starts run out.  Ended paths get the endgame and their
+    final residuals in chunks of up to BLOCK_PATHS.  A path's result does
+    not depend on the others; results come back in the order of the starts.
     """
     starts = iter(starts)
-    results = []
-    while True:
-        block = [np.asarray(x0, dtype=complex)
-                 for x0 in itertools.islice(starts, BLOCK_PATHS)]
-        if not block:
-            return results
-        results.extend(_track_block(h, np.array(block), record))
-
-
-def track_path(h: Homotopy, x0, record: bool = False) -> TrackResult:
-    """Track one solution of the start system; see track_paths."""
-    return track_paths(h, [x0], record)[0]
-
-
-def _track_block(h: Homotopy, X: np.ndarray, record: bool) -> list:
-    P = len(X)
-    fg = h._halves(X)
-    for res in _norms(h._combine(fg, np.ones(P))):
-        if res > TOL_START:
-            raise ContinuationError(
-                f"start point is not on the start system (residual {res:.2e})")
-
     target = h.target
     deg = max(target.degrees, default=1)
     deg_h = max(deg, max(h.start.degrees, default=1))
+    results = []  # per start, filled in as chunks of ended paths finish
+    trajs = [] if record else None  # per start
+    ended = []    # (start, point, status, steps) of paths awaiting the endgame
 
-    def tol_end(points):
-        return TOL_END_REL * _one_plus_pow(_norms(points), deg)
+    # the live paths, compacted together as paths end: start index, point,
+    # t, the halves at the point (reused by the predictor), step size,
+    # accepted steps in a row and step count
+    idx = np.zeros(0, int)
+    x = np.zeros((0, target.nvars), dtype=complex)
+    fg = np.zeros((2, 0, len(target)), dtype=complex)
+    t, dt = np.zeros(0), np.zeros(0)
+    accepts, steps = np.zeros(0, int), np.zeros(0, int)
+    more = True
 
-    # per block row, written when the path ends; "" marks a path that
-    # reached T_CUTOFF and goes on to the endgame
-    status = np.full(P, "", dtype=object)
-    steps_of = np.zeros(P, int)
-    trajs = [[(1.0, x.copy())] for x in X] if record else None
+    while True:
+        if more and idx.size < BLOCK_PATHS:
+            new = [np.asarray(x0, dtype=complex) for x0 in
+                   itertools.islice(starts, BLOCK_PATHS - idx.size)]
+            more = len(new) == BLOCK_PATHS - idx.size
+            if new:
+                X, k = np.array(new), len(new)
+                fg_new = h._halves(X)
+                for res in _norms(h._combine(fg_new, np.ones(k))):
+                    if res > TOL_START:
+                        raise ContinuationError(
+                            "start point is not on the start system "
+                            f"(residual {res:.2e})")
+                if record:
+                    trajs += [[(1.0, x0.copy())] for x0 in X]
+                fresh = (np.arange(len(results), len(results) + k), X, np.ones(k),
+                         np.full(k, DT_INIT), np.zeros(k, int), np.zeros(k, int))
+                idx, x, t, dt, accepts, steps = (
+                    np.concatenate(pair) for pair in
+                    zip((idx, x, t, dt, accepts, steps), fresh))
+                fg = np.concatenate([fg, fg_new], axis=1)
+                results += [None] * k
+        if not idx.size:
+            break
 
-    # the live paths, compacted together as paths end: block row, point, t,
-    # the halves at the point (reused by the predictor), step size, accepted
-    # steps in a row and step count
-    idx = np.arange(P)
-    x, t = X.copy(), np.ones(P)
-    dt, accepts, steps = np.full(P, DT_INIT), np.zeros(P, int), np.zeros(P, int)
-
-    while idx.size:
         step = np.minimum(dt, t - T_CUTOFF)
         t_new = t - step
         dxdt, singular = _solve(h.jacobian_x(x, t), -h._dh_dt(fg))
@@ -450,30 +520,53 @@ def _track_block(h: Homotopy, X: np.ndarray, record: bool) -> list:
                       np.where(ok, dt, dt * 0.5))
         diverged = ok & (_norms(x) > DIVERGENCE)
         # a path short of T_CUTOFF ends step_underflow at the step cap or on
-        # a rejection below DT_MIN; one past it goes on to the endgame
+        # a rejection below DT_MIN; one past it goes on to the endgame ("")
         keep = ((t > T_CUTOFF) & (steps < MAX_STEPS) & (ok | (dt >= DT_MIN))
                 & ~diverged)
         if not keep.all():
-            ended = ~keep
-            X[idx[ended]] = x[ended]
-            steps_of[idx[ended]] = steps[ended]
-            status[idx[ended & (t > T_CUTOFF)]] = "step_underflow"
-            status[idx[diverged]] = "diverged"
+            out = ~keep
+            status = np.where(diverged[out], "diverged",
+                              np.where(t[out] > T_CUTOFF, "step_underflow", ""))
+            ended += zip(idx[out].tolist(), x[out], status.tolist(),
+                         steps[out].tolist())
             idx, x, fg, t, dt, accepts, steps = (
                 idx[keep], x[keep], fg[:, keep], t[keep], dt[keep],
                 accepts[keep], steps[keep])
+            while len(ended) >= BLOCK_PATHS:
+                _finish(target, deg, ended[:BLOCK_PATHS], results, trajs)
+                del ended[:BLOCK_PATHS]
+    if ended:
+        _finish(target, deg, ended, results, trajs)
+    return results
 
-    # endgame on the paths that reached T_CUTOFF: Newton polish directly on
-    # the target system
+
+def track_path(h: Homotopy, x0, record: bool = False) -> TrackResult:
+    """Track one solution of the start system; see track_paths."""
+    return track_paths(h, [x0], record)[0]
+
+
+def _finish(target: PolySystem, deg: int, ended: list, results: list,
+            trajs) -> None:
+    """Endgame and final residuals of a chunk of ended paths: a Newton
+    polish directly on the target system for the paths that reached
+    T_CUTOFF, then each path's TrackResult into results.  trajs is None
+    unless the trajectories are recorded."""
+    ids = [i for i, _, _, _ in ended]
+    X = np.array([p for _, p, _, _ in ended])
+    status = np.array([s for _, _, s, _ in ended], dtype=object)
+
+    def tol_end(points):
+        return TOL_END_REL * _one_plus_pow(_norms(points), deg)
+
     end = np.flatnonzero(status == "")
     if end.size:
         X[end], _ = _newton_on(target, X[end], 1e-4 * tol_end(X[end]),
                                POLISH_STEPS)
-        if record:
+        if trajs is not None:
             for i in end:
-                trajs[i].append((0.0, X[i].copy()))
+                trajs[ids[i]].append((0.0, X[i].copy()))
 
-    residual = np.full(P, np.inf)
+    residual = np.full(len(X), np.inf)
     finite = np.all(np.isfinite(X), axis=1)
     if finite.any():
         residual[finite] = _norms(target.evaluate(X[finite]))
@@ -482,11 +575,11 @@ def _track_block(h: Homotopy, X: np.ndarray, record: bool) -> list:
     status[end] = np.where(far[end], "diverged",
                            np.where(good[end], "converged", "step_underflow"))
     max_imag = np.max(np.abs(X.imag), axis=1, initial=0.0)
-    return [TrackResult(endpoint=X[i].copy(), status=status[i],
-                        residual=float(residual[i]), steps=int(steps_of[i]),
-                        max_imag=float(max_imag[i]),
-                        trajectory=tuple(trajs[i]) if record else ())
-            for i in range(P)]
+    for k, (i, _, _, n_steps) in enumerate(ended):
+        results[i] = TrackResult(endpoint=X[k].copy(), status=status[k],
+                                 residual=float(residual[k]), steps=n_steps,
+                                 max_imag=float(max_imag[k]),
+                                 trajectory=() if trajs is None else tuple(trajs[i]))
 
 
 def solve_total_degree(f, seed=None, budget: int | None = None,

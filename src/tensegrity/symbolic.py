@@ -629,7 +629,9 @@ def buchberger(gens, order: str = "degrevlex",
 def _reduce_basis(basis, divisors, order) -> tuple:
     """Canonical reduced form: minimal leading monomials, tails reduced.
 
-    `divisors` are the members of `basis` prepared for division.
+    `divisors` are the members of `basis` prepared for division.  The
+    remainders come back with Fraction coefficients, so each generator's
+    coefficients go through `_exact`: an int when integral.
     """
     key = _order_key(order)
     variables = basis[0].variables
@@ -645,7 +647,9 @@ def _reduce_basis(basis, divisors, order) -> tuple:
         others = [divisors[j] for j in keep if j != i]
         r = _divide(basis[i], variables, others, order)
         if not r.is_zero():
-            reduced.append(r.monic(order))
+            r = r.monic(order)
+            reduced.append(RationalPoly._make(
+                variables, {e: _exact(c) for e, c in r.terms.items()}))
     reduced.sort(key=lambda g: key(g.leading(order)[0]), reverse=True)
     return tuple(reduced)
 

@@ -291,7 +291,7 @@ def _solve_matching_single_paths(f, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_SYSTEMS))
 def test_lockstep_solve_matches_single_path_tracking(name, monkeypatch):
-    # small blocks, so that the dense system spans several of them
+    # a small batch, so that ended paths hand their rows to new starts
     monkeypatch.setattr(continuation, "BLOCK_PATHS", 3)
     batch = _solve_matching_single_paths(LOCKSTEP_SYSTEMS[name], monkeypatch)
     if name == "inconsistent":
@@ -353,3 +353,163 @@ def test_step_cap_ends_every_path_as_step_underflow(monkeypatch):
     monkeypatch.setattr(continuation, "MAX_STEPS", 3)
     batch = _solve_matching_single_paths(LOCKSTEP_SYSTEMS["cubic"], monkeypatch)
     assert [(r.status, r.steps) for r in batch] == [("step_underflow", 3)] * 3
+
+
+# ---------------------------------------------------------------------------
+# the refilled batch: new starts take the rows of ended paths
+
+
+def _quintic():
+    """The 75-path system of tools/write_reports.py."""
+    return PolySystem([
+        MultiPoly(3, {(5, 0, 0): 1, (1, 1, 0): -2, (0, 0, 2): 1 / 3, (0, 0, 0): -1}),
+        MultiPoly(3, {(0, 5, 0): 1, (1, 0, 1): 3 / 2, (0, 1, 0): -1, (0, 0, 0): 2}),
+        MultiPoly(3, {(0, 0, 3): 1, (1, 1, 1): -1, (1, 0, 0): 1 / 5,
+                      (0, 0, 0): -3 / 4})])
+
+
+@pytest.mark.parametrize("name", ["dense_222", "quintic"])
+def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
+    f = LOCKSTEP_SYSTEMS["dense_222"] if name == "dense_222" else _quintic()
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
+    _solve_matching_single_paths(f, monkeypatch)
+
+    # solve again, counting the starts taken when each predictor step runs
+    total = int(np.prod(f.degrees))
+    taken, predictor, evaluated = [0], [], []
+    real_track, real_dh_dt = continuation.track_paths, Homotopy._dh_dt
+    real_evaluate = continuation._Batched.evaluate
+
+    def counted(starts):
+        for x0 in starts:
+            taken[0] += 1
+            yield x0
+
+    def dh_dt(self, halves):
+        predictor.append((halves.shape[1], taken[0]))
+        return real_dh_dt(self, halves)
+
+    def evaluate(self, x):
+        evaluated.append(np.asarray(x).reshape(-1, np.shape(x)[-1]).shape[0])
+        return real_evaluate(self, x)
+
+    monkeypatch.setattr(continuation, "track_paths",
+                        lambda h, starts, record=False:
+                        real_track(h, counted(starts), record))
+    monkeypatch.setattr(Homotopy, "_dh_dt", dh_dt)
+    monkeypatch.setattr(continuation._Batched, "evaluate", evaluate)
+    assert len(solve_total_degree(f, seed=3)) == total
+    while_starts_remain = [rows for rows, k in predictor if k < total]
+    assert len(while_starts_remain) > 1
+    assert set(while_starts_remain) == {4}
+    assert max(evaluated) == 4
+
+
+# ---------------------------------------------------------------------------
+# the prefix-product kernel gives the bits of a gather-and-reduce over all
+# variables
+
+
+class _GatherReduce:
+    """The evaluator before prefix products: a (P, U, n) gather of power
+    table entries, one for every variable of every distinct monomial, and
+    one reduction over the variables.  The reference for _Batched."""
+
+    def __init__(self, polys, nvars, nrows, rows):
+        self.nrows = nrows
+        self.coeffs = np.array([[c for p in polys for c in p.terms.values()]],
+                               dtype=complex)
+        rows = np.repeat(np.asarray(rows, dtype=np.int64),
+                         [len(p.terms) for p in polys])
+        self.bins = (2 * rows[:, None] + np.arange(2)).ravel()
+        unique = {}
+        self.inverse = np.array([unique.setdefault(e, len(unique))
+                                 for p in polys for e in p.terms], dtype=np.int64)
+        E = np.array(list(unique), dtype=np.int64).reshape(len(unique), nvars)
+        self.max_exp = int(E.max(initial=0))
+        self.gather = E * nvars + np.arange(nvars)
+
+    def evaluate(self, X):
+        P, n = X.shape
+        K = self.max_exp + 1
+        table = np.empty((K, P, n), dtype=complex)
+        table[0] = 1.0
+        for k in range(1, K):
+            np.multiply(table[k - 1], X, out=table[k])
+        table = table.transpose(1, 0, 2).reshape(P, K * n)
+        mono = np.multiply.reduce(table.take(self.gather, axis=1), axis=2)
+        vals = self.coeffs * mono.take(self.inverse, axis=1)
+        bins = (self.bins + 2 * self.nrows * np.arange(P)[:, None]).ravel()
+        sums = np.bincount(bins, weights=vals.view(np.float64).ravel(),
+                           minlength=2 * P * self.nrows)
+        return (sums[0::2] + 1j * sums[1::2]).reshape(P, self.nrows)
+
+
+def _kernel_points(rng, P, n):
+    """Points mixing generic entries at magnitudes 1e-8, 1 and 1e8 with
+    roots of unity and exact zeros."""
+    scale = rng.choice([1e-8, 1.0, 1e8], size=(P, n))
+    X = scale * (rng.normal(size=(P, n)) + 1j * rng.normal(size=(P, n)))
+    unity = np.exp(2j * np.pi * rng.integers(0, 12, size=(P, n)) / 12)
+    kind = rng.integers(0, 4, size=(P, n))
+    X[kind == 1] = unity[kind == 1]
+    X[kind == 2] = 0.0
+    X[kind == 3] = rng.choice([1.0, -1.0, 1j, -1j], size=np.count_nonzero(kind == 3))
+    return X
+
+
+def _oracle_pairs(f):
+    """(evaluator, reference) for the values and the Jacobian of f."""
+    m, n = len(f), f.nvars
+    diffs = [p.diff(j) for p in f.polys for j in range(n)]
+    return [(f._value_eval(), _GatherReduce(f.polys, n, m, range(m))),
+            (f._jac_eval(), _GatherReduce(diffs, n, m * n, range(m * n)))]
+
+
+def _epscheck_homotopy(monkeypatch):
+    graph, p, sys_ = load_fixture("triangle")
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    homotopies = []
+    monkeypatch.setattr(continuation, "track_paths",
+                        lambda h, starts, record=False: homotopies.append(h) or [])
+    epsilon_rigidity_check(sysp, pp, epsilon=0.1, seed=0)
+    monkeypatch.undo()
+    return homotopies[0]._both
+
+
+def _mixed_rows(n, seed):
+    """A single-term row, a constant-only row, a zero row and a dense row."""
+    rng = np.random.default_rng(seed)
+    single = tuple(int(e) for e in rng.integers(0, 4, size=n))
+    return PolySystem([MultiPoly(n, {single: complex(rng.normal(), rng.normal())}),
+                       MultiPoly(n, {(0,) * n: -2.5 + 0.5j}),
+                       MultiPoly(n, {}),
+                       _dense_system((3,), seed).polys[0].lift(n)])
+
+
+KERNEL_SYSTEMS = {
+    **{f"dense_{n}vars_deg{d}": (lambda n=n, d=d: _dense_system((d,) * n, 10 * n + d))
+       for n, d in [(1, 5), (2, 4), (3, 3), (4, 2), (5, 1), (6, 2), (3, 5)]},
+    "mixed_rows_1var": lambda: _mixed_rows(1, 3),
+    "mixed_rows_4vars": lambda: _mixed_rows(4, 4),
+    "single_terms": lambda: PolySystem(
+        [MultiPoly(3, {(2, 0, 3): 1.5 - 2j}), MultiPoly(3, {(1, 1, 1): 1j}),
+         MultiPoly(3, {(0, 4, 0): -1.0})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS) + ["epscheck"])
+def test_prefix_products_match_the_gather_and_reduce_bit_for_bit(name, monkeypatch):
+    f = (_epscheck_homotopy(monkeypatch) if name == "epscheck"
+         else KERNEL_SYSTEMS[name]())
+    rng = np.random.default_rng(97)
+    for P in (1, 3, 64, 65):
+        X = _kernel_points(rng, P, f.nvars)
+        for evaluator, reference in _oracle_pairs(f):
+            expected = reference.evaluate(X).view(np.float64)
+            assert np.array_equal(evaluator.evaluate(X).view(np.float64),
+                                  expected, equal_nan=True)
+            for k in (0, P - 1):
+                assert np.array_equal(evaluator.evaluate(X[k]).view(np.float64),
+                                      expected[k], equal_nan=True)

@@ -1,10 +1,11 @@
 """The worked structured-matrix ideals: adjacent minors and the slingshot."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from tensegrity import verify_containment
+from tensegrity import RationalPoly, buchberger, verify_containment
 from tensegrity.ideals import (SLINGSHOT_PINNED, SLINGSHOT_VARIABLES,
                                adjacent_minor_primes,
                                adjacent_minors, column_minor,
@@ -141,3 +142,15 @@ def test_every_slingshot_minor_matches_a_bareiss_determinant():
             assert minor.evaluate(point) == det
             nonzero += det != 0
         assert nonzero == 95
+
+
+def test_groebner_generators_keep_integral_coefficients_as_ints():
+    types = Counter(type(c) for prime in slingshot_primes()
+                    for g in buchberger(prime).generators
+                    for c in g.terms.values())
+    assert types == {int: 112}
+    # a coefficient that is not integral stays a Fraction
+    x = RationalPoly.parse("2*x - 1", ("x",))
+    (g,) = buchberger([x]).generators
+    assert g.terms == {(1,): 1, (0,): Fraction(-1, 2)}
+    assert [type(c) for c in g.terms.values()] == [int, Fraction]

@@ -12,13 +12,15 @@ checkouts agree on every report in the set.
   fixtures;
 - `deform --steps 3 --svg` on 3prism, square and hinge;
 - `solve --svg` on a cubic, on a system with fractional coefficients, and
-  on a 75-path system whose recorded solve spans two tracking blocks;
+  on a 75-path system whose recorded solve refills the lockstep batch;
 - `prestress` on five collinear nodes in 3-space, all pairs joined: 6 self
   stresses and 6 flexes, so the multi-start search runs;
 - `prestress` on a planar K5 with a pendant node: its 3 self stresses live
   on the K5 and its one flex swings the pendant node, so no stress reaches
   the flex and the search is skipped;
-- `epscheck` on triangle and hinge;
+- `epscheck` on triangle and hinge, and on triangle again at seed 1,
+  whose verdict is `inconclusive` (most of its paths end
+  `step_underflow`), written into OUT_DIR/seed1;
 - `verify-ideals`.
 """
 
@@ -63,6 +65,11 @@ FRAMEWORKS = {
 }
 
 
+#: commands run at their own seed, each with its own output subdirectory
+#: because a report's name carries only its input and subcommand
+OTHER_SEEDS = [(["epscheck", "triangle"], "1")]
+
+
 def commands(input_dir: Path) -> list:
     out = []
     for fx in FIXTURE_NAMES:
@@ -90,9 +97,11 @@ def main(argv) -> int:
         input_dir = Path(tmp)
         for name, doc in {**SYSTEMS, **FRAMEWORKS}.items():
             (input_dir / f"{name}.json").write_text(json.dumps(doc))
-        for cmd in commands(input_dir):
+        runs = [(cmd, SEED, out_dir) for cmd in commands(input_dir)]
+        runs += [(cmd, seed, out_dir / f"seed{seed}") for cmd, seed in OTHER_SEEDS]
+        for cmd, seed, out in runs:
             with contextlib.redirect_stdout(io.StringIO()):
-                code = run_command(cmd + ["--seed", SEED, "--out", str(out_dir)])
+                code = run_command(cmd + ["--seed", seed, "--out", str(out)])
             if code != 0:
                 failed += 1
                 print(f"exit {code}: {' '.join(cmd)}", file=sys.stderr)
