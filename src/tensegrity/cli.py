@@ -296,7 +296,7 @@ def _cmd_prestress(args) -> CommandOutput:
     graph, p, sys_, stem = _load_input(args.framework)
     partition = _partition_kinds(graph, sys_)
     cert = prestress_certificate(sys_, p, partition=partition,
-                                 tol_rel=args.tol, seed=args.seed)
+                                 tol_rel=args.tol)
     payload = {
         "input": stem,
         "partition": list(partition) if partition else None,

@@ -899,7 +899,7 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
         if np.max(np.abs(x_part.imag)) > HARVEST_IMAG:
             continue
         polished, residual = _polish_real(real_system, x_part.real.copy())
-        if residual > 1e-10:
+        if not residual <= 1e-10:  # a NaN residual is no witness
             continue
         key = tuple(np.round(polished, 6))
         if key in seen:

@@ -110,8 +110,8 @@ class MemberConstraintSystem:
         if rest.shape != (self.graph.m,):
             raise FrameworkError(
                 f"expected {self.graph.m} rest lengths, got shape {rest.shape}")
-        if not np.all(rest > 0.0):
-            raise FrameworkError("all rest squared lengths must be positive")
+        if not np.all(np.isfinite(rest) & (rest > 0.0)):
+            raise FrameworkError("all rest squared lengths must be positive and finite")
         rest = rest.copy()
         rest.setflags(write=False)
         object.__setattr__(self, "rest_sq_lengths", rest)
@@ -165,14 +165,21 @@ def evaluate_members(sys: MemberConstraintSystem, x: Configuration):
     return residuals, feasible
 
 
+def _integer(value, what: str) -> int:
+    """value itself if it is a JSON integer: an int that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FrameworkError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_document(doc: dict):
     if not isinstance(doc, dict):
         raise FrameworkError("framework document must be a JSON object")
     try:
-        d = int(doc["dimension"])
+        d = _integer(doc["dimension"], "'dimension'")
         nodes = doc["nodes"]
         members = doc["members"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FrameworkError(f"malformed framework document: {exc}") from exc
     if not isinstance(nodes, list) or not nodes:
         raise FrameworkError("'nodes' must be a nonempty list of coordinate rows")
@@ -191,8 +198,8 @@ def _parse_document(doc: dict):
     explicit = False
     for entry in members:
         try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError) as exc:
+            i, j = (_integer(entry[key], f"{key!r} of member {entry!r}") for key in "ij")
+        except (KeyError, TypeError) as exc:
             raise FrameworkError(f"bad member entry {entry!r}") from exc
         kind = entry.get("kind", "bar")
         triples.append((i, j, kind))

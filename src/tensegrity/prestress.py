@@ -24,13 +24,17 @@ from .rigidity import (
 #: strict-inequality margin for cable/strut sign checks and zero-entry reports
 SIGN_MARGIN = 1e-9
 
-#: number of seeded random starts for the k >= 2 eigenvalue maximization
-SEARCH_STARTS = 20
+#: convex solve for k >= 2: duality gap on parts scaled to unit largest entry,
+#: Newton decrement and step cap per barrier stage, barrier weight ratio
+GAP_TOL = 1e-12
+CENTER_TOL = 1e-3
+STAGE_STEPS = 50
+MU_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
 class PrestressCertificate:
-    """Outcome of the prestress search.
+    """Outcome of the prestress certificate.
 
     verdict is one of {found, infinitesimally_rigid, no_self_stress,
     not_found}; self_stress_dim is always set, and the remaining fields are
@@ -105,25 +109,10 @@ def stiffness_and_energy(sys: MemberConstraintSystem, p: Configuration,
     return K, stress_matrix(sys.graph, w) + K
 
 
-def _min_eigs_and_gradients(parts, A: np.ndarray) -> tuple:
-    """lambda_min of sum_i A[s, i] * parts[i] for each row s of A, from one
-    stacked eigh, and its gradient u^T parts[i] u, u the unit eigenvector."""
-    M = sum(c[:, None, None] * R for c, R in zip(A.T, parts))
-    vals, vecs = np.linalg.eigh(M)
-    U = vecs[:, :, 0]
-    # this matmul form gives each row bit for bit u @ R @ u; einsum does not
-    grad = np.stack([((U[:, None, :] @ R) @ U[:, :, None])[:, 0, 0] for R in parts], axis=1)
-    return vals[:, 0], grad
-
-
-def _row_norms(A: np.ndarray) -> np.ndarray:
-    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
-
-
 def _no_stress_reaches_the_flexes(graph: FrameworkGraph, basis, parts,
                                   tol_rel: float) -> bool:
     """True when no combination of the basis stresses can pass the
-    re-verification in prestress_certificate, so a search would be futile.
+    re-verification in prestress_certificate, so a solve would be futile.
 
     With G_P[i, j] = <P_i, P_j>_F over the reduced parts and G_L[i, j] =
     <L_i, L_j>_F over the weighted Laplacians, Omega_i = L_i (x) I_d, so
@@ -143,52 +132,62 @@ def _no_stress_reaches_the_flexes(graph: FrameworkGraph, basis, parts,
     return gram_parts * graph.n < tol_rel ** 2 * gram_laplacians
 
 
-def _maximize_min_eigenvalue(parts, rng):
-    """Multi-start projected gradient ascent of lambda_min over the unit sphere,
-    all SEARCH_STARTS starts in lockstep; the first best final value wins."""
-    a = np.array([rng.normal(size=len(parts)) for _ in range(SEARCH_STARTS)])
-    a /= _row_norms(a)[:, None]
-    val, grad = _min_eigs_and_gradients(parts, a)
-    final_val, final_a = np.empty_like(val), np.empty_like(a)
-    # live starts, compacted as they end: index, coefficients, value, gradient, step
-    idx, step = np.arange(SEARCH_STARTS), np.full(SEARCH_STARTS, 0.5)
-    for _ in range(200):
-        cand = a + step[:, None] * grad
-        norm = _row_norms(cand)
-        moved = norm != 0.0  # a zero candidate ends its start
-        cand /= np.where(moved, norm, 1.0)[:, None]
-        cand_val, cand_grad = _min_eigs_and_gradients(parts, cand)
-        better = moved & (cand_val > val)
-        a[better], val[better], grad[better] = cand[better], cand_val[better], cand_grad[better]
-        step = np.where(better, np.minimum(step * 1.5, 2.0), step * 0.5)
-        keep = moved & (better | (step >= 1e-12))
-        if not keep.all():
-            final_val[idx[~keep]], final_a[idx[~keep]] = val[~keep], a[~keep]
-            idx, a, val, grad, step = idx[keep], a[keep], val[keep], grad[keep], step[keep]
-            if not idx.size:
+def _max_min_eigenvalue(parts) -> tuple:
+    """Unit a* of largest lambda* = lambda_min(sum a_i P_i), e_1 if lambda* <= 0,
+    and the dual Y, by one solve of the concave max_a lambda_min(sum a_i P_i)
+    - |a|^2 / 2, whose maximiser is lambda* a* if lambda* > 0 and 0 otherwise.
+    On parts scaled to unit largest entry, Newton's method in x = (a, t)
+    maximises (t - |a|^2 / 2) / mu + log det S, S = sum a_i P_i - t I, from
+    a = 0, t = -1 for mu = 1, MU_FACTOR, ... until the duality gap mu f is
+    below GAP_TOL.  Y = mu S^-1 >= 0 has trace near 1, and lambda* <=
+    |(tr Y P_i)_i| / tr Y."""
+    P = np.asarray(parts) + np.swapaxes(parts, 1, 2)  # rounding noise is not symmetric
+    k, f = len(P), P.shape[1]
+    B = np.concatenate([P / np.max(np.abs(P)), -np.eye(f)[None]])  # S = sum_j x_j B_j
+    lin, quad = np.eye(k + 1)[k], np.append(np.ones(k), 0.0)
+    x, mu = -lin, 1.0 / MU_FACTOR
+    while mu * f > GAP_TOL:
+        mu *= MU_FACTOR
+        for _ in range(STAGE_STEPS):
+            sig, V = np.linalg.eigh(np.tensordot(x, B, 1))
+            C = (V.T @ B @ V) / np.sqrt(np.outer(sig, sig))  # S^-1/2 B_j S^-1/2, rotated
+            grad = (lin - quad * x) / mu + np.trace(C, axis1=1, axis2=2)
+            hess = np.diag(quad / mu) + np.tensordot(C, C, ([1, 2], [1, 2]))
+            step = np.linalg.solve(hess, grad)
+            dec2 = grad @ step
+            if dec2 <= CENTER_TOL ** 2:
                 break
-    final_val[idx], final_a[idx] = val, a
-    return final_a[np.argmax(final_val)]
+            # backtrack on the barrier's gain along the step, written through the
+            # eigenvalues nu of S^-1/2 dS S^-1/2 so that no O(1/mu) terms cancel
+            nu = np.linalg.eigvalsh(np.tensordot(step, C, 1))
+            curv = step @ (quad * step) / mu
+            h = 1.0
+            while np.any(h * nu <= -1.0) or (h * dec2 - h * h * curv / 2 + np.sum(
+                    np.log1p(h * nu) - h * nu) < h * dec2 / 4):
+                h /= 2
+            x = x + h * step
+    a = x[:k]
+    positive = np.linalg.eigvalsh(np.tensordot(a, P, 1))[0] > 0.0
+    return (a / np.linalg.norm(a) if positive else np.eye(k)[0]), mu * (V / sig) @ V.T
 
 
 def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
-                          partition=None, tol_rel: float = RANK_REL_TOL,
-                          seed=0) -> PrestressCertificate:
-    """Search for a self stress whose stress matrix is positive definite on
-    the flex space.
+                          partition=None, tol_rel: float = RANK_REL_TOL
+                          ) -> PrestressCertificate:
+    """Look for a self stress whose stress matrix is positive definite on the
+    flex space.
 
     Empty flex space short-circuits to infinitesimally_rigid, empty stress
     basis to no_self_stress.  When the reduced parts F^T Omega_i F are too
     small for any combination to pass the re-verification below, the first
-    basis stress is taken without a search.  Otherwise, with one basis
-    stress the sign choice is exhaustive, and with more a seeded multi-start
-    search maximizes the minimum eigenvalue over unit coefficient vectors.
-    Positive definiteness of the winner is re-verified from scratch: its
-    minimum eigenvalue must exceed tol_rel times the spectral norm of its
-    stress matrix, so that rounding noise on a flex the stress does not
-    reach is not taken for positive definiteness.  Cable/strut sign
-    feasibility is reported against `partition` (defaults to the member
-    kinds of sys).
+    basis stress is taken without a solve.  Otherwise, with one basis stress
+    the sign choice is exhaustive, and with more one convex solve maximizes
+    the minimum eigenvalue over unit coefficient vectors.  Positive
+    definiteness of the result is re-verified from scratch: its minimum
+    eigenvalue must exceed tol_rel times the spectral norm of its stress
+    matrix, so that rounding noise on a flex the stress does not reach is
+    not taken for positive definiteness.  Cable/strut sign feasibility is
+    reported against `partition` (defaults to the member kinds of sys).
     """
     graph = sys.graph
     kinds = tuple(partition) if partition is not None else graph.kinds()
@@ -208,14 +207,14 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     if _no_stress_reaches_the_flexes(graph, basis, reduced_parts, tol_rel):
         a = np.eye(len(basis))[0]
     elif len(basis) == 1:
-        signs = np.array([[1.0], [-1.0]])
-        a = signs[np.argmax(_min_eigs_and_gradients(reduced_parts, signs)[0])]
+        signs = np.array([[1.0], [-1.0]])  # one stacked eigh of +P_1 and -P_1
+        a = signs[np.argmax(np.linalg.eigh(signs[:, :, None] * reduced_parts[0])[0][:, 0])]
     else:
-        a = _maximize_min_eigenvalue(reduced_parts, np.random.default_rng(seed))
+        a = _max_min_eigenvalue(reduced_parts)[0]
 
     stress = sum(ai * w for ai, w in zip(a, basis))
     # independent re-verification: rebuild the reduced matrix from the
-    # combined stress rather than reusing the search's running value
+    # combined stress rather than reusing the solve's running value
     omega = stress_matrix(graph, stress)
     reduced = F.T @ omega @ F
     eigenvalues = np.linalg.eigvalsh(reduced)

@@ -243,3 +243,18 @@ def test_solve_rejects_a_zero_denominator(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "zero denominator" in err
     assert not (tmp_path / "system_solve.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "epscheck"])
+def test_infinite_rest_length_is_rejected(tmp_path, capsys, command):
+    # 1e999 parses as inf; it used to yield false epscheck witnesses and an
+    # analyze report with "member_residual_max": Infinity, which is not JSON
+    frame = tmp_path / "triangle.json"
+    frame.write_text(
+        '{"dimension": 2, "nodes": [[0, 0], [1, 0], [0.5, 0.8660254037844386]],'
+        ' "members": [{"i": 1, "j": 2, "rest_sq_length": 1e999},'
+        ' {"i": 1, "j": 3, "rest_sq_length": 1.0},'
+        ' {"i": 2, "j": 3, "rest_sq_length": 1.0}]}')
+    assert run_command([command, str(frame), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [frame]

@@ -513,3 +513,20 @@ def test_prefix_products_match_the_gather_and_reduce_bit_for_bit(name, monkeypat
             for k in (0, P - 1):
                 assert np.array_equal(evaluator.evaluate(X[k]).view(np.float64),
                                       expected[k], equal_nan=True)
+
+
+def test_a_nan_polish_residual_is_no_witness(monkeypatch):
+    graph, p, sys_ = load_fixture("hinge")
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    polished = []
+
+    def nan_polish(target, x):
+        polished.append(x)
+        return x, float("nan")
+
+    monkeypatch.setattr(continuation, "_polish_real", nan_polish)
+    result = epsilon_rigidity_check(sysp, pp, epsilon=0.1, seed=0)
+    assert polished
+    assert result.witnesses == ()
+    assert result.verdict != "deformation_found"

@@ -34,6 +34,38 @@ def test_rest_lengths_must_be_positive():
         build_constraints(graph, Configuration([[0.0, 0.0], [0.0, 0.0]]))
 
 
+# the packaged triangle, written out so each case can spoil one number
+TRIANGLE_DOC = {"dimension": 2,
+                "nodes": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386]],
+                "members": [{"i": 1, "j": 2}, {"i": 1, "j": 3}, {"i": 2, "j": 3}]}
+
+
+def test_rest_lengths_must_be_finite():
+    graph = FrameworkGraph(n=2, d=2, members=((1, 2, "bar"),))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(FrameworkError, match="finite"):
+            MemberConstraintSystem(graph, np.array([bad]))
+    doc = json.loads(json.dumps(TRIANGLE_DOC))
+    for member in doc["members"]:
+        member["rest_sq_length"] = 1.0
+    doc["members"][0]["rest_sq_length"] = 1e999
+    with pytest.raises(FrameworkError, match="finite"):
+        load_framework(doc)
+
+
+@pytest.mark.parametrize("key, value", [("dimension", 2.7), ("dimension", 2.0),
+                                        ("dimension", True), ("i", 1.9),
+                                        ("i", True), ("i", "1"), ("j", 2.0)])
+def test_document_numbers_must_be_json_integers(key, value):
+    doc = json.loads(json.dumps(TRIANGLE_DOC))
+    if key == "dimension":
+        doc["dimension"] = value
+    else:
+        doc["members"][0][key] = value
+    with pytest.raises(FrameworkError, match="must be an integer"):
+        load_framework(doc)
+
+
 def test_configuration_rejects_bad_shapes():
     with pytest.raises(FrameworkError):
         Configuration(np.zeros(6))

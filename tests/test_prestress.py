@@ -84,7 +84,7 @@ def test_stiffness_identity_and_psd(prism):
 
 def test_prism_certificate_found_with_margin(prism):
     graph, p, sys_ = prism
-    cert = prestress_certificate(sys_, p, seed=0)
+    cert = prestress_certificate(sys_, p)
     assert cert.verdict == "found"
     assert cert.min_eigenvalue > 1.0
     assert cert.min_eigenvalue == pytest.approx(3.370477247161058, abs=1e-9)
@@ -97,7 +97,7 @@ def test_prism_certificate_found_with_margin(prism):
 
 def test_certificate_is_scale_invariant(prism):
     graph, p, sys_ = prism
-    cert = prestress_certificate(sys_, p, seed=0)
+    cert = prestress_certificate(sys_, p)
     dec = nullspace_decomposition(sys_, p)
     reduced = dec.flexes.T @ stress_matrix(graph, cert.stress) @ dec.flexes
     for alpha in (0.5, 2.0, 7.0):
@@ -110,13 +110,13 @@ def test_random_prism_embedding_is_infinitesimally_rigid(prism):
     graph, _, sys_ = prism
     rng = np.random.default_rng(59)
     q = Configuration(rng.uniform(-1, 1, size=(graph.n, graph.d)))
-    cert = prestress_certificate(build_constraints(graph, q), q, seed=0)
+    cert = prestress_certificate(build_constraints(graph, q), q)
     assert cert.verdict == "infinitesimally_rigid"
 
 
 def test_square_has_no_self_stress():
     graph, p, sys_ = load_fixture("square")
-    cert = prestress_certificate(sys_, p, seed=0)
+    cert = prestress_certificate(sys_, p)
     assert cert.verdict == "no_self_stress"
 
 
@@ -130,7 +130,7 @@ def test_flex_the_stress_does_not_reach_is_not_certified():
     _, p, sys_ = load_framework({
         "dimension": 2, "nodes": quad + [[2.0, 0.4]],
         "members": members + [{"i": 2, "j": 5}]})
-    cert = prestress_certificate(sys_, p, seed=0)
+    cert = prestress_certificate(sys_, p)
     assert abs(cert.min_eigenvalue) <= 1e-12
     assert cert.verdict == "not_found"
 
@@ -143,7 +143,7 @@ def test_tensegrity_partition_signs(prism):
         for pair in block.get(kind + "s", ()):
             lookup[tuple(pair)] = kind
     partition = tuple(lookup[(i, j)] for (i, j, _) in graph.members)
-    cert = prestress_certificate(sys_, p, partition=partition, seed=0)
+    cert = prestress_certificate(sys_, p, partition=partition)
     assert cert.verdict == "found"
     assert cert.cables_positive
     assert cert.sign_violations == ()
@@ -178,30 +178,23 @@ def test_quadratic_form_with_exact_data(prism):
 SEARCH_PARTS = [np.diag([1.0, -0.5]), np.diag([0.0, np.sqrt(3.0) / 2.0])]
 
 
+def _min_eig(parts, a):
+    return np.linalg.eigvalsh(sum(ai * Mi for ai, Mi in zip(a, parts)))[0]
+
+
 def _lambda_min(a):
-    return np.linalg.eigvalsh(sum(ai * Mi for ai, Mi in zip(a, SEARCH_PARTS)))[0]
+    return _min_eig(SEARCH_PARTS, a)
 
 
 def test_multi_stress_search_finds_the_global_maximum():
-    a = prestress._maximize_min_eigenvalue(SEARCH_PARTS,
-                                           np.random.default_rng(0))
+    a, _ = prestress._max_min_eigenvalue(SEARCH_PARTS)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
     assert _lambda_min(a) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_one_search_start_stalls_at_the_spurious_maximum(monkeypatch):
-    # why SEARCH_STARTS exists: ascent from 240 deg never leaves the kink
-    class At240:
-        def normal(self, size):
-            return np.array([np.cos(4 * np.pi / 3), np.sin(4 * np.pi / 3)])
-
-    monkeypatch.setattr(prestress, "SEARCH_STARTS", 1)
-    a = prestress._maximize_min_eigenvalue(SEARCH_PARTS, At240())
-    assert _lambda_min(a) == pytest.approx(-0.5, abs=1e-9)
-
-
 def _per_start_search(reduced_parts, rng):
-    # the search as it ran one start at a time: the oracle for the lockstep one
+    # the multi-start gradient ascent that the convex solve replaced, one
+    # start at a time: 20 seeded unit starts, the first best final value wins
     def min_eig_and_gradient(a):
         M = sum(ai * Mi for ai, Mi in zip(a, reduced_parts))
         vals, vecs = np.linalg.eigh(M)
@@ -210,7 +203,7 @@ def _per_start_search(reduced_parts, rng):
 
     k = len(reduced_parts)
     best_val, best_a = -np.inf, None
-    for _ in range(prestress.SEARCH_STARTS):
+    for _ in range(20):
         a = rng.normal(size=k)
         a /= np.linalg.norm(a)
         val, grad = min_eig_and_gradient(a)
@@ -234,25 +227,23 @@ def _per_start_search(reduced_parts, rng):
     return best_a
 
 
-@pytest.mark.parametrize("starts", [prestress.SEARCH_STARTS, 3])
-@pytest.mark.parametrize("k, f", [(2, 1), (3, 6), (6, 18)])
-def test_lockstep_search_matches_the_per_start_loop(monkeypatch, k, f, starts):
-    monkeypatch.setattr(prestress, "SEARCH_STARTS", starts)
-    rng = np.random.default_rng([k, f])
-    B = rng.normal(size=(k, f, f))
-    parts = list(B + B.transpose(0, 2, 1))
-    live = []
-    evaluate = prestress._min_eigs_and_gradients
-
-    def counting(parts, A):
-        live.append(len(A))
-        return evaluate(parts, A)
-
-    monkeypatch.setattr(prestress, "_min_eigs_and_gradients", counting)
-    a = prestress._maximize_min_eigenvalue(parts, np.random.default_rng(k * f))
-    assert np.array_equal(a, _per_start_search(parts, np.random.default_rng(k * f)))
-    # starts ended at different steps, so the live arrays were compacted
-    assert len(set(live)) > 1
+def test_solve_never_falls_below_the_per_start_search():
+    # with a positive combination the solve is within 1e-9 of the former
+    # search or above it; without one it reports e_1, the search a unit a
+    # whose lambda_min is at most 0
+    positive, ahead = 0, 0
+    for seed in range(180):
+        rng = np.random.default_rng(seed)
+        k, f = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        B = rng.normal(size=(k, f, f))
+        parts = list(B + B.transpose(0, 2, 1))
+        a, _ = prestress._max_min_eigenvalue(parts)
+        solved = max(_min_eig(parts, a), 0.0)
+        searched = max(_min_eig(parts, _per_start_search(parts, np.random.default_rng(0))), 0.0)
+        assert solved >= searched - 1e-9
+        positive += solved > 0.0
+        ahead += solved > searched + 1e-3
+    assert positive == 40 and ahead == 13
 
 
 def _complete(nodes):
@@ -302,9 +293,9 @@ def test_stresses_that_miss_the_flex_skip_the_search(monkeypatch):
     def search(*args):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr(prestress, "_maximize_min_eigenvalue", search)
+    monkeypatch.setattr(prestress, "_max_min_eigenvalue", search)
     _, p, sys_ = load_framework(K5_PENDANT)
-    cert = prestress_certificate(sys_, p, seed=0)
+    cert = prestress_certificate(sys_, p)
     assert cert.verdict == "not_found"
     assert cert.self_stress_dim == 3
     assert np.array_equal(cert.coefficients, [1.0, 0.0, 0.0])
@@ -317,7 +308,7 @@ def test_skipped_searches_would_not_have_found_a_stress(monkeypatch):
     rng = np.random.default_rng(61)
     frameworks = [_clustered_framework(rng) for _ in range(30)]
     fired = _spy_on_the_bound(monkeypatch)
-    skipped = [prestress_certificate(s, q, seed=3) for _, q, s in frameworks]
+    skipped = [prestress_certificate(s, q) for _, q, s in frameworks]
     assert fired == [True] * 30
     assert {c.self_stress_dim for c in skipped} == {3}
     # the old path: search (or sign choice) and re-verification
@@ -325,13 +316,13 @@ def test_skipped_searches_would_not_have_found_a_stress(monkeypatch):
                         lambda *args: False)
     for (_, q, s), cert in zip(frameworks, skipped):
         assert cert.verdict == "not_found"
-        assert prestress_certificate(s, q, seed=3).verdict == "not_found"
+        assert prestress_certificate(s, q).verdict == "not_found"
 
 
 @pytest.mark.parametrize("tol_rel", [RANK_REL_TOL, 0.1])
 @pytest.mark.parametrize("name, min_eigenvalue", [
     ("3prism", 3.370477247161058), ("slingshot", 0.625),
-    ("collinear5", 1.8885719554455065)])
+    ("collinear5", 1.892643309627531)])
 def test_stresses_that_reach_the_flexes_still_search(monkeypatch, name,
                                                      min_eigenvalue, tol_rel):
     # at tol_rel 0.1 the bound's two sides are within a factor 300 on 3prism,
@@ -339,7 +330,22 @@ def test_stresses_that_reach_the_flexes_still_search(monkeypatch, name,
     _, p, sys_ = (load_framework(COLLINEAR5) if name == "collinear5"
                   else load_fixture(name))
     fired = _spy_on_the_bound(monkeypatch)
-    cert = prestress_certificate(sys_, p, tol_rel=tol_rel, seed=0)
+    cert = prestress_certificate(sys_, p, tol_rel=tol_rel)
     assert fired == [False]
     assert cert.verdict == "found"
     assert cert.min_eigenvalue == pytest.approx(min_eigenvalue, abs=1e-9)
+
+
+def test_dual_matrix_bounds_the_collinear5_optimum():
+    # lambda_min(sum a_i P_i) <= tr(Y sum a_i P_i) <= |(tr Y P_i)_i| for every
+    # unit a and every PSD Y of trace 1, so Y proves a* optimal up to the gap
+    _, p, sys_ = load_framework(COLLINEAR5)
+    dec = nullspace_decomposition(sys_, p)
+    parts = [dec.flexes.T @ stress_matrix(sys_.graph, w) @ dec.flexes
+             for w in self_stress_basis(dec)]
+    a, Y = prestress._max_min_eigenvalue(parts)
+    assert np.linalg.eigvalsh(Y)[0] >= 0.0
+    assert np.trace(Y) == pytest.approx(1.0, abs=1e-3)
+    bound = np.linalg.norm([np.trace(Y @ P) for P in parts]) / np.trace(Y)
+    achieved = _min_eig(parts, a)
+    assert 0.0 <= bound - achieved <= 1e-6 * achieved

@@ -14,10 +14,10 @@ checkouts agree on every report in the set.
 - `solve --svg` on a cubic, on a system with fractional coefficients, and
   on a 75-path system whose recorded solve refills the lockstep batch;
 - `prestress` on five collinear nodes in 3-space, all pairs joined: 6 self
-  stresses and 6 flexes, so the multi-start search runs;
+  stresses and 6 flexes, so the k >= 2 convex solve runs;
 - `prestress` on a planar K5 with a pendant node: its 3 self stresses live
   on the K5 and its one flex swings the pendant node, so no stress reaches
-  the flex and the search is skipped;
+  the flex and the solve is skipped;
 - `epscheck` on triangle and hinge, and on triangle again at seed 1,
   whose verdict is `inconclusive` (most of its paths end
   `step_underflow`), written into OUT_DIR/seed1;
