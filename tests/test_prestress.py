@@ -192,7 +192,7 @@ def test_multi_stress_search_finds_the_global_maximum():
     assert _lambda_min(a) == pytest.approx(0.5, abs=1e-9)
 
 
-def _per_start_search(reduced_parts, rng):
+def _per_start_search(reduced_parts, rng, starts=20):
     # the multi-start gradient ascent that the convex solve replaced, one
     # start at a time: 20 seeded unit starts, the first best final value wins
     def min_eig_and_gradient(a):
@@ -203,7 +203,7 @@ def _per_start_search(reduced_parts, rng):
 
     k = len(reduced_parts)
     best_val, best_a = -np.inf, None
-    for _ in range(20):
+    for _ in range(starts):
         a = rng.normal(size=k)
         a /= np.linalg.norm(a)
         val, grad = min_eig_and_gradient(a)
@@ -244,6 +244,26 @@ def test_solve_never_falls_below_the_per_start_search():
         positive += solved > 0.0
         ahead += solved > searched + 1e-3
     assert positive == 40 and ahead == 13
+
+
+@pytest.mark.parametrize("starts", [20, 3])
+@pytest.mark.parametrize("k, f", [(2, 1), (3, 6), (6, 18)])
+def test_lockstep_search_matches_the_per_start_loop(k, f, starts):
+    # the parts and start seeds on which the lockstep search was once checked
+    # against this loop: the convex solve that replaced it reaches the loop's
+    # value or more, and its dual Y closes the gap to the optimum, which is
+    # positive for (2, 1) and not for the other two
+    rng = np.random.default_rng([k, f])
+    B = rng.normal(size=(k, f, f))
+    parts = list(B + B.transpose(0, 2, 1))
+    a, Y = prestress._max_min_eigenvalue(parts)
+    solved = max(_min_eig(parts, a), 0.0)
+    searched = _min_eig(parts, _per_start_search(parts, np.random.default_rng(k * f), starts))
+    assert solved >= max(searched, 0.0) - 1e-9
+    assert (solved > 0.0) == ((k, f) == (2, 1))
+    assert np.linalg.eigvalsh(Y)[0] >= 0.0
+    bound = np.linalg.norm([np.trace(Y @ P) for P in parts]) / np.trace(Y)
+    assert 0.0 <= bound - solved <= 1e-6 * max(solved, 1.0)
 
 
 def _complete(nodes):
