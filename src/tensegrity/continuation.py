@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field, replace
 from math import prod
 
@@ -33,7 +34,8 @@ DT_MIN = 1e-12
 DT_MAX = 1e-1
 GROW_AFTER = 5
 
-#: Newton corrector tolerance (scaled by 1 + |x|^deg) and iteration cap
+#: Newton corrector tolerance (scaled by 1 + |x|^deg); the corrector makes
+#: at most MAX_NEWTON + 1 updates (see _newton)
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 3
 
@@ -43,7 +45,8 @@ T_CUTOFF = 1e-4
 #: a path whose norm exceeds this is labelled diverged
 DIVERGENCE = 1e10
 
-#: step cap per path, and Newton iterations of the final polish
+#: step cap per path; the final polish makes at most POLISH_STEPS + 1
+#: Newton updates
 MAX_STEPS = 5000
 POLISH_STEPS = 30
 
@@ -133,8 +136,10 @@ class _Batched:
         self.empty = coeffs.size == 0
         if self.empty:
             return
-        # bins of the interleaved real and imaginary parts of the terms
+        # bins of the interleaved real and imaginary parts of the terms at
+        # one point; the bins of a batch are built on first use (_batch_bins)
         self.bins = (2 * rows[:, None] + np.arange(2)).ravel()
+        self.wide_bins = self.bins
         E, nvars = exponents, exponents.shape[1]
         self.max_exp = int(E.max(initial=0))
         power = E * nvars + np.arange(nvars)  # column of x_j^e
@@ -227,12 +232,20 @@ class _Batched:
         for columns, pairs in self.levels:
             np.multiply.reduce(mono.take(pairs, axis=1), axis=2, out=mono[:, columns])
         vals = self.coeffs * mono.take(self.inverse, axis=1)
-        bins = self.bins if P == 1 else (
-            self.bins + 2 * self.nrows * np.arange(P)[:, None]).ravel()
-        sums = np.bincount(bins, weights=vals.view(np.float64).ravel(),
+        sums = np.bincount(self._batch_bins(P), weights=vals.view(np.float64).ravel(),
                            minlength=2 * P * self.nrows)
         out = sums[0::2] + 1j * sums[1::2]
         return out.reshape(x.shape[:-1] + (self.nrows,))
+
+    def _batch_bins(self, P: int) -> np.ndarray:
+        """The bins of the terms at P points, row after row: a prefix of one
+        array built for max(P, BLOCK_PATHS) points, which grows only when a
+        larger batch comes."""
+        size = P * len(self.bins)
+        if len(self.wide_bins) < size:
+            rows = np.arange(max(P, BLOCK_PATHS))[:, None]
+            self.wide_bins = (self.bins + 2 * self.nrows * rows).ravel()
+        return self.wide_bins[:size]
 
 
 class PolySystem:
@@ -394,8 +407,9 @@ def _newton(value, jacobian, x, tol, max_iter):
     tolerances tol.  value(z, rows) and jacobian(z, rows) evaluate the system
     at the points z, which stand for the rows `rows` of the batch.  A row
     checks its residual before each update, so an exact solution comes back
-    bit for bit unchanged, and stops at a singular Jacobian.  Returns
-    (x, ok) with the last iterate of every row."""
+    bit for bit unchanged, and stops at a singular Jacobian.  A row makes at
+    most max_iter + 1 updates, and its residual is checked once more after
+    the last.  Returns (x, ok) with the last iterate of every row."""
     x = x.copy()
     ok = np.zeros(len(x), dtype=bool)
     rows, z = np.arange(len(x)), x
@@ -442,8 +456,83 @@ def track_paths(h: Homotopy, starts, record: bool = False) -> list:
     full until the starts run out.  Ended paths get the endgame and their
     final residuals in chunks of up to BLOCK_PATHS.  A path's result does
     not depend on the others; results come back in the order of the starts.
+
+    More than BLOCK_PATHS starts are dealt out in turn over the c cores this
+    process may run on: it tracks the starts 0, c, 2c, ... itself, and each
+    of c - 1 forked processes tracks the starts k, k + c, ... for one k and
+    sends back its results, or the exception it raised, over a pipe.  The
+    results are the same as in one process.  With one core, at most
+    BLOCK_PATHS starts, no fork on the platform, or in a daemonic process,
+    every path is tracked in this process.
     """
     starts = iter(starts)
+    head = list(itertools.islice(starts, BLOCK_PATHS + 1))
+    starts = itertools.chain(head, starts)
+    cores = _usable_cores()
+    if len(head) > BLOCK_PATHS and cores > 1:
+        import multiprocessing
+        # a daemonic process, such as a Pool worker, may not start processes
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            return _track_forked(multiprocessing.get_context("fork"), h, starts,
+                                 record, cores)
+    return _track_lockstep(h, starts, record)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _track_forked(ctx, h: Homotopy, starts, record: bool, cores: int) -> list:
+    """track_paths over `cores` processes; see there.  Every forked process
+    is ended and joined before this returns or raises."""
+    workers = []  # (process, receiving end of its pipe)
+    try:
+        for k in range(1, cores):
+            receiver, sender = ctx.Pipe(duplex=False)
+            # the fork copies the iterator, so each share starts from start 0
+            worker = ctx.Process(target=_track_share, args=(
+                sender, h, itertools.islice(starts, k, None, cores), record))
+            worker.start()
+            workers.append((worker, receiver))
+            sender.close()
+        shares = [_track_lockstep(h, itertools.islice(starts, 0, None, cores), record)]
+        for worker, receiver in workers:
+            try:
+                share = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise ContinuationError(
+                    "a path-tracking process ended without results "
+                    f"(exit code {worker.exitcode})") from None
+            if isinstance(share, Exception):
+                raise share
+            shares.append(share)
+    finally:
+        for worker, receiver in workers:
+            worker.terminate()
+            worker.join()
+            receiver.close()
+    results = [None] * sum(map(len, shares))
+    for k, share in enumerate(shares):
+        results[k::cores] = share
+    return results
+
+
+def _track_share(sender, h: Homotopy, starts, record: bool) -> None:
+    """The body of a forked tracking process: its results, or the exception
+    it raised, go to the pipe."""
+    try:
+        out = _track_lockstep(h, starts, record)
+    except Exception as exc:
+        out = exc
+    sender.send(out)
+    sender.close()
+
+
+def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
+    """track_paths in this process."""
     target = h.target
     deg = max(target.degrees, default=1)
     deg_h = max(deg, max(h.start.degrees, default=1))

@@ -172,6 +172,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _number(value, what: str) -> float:
+    """value as a float if it is a JSON number: an int or a float that is
+    not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FrameworkError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_document(doc: dict):
     if not isinstance(doc, dict):
         raise FrameworkError("framework document must be a JSON object")
@@ -183,9 +191,13 @@ def _parse_document(doc: dict):
         raise FrameworkError(f"malformed framework document: {exc}") from exc
     if not isinstance(nodes, list) or not nodes:
         raise FrameworkError("'nodes' must be a nonempty list of coordinate rows")
+    if not all(isinstance(row, list) for row in nodes):
+        raise FrameworkError("each node must be a list of coordinates")
+    rows = [[_number(v, f"coordinate of node {k}") for v in row]
+            for k, row in enumerate(nodes, 1)]
     try:
-        coords = np.array(nodes, dtype=float)
-    except (TypeError, ValueError) as exc:
+        coords = np.array(rows, dtype=float)
+    except ValueError as exc:
         raise FrameworkError(f"bad node coordinates: {exc}") from exc
     if coords.ndim != 2 or coords.shape[1] != d:
         raise FrameworkError(
@@ -205,7 +217,8 @@ def _parse_document(doc: dict):
         triples.append((i, j, kind))
         if "rest_sq_length" in entry:
             explicit = True
-            rest.append(float(entry["rest_sq_length"]))
+            rest.append(_number(entry["rest_sq_length"],
+                                f"rest_sq_length of member {entry!r}"))
         else:
             rest.append(None)
     if explicit and any(r is None for r in rest):

@@ -258,3 +258,14 @@ def test_infinite_rest_length_is_rejected(tmp_path, capsys, command):
     assert run_command([command, str(frame), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == [frame]
+
+
+def test_string_coordinates_are_rejected(tmp_path, capsys):
+    frame = tmp_path / "triangle.json"
+    frame.write_text(
+        '{"dimension": 2, "nodes": [["0", "0"], [true, "0"], [0.5, 0.8660254037844386]],'
+        ' "members": [{"i": 1, "j": 2}, {"i": 1, "j": 3}, {"i": 2, "j": 3}]}')
+    assert run_command(["analyze", str(frame), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a number" in err
+    assert list(tmp_path.iterdir()) == [frame]

@@ -372,6 +372,8 @@ def _quintic():
 def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
     f = LOCKSTEP_SYSTEMS["dense_222"] if name == "dense_222" else _quintic()
     monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
+    # one core, so that every path runs in this process, where it is counted
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
     _solve_matching_single_paths(f, monkeypatch)
 
     # solve again, counting the starts taken when each predictor step runs
@@ -403,6 +405,109 @@ def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
     assert len(while_starts_remain) > 1
     assert set(while_starts_remain) == {4}
     assert max(evaluated) == 4
+
+
+# ---------------------------------------------------------------------------
+# more starts than one batch are shared out over forked processes
+
+
+def _forks(monkeypatch):
+    """Patch track_paths's forked split to record that it ran."""
+    calls = []
+    real = continuation._track_forked
+
+    def forked(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(continuation, "_track_forked", forked)
+    return calls
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_forked_shares_give_the_results_of_one_process(cores, monkeypatch):
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
+    alone = solve_total_degree(_quintic(), seed=3, record=True)
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: cores)
+    forks = _forks(monkeypatch)
+    shared = solve_total_degree(_quintic(), seed=3, record=True)
+    assert forks == [cores]
+    assert len(shared) == len(alone) == 75
+    for a, b in zip(shared, alone):
+        _assert_same_result(a, b)
+
+
+def _cube_roots():
+    """The homotopy from x^3 = 1 to x^3 = 2, and the cube roots of 1."""
+    h = Homotopy(target=_univariate([1, 0, 0, -2]), start=_univariate([1, 0, 0, -1]))
+    return h, [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
+
+
+@pytest.mark.parametrize("share", ["caller", "forked"])
+def test_a_bad_start_in_either_share_raises_and_no_process_remains(share, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 2)
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 2)
+    forks = _forks(monkeypatch)
+    h, roots = _cube_roots()
+    # start 0 opens the caller's share and start 1 the forked process's;
+    # either share still has 60 good paths to track when the other raises
+    starts = roots * 40
+    starts.insert(0 if share == "caller" else 1, np.array([0.5 + 0j]))
+    with pytest.raises(ContinuationError, match="start point"):
+        track_paths(h, starts)
+    assert forks == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_forked_process_that_ends_without_results_raises(monkeypatch):
+    import multiprocessing
+    import os
+
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 2)
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(continuation, "_track_share", lambda *args: os._exit(3))
+    h, roots = _cube_roots()
+    with pytest.raises(ContinuationError, match="exit code 3"):
+        track_paths(h, roots + roots)
+    assert multiprocessing.active_children() == []
+
+
+def test_the_serial_path_does_not_fork(monkeypatch):
+    import os
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
+    f = LOCKSTEP_SYSTEMS["dense_222"]
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
+    assert len(solve_total_degree(f, seed=3)) == 8
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 8)
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 2)
+    assert len(solve_total_degree(f, seed=3)) == 8
+    # and the split does fork
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 7)
+    with pytest.raises(AssertionError, match="forked"):
+        solve_total_degree(f, seed=3)
+
+
+def test_a_daemonic_caller_tracks_every_path_itself(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
+    f = LOCKSTEP_SYSTEMS["dense_222"]
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
+    alone = solve_total_degree(f, seed=3)
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 2)
+    # a pool worker is daemonic and may not start processes of its own
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pooled = pool.apply(solve_total_degree, (f,), {"seed": 3})
+    for a, b in zip(pooled, alone, strict=True):
+        _assert_same_result(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,21 @@ def test_document_numbers_must_be_json_integers(key, value):
         load_framework(doc)
 
 
+@pytest.mark.parametrize("key, value", [("coordinate", "0"), ("coordinate", True),
+                                        ("rest_sq_length", "1"),
+                                        ("rest_sq_length", True)])
+def test_coordinates_and_rest_lengths_must_be_json_numbers(key, value):
+    doc = json.loads(json.dumps(TRIANGLE_DOC))
+    if key == "coordinate":
+        doc["nodes"][1][1] = value
+    else:
+        for member in doc["members"]:
+            member["rest_sq_length"] = 1.0
+        doc["members"][2]["rest_sq_length"] = value
+    with pytest.raises(FrameworkError, match="must be a number"):
+        load_framework(doc)
+
+
 def test_configuration_rejects_bad_shapes():
     with pytest.raises(FrameworkError):
         Configuration(np.zeros(6))
