@@ -471,7 +471,9 @@ def track_paths(h: Homotopy, starts, record: bool = False) -> list:
     cores = _usable_cores()
     if len(head) > BLOCK_PATHS and cores > 1:
         import multiprocessing
-        # a daemonic process, such as a Pool worker, may not start processes
+        # fork, not spawn: a forked process inherits the homotopy and the
+        # start iterator and imports nothing again.  A daemonic process,
+        # such as a Pool worker, may not start processes.
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
             return _track_forked(multiprocessing.get_context("fork"), h, starts,

@@ -1,6 +1,8 @@
 """Path tracking: start systems, correctors, deformation, epsilon checks."""
 
 import itertools
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -446,8 +448,6 @@ def _cube_roots():
 
 @pytest.mark.parametrize("share", ["caller", "forked"])
 def test_a_bad_start_in_either_share_raises_and_no_process_remains(share, monkeypatch):
-    import multiprocessing
-
     monkeypatch.setattr(continuation, "BLOCK_PATHS", 2)
     monkeypatch.setattr(continuation, "_usable_cores", lambda: 2)
     forks = _forks(monkeypatch)
@@ -463,9 +463,6 @@ def test_a_bad_start_in_either_share_raises_and_no_process_remains(share, monkey
 
 
 def test_a_forked_process_that_ends_without_results_raises(monkeypatch):
-    import multiprocessing
-    import os
-
     monkeypatch.setattr(continuation, "BLOCK_PATHS", 2)
     monkeypatch.setattr(continuation, "_usable_cores", lambda: 2)
     monkeypatch.setattr(continuation, "_track_share", lambda *args: os._exit(3))
@@ -476,8 +473,6 @@ def test_a_forked_process_that_ends_without_results_raises(monkeypatch):
 
 
 def test_the_serial_path_does_not_fork(monkeypatch):
-    import os
-
     def no_fork():
         raise AssertionError("forked")
 
@@ -496,8 +491,6 @@ def test_the_serial_path_does_not_fork(monkeypatch):
 
 
 def test_a_daemonic_caller_tracks_every_path_itself(monkeypatch):
-    import multiprocessing
-
     monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
     f = LOCKSTEP_SYSTEMS["dense_222"]
     monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
