@@ -58,6 +58,10 @@ TOL_END_REL = 1e-8
 #: temporaries, which grow with paths x terms
 BLOCK_PATHS = 64
 
+#: a level of the monomial table with at least this many products (points
+#: times monomials) takes the planar product; see _Batched._table
+_PLANAR_PRODUCTS = 8 * BLOCK_PATHS
+
 #: refuse total-degree solves beyond this many paths unless overridden
 DEFAULT_PATH_BUDGET = 100_000
 
@@ -102,44 +106,75 @@ class MultiPoly(SparsePoly):
         return MultiPoly(nvars, {e + pad: c for e, c in self.terms.items()})
 
     def evaluate(self, x) -> complex:
-        return complex(_Batched.of([self], self.nvars, 1, [0]).evaluate(x)[0])
+        return complex(_Batched.of([self], self.nvars, 1, [0]).evaluate(x)[0][0])
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.terms!r})"
 
 
-class _Batched:
-    """Shared-monomial evaluator for many polynomials at once, at one point
-    or at each row of a (P, nvars) batch of points.
+class _Terms:
+    """One set of terms summed from a _Batched table: each term's
+    coefficient times its table column, summed into its output row."""
 
-    Each distinct monomial is a column of one (P, W) table.  The first
-    (max_exp + 1) * nvars columns are the powers x_j^k (column k * nvars + j),
-    which are every monomial in at most one variable; the constant 1 is
-    x_0^0 in column 0.  A monomial in L >= 2 variables is its prefix, the same
-    monomial without its last variable, times that variable's power, so it
-    is built with one product; prefixes that no polynomial uses are added.
-    The columns after the powers hold these monomials level by level,
-    L = 2, 3, ..., and each level is one two-factor reduction over
-    (prefix, power) column pairs.  The products run left to right over the
-    variables, like a product over all of them with the x^0 = 1 factors
-    left out.  At finite points those factors are exact, so leaving them
-    out can change only the sign of a zero, which the bincount sum drops.
-    """
-
-    def __init__(self, coeffs, rows, exponents, monomial, nrows):
-        """Terms as arrays: each term's coefficient, output row and monomial,
-        an index into the distinct exponent tuples, the rows of `exponents`."""
+    def __init__(self, coeffs, rows, column, nrows):
         self.nrows = nrows
-        self.term_arrays = coeffs, rows, exponents, monomial
         # 2-D, so that it multiplies a (P, T) batch as a 1-D T at one point
         self.coeffs = coeffs[None]
+        self.column = column
         self.empty = coeffs.size == 0
-        if self.empty:
-            return
         # bins of the interleaved real and imaginary parts of the terms at
         # one point; the bins of a batch are built on first use (_batch_bins)
         self.bins = (2 * rows[:, None] + np.arange(2)).ravel()
         self.wide_bins = self.bins
+
+    def sum(self, mono, P: int) -> np.ndarray:
+        """The (P, nrows) sums over the terms at each row of the (P, width)
+        table; with no terms there is no table to read."""
+        if self.empty:
+            return np.zeros((P, self.nrows), dtype=complex)
+        vals = self.coeffs * mono.take(self.column, axis=1)
+        sums = np.bincount(self._batch_bins(P), weights=vals.view(np.float64).ravel(),
+                           minlength=2 * P * self.nrows)
+        # a bincount sum is never -0.0, so the view holds the values that
+        # sums[0::2] + 1j * sums[1::2] would, except that an infinite or NaN
+        # imaginary sum leaves the real sum as it is (0 * inf there is NaN)
+        return sums.view(complex).reshape(P, self.nrows)
+
+    def _batch_bins(self, P: int) -> np.ndarray:
+        """The bins of the terms at P points, row after row: a prefix of one
+        array built for max(P, BLOCK_PATHS) points, which grows only when a
+        larger batch comes."""
+        size = P * len(self.bins)
+        if len(self.wide_bins) < size:
+            rows = np.arange(max(P, BLOCK_PATHS))[:, None]
+            self.wide_bins = (self.bins + 2 * self.nrows * rows).ravel()
+        return self.wide_bins[:size]
+
+
+class _Batched:
+    """Shared-monomial evaluator for sets of polynomials at once, at one
+    point or at each row of a (P, nvars) batch of points.
+
+    Each distinct monomial is a column of one (P, W) table, which every set
+    of terms sums from.  The first (max_exp + 1) * nvars columns are the
+    powers x_j^k (column k * nvars + j), which are every monomial in at most
+    one variable; the constant 1 is x_0^0 in column 0.  A monomial in L >= 2
+    variables is its prefix, the same monomial without its last variable,
+    times that variable's power, so it is built with one product; prefixes
+    that no polynomial uses are added.  The columns after the powers hold
+    these monomials level by level, L = 2, 3, ..., and each level is one
+    two-factor product over (prefix, power) column pairs.  The products run
+    left to right over the variables, like a product over all of them with
+    the x^0 = 1 factors left out.  At finite points those factors are exact,
+    so leaving them out can change only the sign of a zero, which the
+    bincount sum drops.  A monomial's column depends on its exponents alone,
+    so it has the same bits in any table that holds it.
+    """
+
+    def __init__(self, exponents, sets):
+        """The distinct monomials, as rows of `exponents`, and the term sets:
+        for each, every term's coefficient, output row and monomial (a row
+        of `exponents`), and its number of output rows."""
         E, nvars = exponents, exponents.shape[1]
         self.max_exp = int(E.max(initial=0))
         power = E * nvars + np.arange(nvars)  # column of x_j^e
@@ -166,62 +201,69 @@ class _Batched:
                                 np.array(list(slot), dtype=np.int64)))
             column[wide] = self.width + at
             self.width += len(slot)
-        self.inverse = column[monomial]
+        self.sets = [_Terms(coeffs, rows, column[monomial], nrows)
+                     for coeffs, rows, monomial, nrows in sets]
 
     @classmethod
-    def of(cls, polys, nvars, nrows, rows) -> "_Batched":
-        """The evaluator of polynomials with the given output rows."""
+    def of(cls, polys, nvars, nrows, rows, jacobian=False) -> "_Batched":
+        """The evaluator of polynomials with the given output rows: term set
+        0 gives their values and, with `jacobian`, term set 1 every partial
+        derivative, d row_i / d x_j in row i * nvars + j."""
         sizes = [len(p.terms) for p in polys]
         coeffs = np.fromiter(
             itertools.chain.from_iterable(p.terms.values() for p in polys),
             dtype=complex, count=sum(sizes))
+        rows = np.repeat(np.asarray(rows, dtype=np.int64), sizes)
         # polynomials in a system share most monomials, so evaluate each
         # distinct exponent tuple once and scatter
         unique = {}
         monomial = np.array([unique.setdefault(e, len(unique))
                              for p in polys for e in p.terms], dtype=np.int64)
+        sets = [(coeffs, rows, monomial, nrows)]
+        if jacobian:
+            # a term c x^e gives the terms c e_j x^(e - 1_j), in the order
+            # and with the coefficients of MultiPoly.diff (a complex times a
+            # small integer rounds once either way), but without building
+            # the derivative polynomials; the lowered monomials join the table
+            E = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
+            u, j = np.nonzero(E)
+            lowered = E[u]
+            lowered[np.arange(len(u)), j] -= 1
+            index = np.zeros_like(E)
+            index[u, j] = [unique.setdefault(e, len(unique))
+                           for e in map(tuple, lowered.tolist())]
+            exps = E[monomial]
+            t, j = np.nonzero(exps)
+            sets.append((coeffs[t] * exps[t, j], rows[t] * nvars + j,
+                         index[monomial[t], j], nrows * nvars))
         exponents = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
-        return cls(coeffs, np.repeat(np.asarray(rows, dtype=np.int64), sizes),
-                   exponents, monomial, nrows)
+        return cls(exponents, sets)
 
-    def jacobian(self) -> "_Batched":
-        """The evaluator of every partial derivative, d row_i / d x_j in row
-        i * nvars + j.  A term c x^e gives the terms c e_j x^(e - 1_j), in
-        the order and with the coefficients of MultiPoly.diff (a complex
-        times a small integer rounds once either way), but without building
-        the derivative polynomials."""
-        coeffs, rows, E, monomial = self.term_arrays
-        n = E.shape[1]
-        # the distinct lowered monomials, one per nonzero (monomial, j)
-        u, j = np.nonzero(E)
-        lowered = E[u]
-        lowered[np.arange(len(u)), j] -= 1
-        unique = {}
-        index = np.zeros_like(E)
-        index[u, j] = [unique.setdefault(e, len(unique))
-                       for e in map(tuple, lowered.tolist())]
-        exps = E[monomial]
-        t, j = np.nonzero(exps)
-        return _Batched(coeffs[t] * exps[t, j], rows[t] * n + j,
-                        np.array(list(unique), dtype=np.int64).reshape(-1, n),
-                        index[monomial[t], j], self.nrows * n)
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def evaluate(self, x: np.ndarray, sets=(0,)) -> tuple:
+        """The sums of the given term sets, each (nrows,) at a point or
+        (P, nrows) at a batch, from one table."""
         x = np.asarray(x, dtype=complex)
         X = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-        P, n = X.shape
-        if self.empty:
-            return np.zeros(x.shape[:-1] + (self.nrows,), dtype=complex)
+        chosen = [self.sets[k] for k in sets]
+        mono = None if all(terms.empty for terms in chosen) else self._table(X)
+        return tuple(terms.sum(mono, len(X)).reshape(x.shape[:-1] + (terms.nrows,))
+                     for terms in chosen)
+
+    def _table(self, X: np.ndarray) -> np.ndarray:
+        """The (P, width) monomial table at the rows of X."""
         # Each row of the batch comes out bit for bit as that point would
         # alone.  numpy's elementwise complex multiply may take a vector
         # kernel whose rounding differs from its scalar loop, and which one
         # it takes depends on the operands' layout, so every elementwise
-        # complex product below has C-contiguous operands, as at a single
-        # point.  A monomial is a reduction over the last axis of a
-        # C-contiguous (P, u, 2) gather, which takes the scalar product
-        # whatever P is (a * b on the two halves would take the vector
-        # kernel).  One bincount sums the real and the imaginary parts of
-        # each row in term order.
+        # complex product has C-contiguous operands, as at a single point.
+        # A narrow level is a reduction over the last axis of a C-contiguous
+        # (P, u, 2) gather, which takes the scalar product whatever P is
+        # (a * b on the two halves would take the vector kernel).  A level
+        # of at least _PLANAR_PRODUCTS products is the scalar product's
+        # float64 arithmetic on the real and imaginary planes, re = ar br -
+        # ai bi and im = ar bi + ai br, which gives the same bits at finite
+        # factors and costs less there.
+        P, n = X.shape
         K = self.max_exp + 1
         table = np.empty((K, P, n), dtype=complex)
         table[0] = 1.0
@@ -230,27 +272,25 @@ class _Batched:
         mono = np.empty((P, self.width), dtype=complex)
         mono[:, :K * n] = table.transpose(1, 0, 2).reshape(P, K * n)
         for columns, pairs in self.levels:
-            np.multiply.reduce(mono.take(pairs, axis=1), axis=2, out=mono[:, columns])
-        vals = self.coeffs * mono.take(self.inverse, axis=1)
-        sums = np.bincount(self._batch_bins(P), weights=vals.view(np.float64).ravel(),
-                           minlength=2 * P * self.nrows)
-        out = sums[0::2] + 1j * sums[1::2]
-        return out.reshape(x.shape[:-1] + (self.nrows,))
-
-    def _batch_bins(self, P: int) -> np.ndarray:
-        """The bins of the terms at P points, row after row: a prefix of one
-        array built for max(P, BLOCK_PATHS) points, which grows only when a
-        larger batch comes."""
-        size = P * len(self.bins)
-        if len(self.wide_bins) < size:
-            rows = np.arange(max(P, BLOCK_PATHS))[:, None]
-            self.wide_bins = (self.bins + 2 * self.nrows * rows).ravel()
-        return self.wide_bins[:size]
+            if P * len(pairs) < _PLANAR_PRODUCTS:
+                np.multiply.reduce(mono.take(pairs, axis=1), axis=2,
+                                   out=mono[:, columns])
+                continue
+            a = mono.take(pairs[:, 0], axis=1)
+            b = mono.take(pairs[:, 1], axis=1)
+            re = a.real * b.real
+            re -= a.imag * b.imag
+            im = a.real * b.imag
+            im += a.imag * b.real
+            out = mono[:, columns]
+            out.real = re
+            out.imag = im
+        return mono
 
 
 class PolySystem:
     """A list of MultiPoly over a shared variable list, with fast batched
-    evaluation of the system and its Jacobian."""
+    evaluation of the system and its Jacobian from one monomial table."""
 
     def __init__(self, polys):
         polys = [p for p in polys]
@@ -261,8 +301,7 @@ class PolySystem:
             raise ContinuationError("variable count mismatch in system")
         self.polys = polys
         self.nvars = nvars
-        self._value = None
-        self._jac = None
+        self._batched = None
 
     def __len__(self):
         return len(self.polys)
@@ -274,25 +313,28 @@ class PolySystem:
     def degrees(self):
         return [p.degree() for p in self.polys]
 
-    def _value_eval(self):
-        if self._value is None:
+    def _evaluator(self) -> _Batched:
+        if self._batched is None:
             m = len(self.polys)
-            self._value = _Batched.of(self.polys, self.nvars, m, range(m))
-        return self._value
+            self._batched = _Batched.of(self.polys, self.nvars, m, range(m),
+                                        jacobian=True)
+        return self._batched
 
-    def _jac_eval(self):
-        if self._jac is None:
-            self._jac = self._value_eval().jacobian()
-        return self._jac
+    def _shaped(self, flat) -> np.ndarray:
+        return flat.reshape(flat.shape[:-1] + (len(self.polys), self.nvars))
 
     def evaluate(self, x) -> np.ndarray:
         """Values at a point (m,), or at each row of a (P, n) batch (P, m)."""
-        return self._value_eval().evaluate(x)
+        return self._evaluator().evaluate(x, (0,))[0]
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobian at a point (m, n), or at each row of a batch (P, m, n)."""
-        flat = self._jac_eval().evaluate(x)
-        return flat.reshape(flat.shape[:-1] + (len(self.polys), self.nvars))
+        return self._shaped(self._evaluator().evaluate(x, (1,))[0])
+
+    def evaluate_and_jacobian(self, x) -> tuple:
+        """evaluate(x) and jacobian(x), bit for bit, from one monomial table."""
+        values, flat = self._evaluator().evaluate(x, (0, 1))
+        return values, self._shaped(flat)
 
 
 def _as_system(f) -> PolySystem:
@@ -323,13 +365,30 @@ class Homotopy:
     # x is one point with a scalar t, or a (P, n) batch with one t per row.
     # The target and start halves of the stacked evaluation are copied to
     # C-contiguous arrays, so that they multiply as they would at a single
-    # point (see _Batched.evaluate).
+    # point (see _Batched._table).
+
+    @staticmethod
+    def _split(both) -> np.ndarray:
+        """Target and start halves of stacked values (2, m) or (2, P, m)."""
+        both = both.reshape(both.shape[:-1] + (2, -1))
+        return np.ascontiguousarray(both.swapaxes(0, -2))
+
+    @staticmethod
+    def _split_jacobian(both) -> np.ndarray:
+        """Target and start halves of a stacked Jacobian (2, m, n) or
+        (2, P, m, n)."""
+        both = both.reshape(both.shape[:-2] + (2, -1, both.shape[-1]))
+        return np.ascontiguousarray(both.swapaxes(0, -3))
 
     def _halves(self, x) -> np.ndarray:
         """Target and start values at x, stacked: (2, m) or (2, P, m)."""
-        both = self._both.evaluate(x)
-        both = both.reshape(both.shape[:-1] + (2, -1))
-        return np.ascontiguousarray(both.swapaxes(0, -2))
+        return self._split(self._both.evaluate(x))
+
+    def _all_halves(self, x) -> tuple:
+        """The halves of the values and of the Jacobian at x, from one
+        monomial table."""
+        values, jac = self._both.evaluate_and_jacobian(x)
+        return self._split(values), self._split_jacobian(jac)
 
     def _combine(self, halves, t) -> np.ndarray:
         """h(x, t) from the halves at x."""
@@ -337,15 +396,17 @@ class Homotopy:
         t = np.asarray(t, dtype=float)[..., None]
         return (1.0 - t) * fv + self.gamma * t * gv
 
+    def _combine_jacobian(self, halves, t) -> np.ndarray:
+        """dh/dx (x, t) from the Jacobian halves at x."""
+        fj, gj = halves
+        t = np.asarray(t, dtype=float)[..., None, None]
+        return (1.0 - t) * fj + self.gamma * t * gj
+
     def value(self, x, t) -> np.ndarray:
         return self._combine(self._halves(x), t)
 
     def jacobian_x(self, x, t) -> np.ndarray:
-        both = self._both.jacobian(x)
-        both = both.reshape(both.shape[:-2] + (2, -1, both.shape[-1]))
-        fj, gj = np.ascontiguousarray(both.swapaxes(0, -3))
-        t = np.asarray(t, dtype=float)[..., None, None]
-        return (1.0 - t) * fj + self.gamma * t * gj
+        return self._combine_jacobian(self._split_jacobian(self._both.jacobian(x)), t)
 
     def dh_dt(self, x) -> np.ndarray:
         return self._dh_dt(self._halves(x))
@@ -363,6 +424,10 @@ class TrackResult:
     steps: int
     max_imag: float
     trajectory: tuple = field(default=(), compare=False, repr=False)
+    #: work counters, in no report: Newton updates of the corrector and the
+    #: endgame polish, and rejected steps
+    newton_updates: int = field(default=0, compare=False)
+    rejected_steps: int = field(default=0, compare=False)
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -402,46 +467,48 @@ def _solve(A: np.ndarray, b: np.ndarray) -> tuple:
         return y, singular
 
 
-def _newton(value, jacobian, x, tol, max_iter):
+def _newton(system, x, tol, max_iter):
     """Newton iteration on each row of the (P, n) batch x, to the per-row
-    tolerances tol.  value(z, rows) and jacobian(z, rows) evaluate the system
-    at the points z, which stand for the rows `rows` of the batch.  A row
-    checks its residual before each update, so an exact solution comes back
-    bit for bit unchanged, and stops at a singular Jacobian.  A row makes at
-    most max_iter + 1 updates, and its residual is checked once more after
-    the last.  Returns (x, ok) with the last iterate of every row."""
+    tolerances tol.  system(z, rows) gives the residuals and the Jacobians
+    of the system at the points z, which stand for the rows `rows` of the
+    batch.  A row checks its residual before each update, so an exact
+    solution comes back bit for bit unchanged, and stops at a singular
+    Jacobian.  A row makes at most max_iter + 1 updates, and its residual is
+    checked once more after the last.  Returns (x, ok, updates) with the
+    last iterate of every row and its number of updates."""
     x = x.copy()
     ok = np.zeros(len(x), dtype=bool)
+    updates = np.zeros(len(x), dtype=int)
     rows, z = np.arange(len(x)), x
     for _ in range(max_iter + 1):
-        r = value(z, rows)
+        r, J = system(z, rows)
         done = _norms(r) <= tol
         finished = np.count_nonzero(done)
         if finished:
             x[rows[done]] = z[done]
             ok[rows[done]] = True
             if finished == len(rows):
-                return x, ok
+                return x, ok, updates
             keep = ~done
-            rows, z, tol, r = rows[keep], z[keep], tol[keep], r[keep]
-        dz, singular = _solve(jacobian(z, rows), r)
+            rows, z, tol, r, J = rows[keep], z[keep], tol[keep], r[keep], J[keep]
+        dz, singular = _solve(J, r)
         if singular:
             x[rows[singular]] = z[singular]
             if len(singular) == len(rows):
-                return x, ok
+                return x, ok, updates
             keep = np.ones(len(rows), dtype=bool)
             keep[singular] = False
             rows, z, tol, dz = rows[keep], z[keep], tol[keep], dz[keep]
         z = z - dz
-    ok[rows] = _norms(value(z, rows)) <= tol
+        updates[rows] += 1
+    ok[rows] = _norms(system(z, rows)[0]) <= tol
     x[rows] = z
-    return x, ok
+    return x, ok, updates
 
 
 def _newton_on(system: PolySystem, x, tol, max_iter):
     """_newton on a system without a homotopy parameter."""
-    return _newton(lambda z, rows: system.evaluate(z),
-                   lambda z, rows: system.jacobian(z), x, tol, max_iter)
+    return _newton(lambda z, rows: system.evaluate_and_jacobian(z), x, tol, max_iter)
 
 
 def track_paths(h: Homotopy, starts, record: bool = False) -> list:
@@ -451,25 +518,31 @@ def track_paths(h: Homotopy, starts, record: bool = False) -> list:
     accepted t, adaptive halving/doubling of the step, then a final Newton
     polish on the target at t = 0.  The paths advance in lockstep, so each
     step evaluates and solves them as one batch of up to BLOCK_PATHS rows.
-    Each path keeps its own t, step size and counters and leaves the batch
-    when it ends, and a new start takes its row at once, so the batch stays
-    full until the starts run out.  Ended paths get the endgame and their
-    final residuals in chunks of up to BLOCK_PATHS.  A path's result does
-    not depend on the others; results come back in the order of the starts.
+    Each Newton iterate evaluates the values and the Jacobian from one
+    monomial table, and the predictor combines those kept from the accepted
+    point, so it evaluates nothing.  Each path keeps its own t, step size
+    and counters and leaves the batch when it ends, and a new start takes
+    its row at once, so the batch stays full until the starts run out.
+    Ended paths get the endgame and their final residuals in chunks of up to
+    BLOCK_PATHS.  A path's result does not depend on the others; results
+    come back in the order of the starts.
 
-    More than BLOCK_PATHS starts are dealt out in turn over the c cores this
-    process may run on: it tracks the starts 0, c, 2c, ... itself, and each
-    of c - 1 forked processes tracks the starts k, k + c, ... for one k and
-    sends back its results, or the exception it raised, over a pipe.  The
-    results are the same as in one process.  With one core, at most
-    BLOCK_PATHS starts, no fork on the platform, or in a daemonic process,
-    every path is tracked in this process.
+    More than BLOCK_PATHS starts are dealt out in turn over c processes, one
+    per core this process may run on, but no more than there are batches of
+    BLOCK_PATHS among the first cores * BLOCK_PATHS starts: this process
+    tracks the starts 0, c, 2c, ... itself, and each of c - 1 forked
+    processes tracks the starts k, k + c, ... for one k and sends back its
+    results, or the exception it raised, over a pipe.  The results are the
+    same as in one process.  With one core, at most BLOCK_PATHS starts, no
+    fork on the platform, or in a daemonic process, every path is tracked in
+    this process.
     """
     starts = iter(starts)
-    head = list(itertools.islice(starts, BLOCK_PATHS + 1))
-    starts = itertools.chain(head, starts)
     cores = _usable_cores()
-    if len(head) > BLOCK_PATHS and cores > 1:
+    head = list(itertools.islice(starts, cores * BLOCK_PATHS))
+    starts = itertools.chain(head, starts)
+    processes = min(cores, -(-len(head) // BLOCK_PATHS))
+    if processes > 1:
         import multiprocessing
         # fork, not spawn: a forked process inherits the homotopy and the
         # start iterator and imports nothing again.  A daemonic process,
@@ -477,7 +550,7 @@ def track_paths(h: Homotopy, starts, record: bool = False) -> list:
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
             return _track_forked(multiprocessing.get_context("fork"), h, starts,
-                                 record, cores)
+                                 record, processes)
     return _track_lockstep(h, starts, record)
 
 
@@ -486,20 +559,21 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _track_forked(ctx, h: Homotopy, starts, record: bool, cores: int) -> list:
-    """track_paths over `cores` processes; see there.  Every forked process
+def _track_forked(ctx, h: Homotopy, starts, record: bool, processes: int) -> list:
+    """track_paths over `processes` processes; see there.  Every forked process
     is ended and joined before this returns or raises."""
     workers = []  # (process, receiving end of its pipe)
     try:
-        for k in range(1, cores):
+        for k in range(1, processes):
             receiver, sender = ctx.Pipe(duplex=False)
             # the fork copies the iterator, so each share starts from start 0
             worker = ctx.Process(target=_track_share, args=(
-                sender, h, itertools.islice(starts, k, None, cores), record))
+                sender, h, itertools.islice(starts, k, None, processes), record))
             worker.start()
             workers.append((worker, receiver))
             sender.close()
-        shares = [_track_lockstep(h, itertools.islice(starts, 0, None, cores), record)]
+        shares = [_track_lockstep(h, itertools.islice(starts, 0, None, processes),
+                                  record)]
         for worker, receiver in workers:
             try:
                 share = receiver.recv()
@@ -518,7 +592,7 @@ def _track_forked(ctx, h: Homotopy, starts, record: bool, cores: int) -> list:
             receiver.close()
     results = [None] * sum(map(len, shares))
     for k, share in enumerate(shares):
-        results[k::cores] = share
+        results[k::processes] = share
     return results
 
 
@@ -538,18 +612,24 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
     target = h.target
     deg = max(target.degrees, default=1)
     deg_h = max(deg, max(h.start.degrees, default=1))
+    m, n = len(target), target.nvars
     results = []  # per start, filled in as chunks of ended paths finish
     trajs = [] if record else None  # per start
-    ended = []    # (start, point, status, steps) of paths awaiting the endgame
+    # (start, point, status, steps, Newton updates, rejected steps) of paths
+    # awaiting the endgame
+    ended = []
 
     # the live paths, compacted together as paths end: start index, point,
-    # t, the halves at the point (reused by the predictor), step size,
-    # accepted steps in a row and step count
+    # t, the halves of the values and of the Jacobian at the point (the
+    # predictor combines them), step size, accepted steps in a row, step
+    # count, Newton updates and rejected steps
     idx = np.zeros(0, int)
-    x = np.zeros((0, target.nvars), dtype=complex)
-    fg = np.zeros((2, 0, len(target)), dtype=complex)
+    x = np.zeros((0, n), dtype=complex)
+    fg = np.zeros((2, 0, m), dtype=complex)
+    jac = np.zeros((2, 0, m, n), dtype=complex)
     t, dt = np.zeros(0), np.zeros(0)
     accepts, steps = np.zeros(0, int), np.zeros(0, int)
+    updates, rejected = np.zeros(0, int), np.zeros(0, int)
     more = True
 
     while True:
@@ -559,7 +639,7 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
             more = len(new) == BLOCK_PATHS - idx.size
             if new:
                 X, k = np.array(new), len(new)
-                fg_new = h._halves(X)
+                fg_new, jac_new = h._all_halves(X)
                 for res in _norms(h._combine(fg_new, np.ones(k))):
                     if res > TOL_START:
                         raise ContinuationError(
@@ -567,43 +647,50 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
                             f"(residual {res:.2e})")
                 if record:
                     trajs += [[(1.0, x0.copy())] for x0 in X]
+                zero = np.zeros(k, int)
                 fresh = (np.arange(len(results), len(results) + k), X, np.ones(k),
-                         np.full(k, DT_INIT), np.zeros(k, int), np.zeros(k, int))
-                idx, x, t, dt, accepts, steps = (
+                         np.full(k, DT_INIT), zero, zero, zero, zero)
+                idx, x, t, dt, accepts, steps, updates, rejected = (
                     np.concatenate(pair) for pair in
-                    zip((idx, x, t, dt, accepts, steps), fresh))
+                    zip((idx, x, t, dt, accepts, steps, updates, rejected), fresh))
                 fg = np.concatenate([fg, fg_new], axis=1)
+                jac = np.concatenate([jac, jac_new], axis=1)
                 results += [None] * k
         if not idx.size:
             break
 
         step = np.minimum(dt, t - T_CUTOFF)
         t_new = t - step
-        dxdt, singular = _solve(h.jacobian_x(x, t), -h._dh_dt(fg))
+        dxdt, singular = _solve(h._combine_jacobian(jac, t), -h._dh_dt(fg))
         # a row whose predictor failed is corrected too, and then rejected
         x_pred = x - step[:, None] * dxdt
         # scale the tolerance with the local value magnitude: far from the
         # origin the residual floor is ~eps * |x|^deg and an absolute
         # threshold below it would stall the path
         corr_tol = NEWTON_TOL * _one_plus_pow(_norms(x_pred), deg_h)
-        fg_new = np.empty_like(fg)
+        fg_new, jac_new = np.empty_like(fg), np.empty_like(jac)
 
-        def value(z, rows):
-            fg_new[:, rows] = part = h._halves(z)
-            return h._combine(part, t_new[rows])
+        def system(z, rows):
+            part, jac_part = h._all_halves(z)
+            fg_new[:, rows], jac_new[:, rows] = part, jac_part
+            t_rows = t_new[rows]
+            return h._combine(part, t_rows), h._combine_jacobian(jac_part, t_rows)
 
-        x_corr, ok = _newton(value, lambda z, rows: h.jacobian_x(z, t_new[rows]),
-                             x_pred, corr_tol, MAX_NEWTON)
+        x_corr, ok, made = _newton(system, x_pred, corr_tol, MAX_NEWTON)
         ok[singular] = False
-        # an accepted row's last residual was taken at its new point
+        # an accepted row's last residual and Jacobian were taken at its new
+        # point
         x = np.where(ok[:, None], x_corr, x)
         fg = np.where(ok[:, None], fg_new, fg)
+        jac = np.where(ok[:, None, None], jac_new, jac)
         t = np.where(ok, t_new, t)
         if record:
             for k, t_k in zip(np.flatnonzero(ok).tolist(), t[ok].tolist()):
                 trajs[idx[k]].append((t_k, x[k].copy()))
 
         steps += 1
+        updates += made
+        rejected += ~ok
         accepts = np.where(ok, accepts + 1, 0)
         grow = accepts >= GROW_AFTER
         accepts[grow] = 0
@@ -619,10 +706,11 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
             status = np.where(diverged[out], "diverged",
                               np.where(t[out] > T_CUTOFF, "step_underflow", ""))
             ended += zip(idx[out].tolist(), x[out], status.tolist(),
-                         steps[out].tolist())
-            idx, x, fg, t, dt, accepts, steps = (
-                idx[keep], x[keep], fg[:, keep], t[keep], dt[keep],
-                accepts[keep], steps[keep])
+                         steps[out].tolist(), updates[out].tolist(),
+                         rejected[out].tolist())
+            idx, x, fg, jac, t, dt, accepts, steps, updates, rejected = (
+                idx[keep], x[keep], fg[:, keep], jac[:, keep], t[keep], dt[keep],
+                accepts[keep], steps[keep], updates[keep], rejected[keep])
             while len(ended) >= BLOCK_PATHS:
                 _finish(target, deg, ended[:BLOCK_PATHS], results, trajs)
                 del ended[:BLOCK_PATHS]
@@ -642,17 +730,19 @@ def _finish(target: PolySystem, deg: int, ended: list, results: list,
     polish directly on the target system for the paths that reached
     T_CUTOFF, then each path's TrackResult into results.  trajs is None
     unless the trajectories are recorded."""
-    ids = [i for i, _, _, _ in ended]
-    X = np.array([p for _, p, _, _ in ended])
-    status = np.array([s for _, _, s, _ in ended], dtype=object)
+    ids = [path[0] for path in ended]
+    X = np.array([path[1] for path in ended])
+    status = np.array([path[2] for path in ended], dtype=object)
+    updates = np.array([path[4] for path in ended])
 
     def tol_end(points):
         return TOL_END_REL * _one_plus_pow(_norms(points), deg)
 
     end = np.flatnonzero(status == "")
     if end.size:
-        X[end], _ = _newton_on(target, X[end], 1e-4 * tol_end(X[end]),
-                               POLISH_STEPS)
+        X[end], _, polish = _newton_on(target, X[end], 1e-4 * tol_end(X[end]),
+                                       POLISH_STEPS)
+        updates[end] += polish
         if trajs is not None:
             for i in end:
                 trajs[ids[i]].append((0.0, X[i].copy()))
@@ -666,11 +756,13 @@ def _finish(target: PolySystem, deg: int, ended: list, results: list,
     status[end] = np.where(far[end], "diverged",
                            np.where(good[end], "converged", "step_underflow"))
     max_imag = np.max(np.abs(X.imag), axis=1, initial=0.0)
-    for k, (i, _, _, n_steps) in enumerate(ended):
+    for k, (i, _, _, n_steps, _, n_rejected) in enumerate(ended):
         results[i] = TrackResult(endpoint=X[k].copy(), status=status[k],
                                  residual=float(residual[k]), steps=n_steps,
                                  max_imag=float(max_imag[k]),
-                                 trajectory=() if trajs is None else tuple(trajs[i]))
+                                 trajectory=() if trajs is None else tuple(trajs[i]),
+                                 newton_updates=int(updates[k]),
+                                 rejected_steps=n_rejected)
 
 
 def solve_total_degree(f, seed=None, budget: int | None = None,
@@ -844,7 +936,7 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
         target = squared(shift + epsilon)
         # settle the anchor exactly onto the start system before tracking;
         # after the first push it is complex and only approximately on it
-        settled, ok = _newton_on(start, anchor[None], np.array([1e-12]), 10)
+        settled, ok, _ = _newton_on(start, anchor[None], np.array([1e-12]), 10)
         anchor = settled[0]
         if not ok[0]:
             results.append(DeformationStep(
@@ -908,25 +1000,23 @@ REAL_POLISH_STEPS = 50
 
 def _polish_real(target: PolySystem, x: np.ndarray) -> tuple:
     """Gauss-Newton on a real system, here {members = 0, sphere = 0}."""
-    def val(z):
-        return target.evaluate(z.astype(complex)).real
-
-    def jac(z):
-        return target.jacobian(z.astype(complex)).real
+    def val_jac(z):
+        values, jac = target.evaluate_and_jacobian(z.astype(complex))
+        return values.real, jac.real
 
     prev = np.inf
+    r, J = val_jac(x)
     for _ in range(REAL_POLISH_STEPS):
-        r = val(x)
         worst = np.max(np.abs(r))
         if worst <= 1e-12 or worst >= prev:
             break
         prev = worst
-        J = jac(x)
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
         if not np.all(np.isfinite(step)):
             break
         x = x - step
-    return x, float(np.max(np.abs(val(x))))
+        r, J = val_jac(x)
+    return x, float(np.max(np.abs(r)))
 
 
 def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,

@@ -250,6 +250,8 @@ def _dense_system(degrees, seed):
 def _assert_same_result(a, b):
     assert np.array_equal(a.endpoint, b.endpoint)
     assert (a.status, a.steps) == (b.status, b.steps)
+    assert (a.newton_updates, a.rejected_steps) == (b.newton_updates, b.rejected_steps)
+    assert 0 <= a.rejected_steps <= a.steps and a.newton_updates >= 0
     assert a.residual == b.residual and a.max_imag == b.max_imag
     assert len(a.trajectory) == len(b.trajectory)
     for (ta, xa), (tb, xb) in zip(a.trajectory, b.trajectory):
@@ -393,9 +395,9 @@ def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
         predictor.append((halves.shape[1], taken[0]))
         return real_dh_dt(self, halves)
 
-    def evaluate(self, x):
+    def evaluate(self, x, *sets):
         evaluated.append(np.asarray(x).reshape(-1, np.shape(x)[-1]).shape[0])
-        return real_evaluate(self, x)
+        return real_evaluate(self, x, *sets)
 
     monkeypatch.setattr(continuation, "track_paths",
                         lambda h, starts, record=False:
@@ -436,7 +438,34 @@ def test_forked_shares_give_the_results_of_one_process(cores, monkeypatch):
     shared = solve_total_degree(_quintic(), seed=3, record=True)
     assert forks == [cores]
     assert len(shared) == len(alone) == 75
+    # the work counters come back through the pipe with the rest
     for a, b in zip(shared, alone):
+        _assert_same_result(a, b)
+    assert all(r.newton_updates > 0 for r in shared)
+    assert any(r.rejected_steps > 0 for r in shared)
+
+
+def test_no_more_processes_than_batches_of_starts(monkeypatch):
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
+    h, roots = _cube_roots()
+    starts = roots * 3
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
+    alone = track_paths(h, starts, record=True)
+    # 9 starts make 3 batches of at most 4, so 3 of the 8 cores track them
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 8)
+    forks = _forks(monkeypatch)
+    forked, real_fork = [], os.fork
+
+    def counted_fork():
+        if len(forked) == 2:
+            raise AssertionError("a third fork")
+        forked.append(True)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    shared = track_paths(h, starts, record=True)
+    assert forks == [3] and len(forked) == 2
+    for a, b in zip(shared, alone, strict=True):
         _assert_same_result(a, b)
 
 
@@ -556,12 +585,12 @@ def _kernel_points(rng, P, n):
     return X
 
 
-def _oracle_pairs(f):
-    """(evaluator, reference) for the values and the Jacobian of f."""
+def _references(f):
+    """_GatherReduce of the values and of the flattened Jacobian of f."""
     m, n = len(f), f.nvars
     diffs = [p.diff(j) for p in f.polys for j in range(n)]
-    return [(f._value_eval(), _GatherReduce(f.polys, n, m, range(m))),
-            (f._jac_eval(), _GatherReduce(diffs, n, m * n, range(m * n)))]
+    return (_GatherReduce(f.polys, n, m, range(m)),
+            _GatherReduce(diffs, n, m * n, range(m * n)))
 
 
 def _epscheck_homotopy(monkeypatch):
@@ -601,16 +630,47 @@ KERNEL_SYSTEMS = {
 def test_prefix_products_match_the_gather_and_reduce_bit_for_bit(name, monkeypatch):
     f = (_epscheck_homotopy(monkeypatch) if name == "epscheck"
          else KERNEL_SYSTEMS[name]())
+    m, n = len(f), f.nvars
+    values, jacobian = _references(f)
+    widths = [len(pairs) for _, pairs in f._evaluator().levels]
+    planar = set()
     rng = np.random.default_rng(97)
     for P in (1, 3, 64, 65):
-        X = _kernel_points(rng, P, f.nvars)
-        for evaluator, reference in _oracle_pairs(f):
-            expected = reference.evaluate(X).view(np.float64)
-            assert np.array_equal(evaluator.evaluate(X).view(np.float64),
-                                  expected, equal_nan=True)
-            for k in (0, P - 1):
-                assert np.array_equal(evaluator.evaluate(X[k]).view(np.float64),
-                                      expected[k], equal_nan=True)
+        planar.update(P * u >= continuation._PLANAR_PRODUCTS for u in widths)
+        X = _kernel_points(rng, P, n)
+        expected = (values.evaluate(X).view(np.float64),
+                    jacobian.evaluate(X).reshape(P, m, n).view(np.float64))
+        for k in (slice(None), 0, P - 1):
+            got = (f.evaluate(X[k]), f.jacobian(X[k])) + f.evaluate_and_jacobian(X[k])
+            for out, want in zip(got, expected * 2):
+                assert np.array_equal(out.view(np.float64), want[k], equal_nan=True)
+    if name == "epscheck":
+        # both products of a level are checked
+        assert planar == {False, True}
+
+
+def test_a_non_finite_imaginary_sum_keeps_its_real_sum():
+    """The one change from the sums[0::2] + 1j * sums[1::2] assembly of
+    _GatherReduce: where an imaginary sum is inf or NaN, 0 * inf made the
+    real part NaN there, and the complex view keeps the real sum."""
+    big = 1 + 1e308j
+    f = PolySystem([MultiPoly(3, {(1, 0, 0): big, (0, 1, 0): big}),
+                    MultiPoly(3, {(1, 0, 0): big, (0, 1, 0): big,
+                                  (0, 0, 1): big.conjugate()}),
+                    MultiPoly(3, {(1, 1, 1): 2.0 - 1j})])
+    # the terms of row 0 are 1 + 1e308j twice, so its imaginary sum is inf;
+    # row 1 adds 2 - inf j, so its imaginary sum is NaN
+    X = np.array([[1.0, 1.0, 2.0]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, jac = f.evaluate(X), f.jacobian(X)
+        both = f.evaluate_and_jacobian(X)
+        old = _references(f)[0].evaluate(X)
+    assert values[0, 0].real == 2.0 and values[0, 0].imag == np.inf
+    assert values[0, 1].real == 4.0 and np.isnan(values[0, 1].imag)
+    assert np.isnan(old[0, 0].real) and np.isnan(old[0, 1].real)
+    assert values[0, 2] == old[0, 2] == 4.0 - 2.0j
+    assert np.array_equal(both[0], values, equal_nan=True)
+    assert np.array_equal(both[1], jac, equal_nan=True)
 
 
 def test_a_nan_polish_residual_is_no_witness(monkeypatch):

@@ -1,0 +1,87 @@
+"""Write a digest of every path-tracking result of a fixed set of commands.
+
+    python3 tools/track_digest.py OUT_FILE
+
+Runs the subcommands below through `tensegrity.cli.run_command`, from the
+sources of the checkout this file sits in, and records every `TrackResult`
+that `continuation.track_paths` returns while they run.  OUT_FILE gets one
+line per command (its arguments and exit code) and, under it, one line per
+result: its index, status, step count, the `repr` of its residual and of
+its largest imaginary part, and the sha256 of its endpoint's bytes.  Run it
+in two checkouts and compare with `diff`: an empty diff means the two
+trackers agree bit for bit on every path of the set.
+
+- `epscheck` on triangle and hinge, at seeds 0 and 5;
+- `deform --steps 3` on 3prism, square and hinge;
+- `solve` on the three systems of `tools/write_reports.py`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tensegrity import continuation  # noqa: E402
+from tensegrity.cli import run_command  # noqa: E402
+from write_reports import SEED, SYSTEMS  # noqa: E402
+
+
+def commands(input_dir: Path) -> list:
+    out = [["epscheck", fx, "--seed", seed]
+           for seed in ("0", "5") for fx in ("triangle", "hinge")]
+    out += [["deform", fx, "--steps", "3", "--seed", SEED]
+            for fx in ("3prism", "square", "hinge")]
+    out += [["solve", str(input_dir / f"{name}.json"), "--seed", SEED]
+            for name in SYSTEMS]
+    return out
+
+
+def digest(result) -> str:
+    endpoint = hashlib.sha256(result.endpoint.tobytes()).hexdigest()
+    return (f"{result.status} {result.steps} {result.residual!r} "
+            f"{result.max_imag!r} {endpoint}")
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/track_digest.py OUT_FILE", file=sys.stderr)
+        return 2
+    captured = []
+    real = continuation.track_paths
+
+    def capture(*args, **kwargs):
+        results = real(*args, **kwargs)
+        captured.extend(results)
+        return results
+
+    lines = []
+    continuation.track_paths = capture
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            input_dir = Path(tmp)
+            for name, doc in SYSTEMS.items():
+                (input_dir / f"{name}.json").write_text(json.dumps(doc))
+            for cmd in commands(input_dir):
+                captured.clear()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = run_command(cmd + ["--out", str(input_dir / "out")])
+                # the input directory changes from run to run
+                shown = [Path(a).name if a.startswith(tmp) else a for a in cmd]
+                lines.append(f"{' '.join(shown)}: exit {code}, {len(captured)} paths")
+                lines += [f"  {k} {digest(r)}" for k, r in enumerate(captured)]
+    finally:
+        continuation.track_paths = real
+    Path(argv[0]).write_text("\n".join(lines) + "\n")
+    print(f"wrote {len(lines)} lines to {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
