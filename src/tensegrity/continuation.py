@@ -58,10 +58,6 @@ TOL_END_REL = 1e-8
 #: temporaries, which grow with paths x terms
 BLOCK_PATHS = 64
 
-#: a level of the monomial table with at least this many products (points
-#: times monomials) takes the planar product; see _Batched._table
-_PLANAR_PRODUCTS = 8 * BLOCK_PATHS
-
 #: refuse total-degree solves beyond this many paths unless overridden
 DEFAULT_PATH_BUDGET = 100_000
 
@@ -243,7 +239,7 @@ class _Batched:
         """The sums of the given term sets, each (nrows,) at a point or
         (P, nrows) at a batch, from one table."""
         x = np.asarray(x, dtype=complex)
-        X = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+        X = x.reshape(-1, x.shape[-1])
         chosen = [self.sets[k] for k in sets]
         mono = None if all(terms.empty for terms in chosen) else self._table(X)
         return tuple(terms.sum(mono, len(X)).reshape(x.shape[:-1] + (terms.nrows,))
@@ -251,18 +247,6 @@ class _Batched:
 
     def _table(self, X: np.ndarray) -> np.ndarray:
         """The (P, width) monomial table at the rows of X."""
-        # Each row of the batch comes out bit for bit as that point would
-        # alone.  numpy's elementwise complex multiply may take a vector
-        # kernel whose rounding differs from its scalar loop, and which one
-        # it takes depends on the operands' layout, so every elementwise
-        # complex product has C-contiguous operands, as at a single point.
-        # A narrow level is a reduction over the last axis of a C-contiguous
-        # (P, u, 2) gather, which takes the scalar product whatever P is
-        # (a * b on the two halves would take the vector kernel).  A level
-        # of at least _PLANAR_PRODUCTS products is the scalar product's
-        # float64 arithmetic on the real and imaginary planes, re = ar br -
-        # ai bi and im = ar bi + ai br, which gives the same bits at finite
-        # factors and costs less there.
         P, n = X.shape
         K = self.max_exp + 1
         table = np.empty((K, P, n), dtype=complex)
@@ -272,19 +256,8 @@ class _Batched:
         mono = np.empty((P, self.width), dtype=complex)
         mono[:, :K * n] = table.transpose(1, 0, 2).reshape(P, K * n)
         for columns, pairs in self.levels:
-            if P * len(pairs) < _PLANAR_PRODUCTS:
-                np.multiply.reduce(mono.take(pairs, axis=1), axis=2,
-                                   out=mono[:, columns])
-                continue
-            a = mono.take(pairs[:, 0], axis=1)
-            b = mono.take(pairs[:, 1], axis=1)
-            re = a.real * b.real
-            re -= a.imag * b.imag
-            im = a.real * b.imag
-            im += a.imag * b.real
-            out = mono[:, columns]
-            out.real = re
-            out.imag = im
+            np.multiply(mono.take(pairs[:, 0], axis=1), mono.take(pairs[:, 1], axis=1),
+                        out=mono[:, columns])
         return mono
 
 
@@ -363,22 +336,19 @@ class Homotopy:
                            PolySystem(list(target.polys) + list(start.polys)))
 
     # x is one point with a scalar t, or a (P, n) batch with one t per row.
-    # The target and start halves of the stacked evaluation are copied to
-    # C-contiguous arrays, so that they multiply as they would at a single
-    # point (see _Batched._table).
 
     @staticmethod
     def _split(both) -> np.ndarray:
         """Target and start halves of stacked values (2, m) or (2, P, m)."""
         both = both.reshape(both.shape[:-1] + (2, -1))
-        return np.ascontiguousarray(both.swapaxes(0, -2))
+        return both.swapaxes(0, -2)
 
     @staticmethod
     def _split_jacobian(both) -> np.ndarray:
         """Target and start halves of a stacked Jacobian (2, m, n) or
         (2, P, m, n)."""
         both = both.reshape(both.shape[:-2] + (2, -1, both.shape[-1]))
-        return np.ascontiguousarray(both.swapaxes(0, -3))
+        return both.swapaxes(0, -3)
 
     def _halves(self, x) -> np.ndarray:
         """Target and start values at x, stacked: (2, m) or (2, P, m)."""
@@ -430,26 +400,6 @@ class TrackResult:
     rejected_steps: int = field(default=0, compare=False)
 
 
-def _norms(a: np.ndarray) -> np.ndarray:
-    """2-norm of each row of a complex (P, k) array, by the dot products
-    np.linalg.norm uses for one vector, so each equals that norm bit for bit."""
-    re, im = a.real[:, None, :], a.imag[:, None, :]
-    return np.sqrt(np.matmul(re, re.swapaxes(1, 2))[:, 0, 0]
-                   + np.matmul(im, im.swapaxes(1, 2))[:, 0, 0])
-
-
-def _one_plus_pow(norms: np.ndarray, deg: int) -> np.ndarray:
-    """1 + norm ** deg per row, by the scalar pow (numpy's vectorised power
-    may round differently); inf where it overflows."""
-    out = []
-    for v in norms.tolist():
-        try:
-            out.append(1.0 + v ** deg)
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out)
-
-
 def _solve(A: np.ndarray, b: np.ndarray) -> tuple:
     """Solve the stacked systems A[k] y = b[k].  Returns y and the list of
     the k whose A[k] is singular; their rows of y are zero and the other
@@ -482,7 +432,7 @@ def _newton(system, x, tol, max_iter):
     rows, z = np.arange(len(x)), x
     for _ in range(max_iter + 1):
         r, J = system(z, rows)
-        done = _norms(r) <= tol
+        done = np.linalg.norm(r, axis=1) <= tol
         finished = np.count_nonzero(done)
         if finished:
             x[rows[done]] = z[done]
@@ -501,7 +451,7 @@ def _newton(system, x, tol, max_iter):
             rows, z, tol, dz = rows[keep], z[keep], tol[keep], dz[keep]
         z = z - dz
         updates[rows] += 1
-    ok[rows] = _norms(system(z, rows)[0]) <= tol
+    ok[rows] = np.linalg.norm(system(z, rows)[0], axis=1) <= tol
     x[rows] = z
     return x, ok, updates
 
@@ -640,7 +590,7 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
             if new:
                 X, k = np.array(new), len(new)
                 fg_new, jac_new = h._all_halves(X)
-                for res in _norms(h._combine(fg_new, np.ones(k))):
+                for res in np.linalg.norm(h._combine(fg_new, np.ones(k)), axis=1):
                     if res > TOL_START:
                         raise ContinuationError(
                             "start point is not on the start system "
@@ -666,8 +616,10 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
         x_pred = x - step[:, None] * dxdt
         # scale the tolerance with the local value magnitude: far from the
         # origin the residual floor is ~eps * |x|^deg and an absolute
-        # threshold below it would stall the path
-        corr_tol = NEWTON_TOL * _one_plus_pow(_norms(x_pred), deg_h)
+        # threshold below it would stall the path; inf where |x|^deg
+        # overflows
+        with np.errstate(over="ignore"):
+            corr_tol = NEWTON_TOL * (1.0 + np.linalg.norm(x_pred, axis=1) ** deg_h)
         fg_new, jac_new = np.empty_like(fg), np.empty_like(jac)
 
         def system(z, rows):
@@ -696,7 +648,7 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
         accepts[grow] = 0
         dt = np.where(grow, np.minimum(dt * 2.0, DT_MAX),
                       np.where(ok, dt, dt * 0.5))
-        diverged = ok & (_norms(x) > DIVERGENCE)
+        diverged = ok & (np.linalg.norm(x, axis=1) > DIVERGENCE)
         # a path short of T_CUTOFF ends step_underflow at the step cap or on
         # a rejection below DT_MIN; one past it goes on to the endgame ("")
         keep = ((t > T_CUTOFF) & (steps < MAX_STEPS) & (ok | (dt >= DT_MIN))
@@ -736,7 +688,8 @@ def _finish(target: PolySystem, deg: int, ended: list, results: list,
     updates = np.array([path[4] for path in ended])
 
     def tol_end(points):
-        return TOL_END_REL * _one_plus_pow(_norms(points), deg)
+        with np.errstate(over="ignore"):
+            return TOL_END_REL * (1.0 + np.linalg.norm(points, axis=1) ** deg)
 
     end = np.flatnonzero(status == "")
     if end.size:
@@ -750,8 +703,8 @@ def _finish(target: PolySystem, deg: int, ended: list, results: list,
     residual = np.full(len(X), np.inf)
     finite = np.all(np.isfinite(X), axis=1)
     if finite.any():
-        residual[finite] = _norms(target.evaluate(X[finite]))
-    far = ~finite | (_norms(X) > DIVERGENCE)
+        residual[finite] = np.linalg.norm(target.evaluate(X[finite]), axis=1)
+    far = ~finite | (np.linalg.norm(X, axis=1) > DIVERGENCE)
     good = residual <= tol_end(X)
     status[end] = np.where(far[end], "diverged",
                            np.where(good[end], "converged", "step_underflow"))

@@ -326,6 +326,16 @@ def test_batched_evaluation_rows_match_single_points(nvars, deg, single_term):
         assert np.array_equal(h_values[k], h.value(X[k], float(t[k])))
         assert np.array_equal(h_jacobians[k], h.jacobian_x(X[k], float(t[k])))
         assert np.array_equal(h_dt[k], h.dh_dt(X[k]))
+    # the layout of the batch does not change a bit
+    wide = np.zeros((5, 2 * nvars), dtype=complex)
+    wide[:, ::2] = X
+    for Y in (np.asfortranarray(X), wide[:, ::2]):
+        both = f.evaluate_and_jacobian(Y)
+        assert np.array_equal(f.evaluate(Y), values)
+        assert np.array_equal(f.jacobian(Y), jacobians)
+        assert np.array_equal(both[0], values) and np.array_equal(both[1], jacobians)
+        assert np.array_equal(h.value(Y, t), h_values)
+        assert np.array_equal(h.jacobian_x(Y, t), h_jacobians)
 
 
 def test_batch_with_a_start_point_off_the_start_system_raises():
@@ -540,7 +550,8 @@ def test_a_daemonic_caller_tracks_every_path_itself(monkeypatch):
 class _GatherReduce:
     """The evaluator before prefix products: a (P, U, n) gather of power
     table entries, one for every variable of every distinct monomial, and
-    one reduction over the variables.  The reference for _Batched."""
+    one product over the variables, left to right.  The reference for
+    _Batched."""
 
     def __init__(self, polys, nvars, nrows, rows):
         self.nrows = nrows
@@ -564,7 +575,10 @@ class _GatherReduce:
         for k in range(1, K):
             np.multiply(table[k - 1], X, out=table[k])
         table = table.transpose(1, 0, 2).reshape(P, K * n)
-        mono = np.multiply.reduce(table.take(self.gather, axis=1), axis=2)
+        factors = table.take(self.gather, axis=1)
+        mono = factors[:, :, 0]
+        for j in range(1, n):
+            mono = mono * factors[:, :, j]
         vals = self.coeffs * mono.take(self.inverse, axis=1)
         bins = (self.bins + 2 * self.nrows * np.arange(P)[:, None]).ravel()
         sums = np.bincount(bins, weights=vals.view(np.float64).ravel(),
@@ -632,11 +646,8 @@ def test_prefix_products_match_the_gather_and_reduce_bit_for_bit(name, monkeypat
          else KERNEL_SYSTEMS[name]())
     m, n = len(f), f.nvars
     values, jacobian = _references(f)
-    widths = [len(pairs) for _, pairs in f._evaluator().levels]
-    planar = set()
     rng = np.random.default_rng(97)
     for P in (1, 3, 64, 65):
-        planar.update(P * u >= continuation._PLANAR_PRODUCTS for u in widths)
         X = _kernel_points(rng, P, n)
         expected = (values.evaluate(X).view(np.float64),
                     jacobian.evaluate(X).reshape(P, m, n).view(np.float64))
@@ -644,9 +655,6 @@ def test_prefix_products_match_the_gather_and_reduce_bit_for_bit(name, monkeypat
             got = (f.evaluate(X[k]), f.jacobian(X[k])) + f.evaluate_and_jacobian(X[k])
             for out, want in zip(got, expected * 2):
                 assert np.array_equal(out.view(np.float64), want[k], equal_nan=True)
-    if name == "epscheck":
-        # both products of a level are checked
-        assert planar == {False, True}
 
 
 def test_a_non_finite_imaginary_sum_keeps_its_real_sum():

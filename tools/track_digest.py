@@ -9,7 +9,10 @@ line per command (its arguments and exit code) and, under it, one line per
 result: its index, status, step count, the `repr` of its residual and of
 its largest imaginary part, and the sha256 of its endpoint's bytes.  Run it
 in two checkouts and compare with `diff`: an empty diff means the two
-trackers agree bit for bit on every path of the set.
+trackers agree bit for bit on every path of the set.  That is the check for
+a pure refactor, which must not move a bit.  A change to the numerics of
+the tracker moves the last bits of most paths; compare its reports with
+`tools/compare_reports.py` instead.
 
 - `epscheck` on triangle and hinge, at seeds 0 and 5;
 - `deform --steps 3` on 3prism, square and hinge;

@@ -5,8 +5,9 @@
 Runs the subcommands below through `tensegrity.cli.run_command`, from the
 sources of the checkout this file sits in, each writing into OUT_DIR.  Run
 it in two checkouts and compare with `diff -r OUT_A OUT_B`: reports are
-byte-stable for a fixed seed and input, so an empty diff means the two
-checkouts agree on every report in the set.
+byte-stable for a fixed seed and input, whatever the core count, so an
+empty diff means the two checkouts agree on every report in the set.
+`tools/compare_reports.py OUT_A OUT_B` compares them within a tolerance.
 
 - `analyze --svg`, `flexes --svg`, `prestress` and `plot --svg` on all six
   fixtures;
