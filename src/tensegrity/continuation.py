@@ -102,7 +102,7 @@ class MultiPoly(SparsePoly):
         return MultiPoly(nvars, {e + pad: c for e, c in self.terms.items()})
 
     def evaluate(self, x) -> complex:
-        return complex(_Batched.of([self], self.nvars, 1, [0]).evaluate(x)[0][0])
+        return complex(PolySystem([self]).evaluate(x)[0])
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.terms!r})"
@@ -201,37 +201,37 @@ class _Batched:
                      for coeffs, rows, monomial, nrows in sets]
 
     @classmethod
-    def of(cls, polys, nvars, nrows, rows, jacobian=False) -> "_Batched":
-        """The evaluator of polynomials with the given output rows: term set
-        0 gives their values and, with `jacobian`, term set 1 every partial
-        derivative, d row_i / d x_j in row i * nvars + j."""
+    def of(cls, polys, nvars) -> "_Batched":
+        """The evaluator of polynomials: term set 0 gives their values, row i
+        for polys[i], and term set 1 every partial derivative, d row_i / d x_j
+        in row i * nvars + j."""
         sizes = [len(p.terms) for p in polys]
         coeffs = np.fromiter(
             itertools.chain.from_iterable(p.terms.values() for p in polys),
             dtype=complex, count=sum(sizes))
-        rows = np.repeat(np.asarray(rows, dtype=np.int64), sizes)
+        nrows = len(polys)
+        rows = np.repeat(np.arange(nrows), sizes)
         # polynomials in a system share most monomials, so evaluate each
         # distinct exponent tuple once and scatter
         unique = {}
         monomial = np.array([unique.setdefault(e, len(unique))
                              for p in polys for e in p.terms], dtype=np.int64)
-        sets = [(coeffs, rows, monomial, nrows)]
-        if jacobian:
-            # a term c x^e gives the terms c e_j x^(e - 1_j), in the order
-            # and with the coefficients of MultiPoly.diff (a complex times a
-            # small integer rounds once either way), but without building
-            # the derivative polynomials; the lowered monomials join the table
-            E = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
-            u, j = np.nonzero(E)
-            lowered = E[u]
-            lowered[np.arange(len(u)), j] -= 1
-            index = np.zeros_like(E)
-            index[u, j] = [unique.setdefault(e, len(unique))
-                           for e in map(tuple, lowered.tolist())]
-            exps = E[monomial]
-            t, j = np.nonzero(exps)
-            sets.append((coeffs[t] * exps[t, j], rows[t] * nvars + j,
-                         index[monomial[t], j], nrows * nvars))
+        # a term c x^e gives the terms c e_j x^(e - 1_j), in the order and
+        # with the coefficients of MultiPoly.diff (a complex times a small
+        # integer rounds once either way), but without building the
+        # derivative polynomials; the lowered monomials join the table
+        E = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
+        u, j = np.nonzero(E)
+        lowered = E[u]
+        lowered[np.arange(len(u)), j] -= 1
+        index = np.zeros_like(E)
+        index[u, j] = [unique.setdefault(e, len(unique))
+                       for e in map(tuple, lowered.tolist())]
+        exps = E[monomial]
+        t, j = np.nonzero(exps)
+        sets = [(coeffs, rows, monomial, nrows),
+                (coeffs[t] * exps[t, j], rows[t] * nvars + j,
+                 index[monomial[t], j], nrows * nvars)]
         exponents = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
         return cls(exponents, sets)
 
@@ -288,9 +288,7 @@ class PolySystem:
 
     def _evaluator(self) -> _Batched:
         if self._batched is None:
-            m = len(self.polys)
-            self._batched = _Batched.of(self.polys, self.nvars, m, range(m),
-                                        jacobian=True)
+            self._batched = _Batched.of(self.polys, self.nvars)
         return self._batched
 
     def _shaped(self, flat) -> np.ndarray:
@@ -335,55 +333,18 @@ class Homotopy:
         object.__setattr__(self, "_both",
                            PolySystem(list(target.polys) + list(start.polys)))
 
-    # x is one point with a scalar t, or a (P, n) batch with one t per row.
-
-    @staticmethod
-    def _split(both) -> np.ndarray:
-        """Target and start halves of stacked values (2, m) or (2, P, m)."""
-        both = both.reshape(both.shape[:-1] + (2, -1))
-        return both.swapaxes(0, -2)
-
-    @staticmethod
-    def _split_jacobian(both) -> np.ndarray:
-        """Target and start halves of a stacked Jacobian (2, m, n) or
-        (2, P, m, n)."""
-        both = both.reshape(both.shape[:-2] + (2, -1, both.shape[-1]))
-        return both.swapaxes(0, -3)
-
-    def _halves(self, x) -> np.ndarray:
-        """Target and start values at x, stacked: (2, m) or (2, P, m)."""
-        return self._split(self._both.evaluate(x))
-
-    def _all_halves(self, x) -> tuple:
-        """The halves of the values and of the Jacobian at x, from one
-        monomial table."""
+    def evaluate(self, x, t) -> tuple:
+        """h, dh/dx and dh/dt at x, from one monomial table: (m,), (m, n)
+        and (m,) at a point with a scalar t, or (P, m), (P, m, n) and (P, m)
+        at a (P, n) batch with one t per row."""
         values, jac = self._both.evaluate_and_jacobian(x)
-        return self._split(values), self._split_jacobian(jac)
-
-    def _combine(self, halves, t) -> np.ndarray:
-        """h(x, t) from the halves at x."""
-        fv, gv = halves
+        m = len(self.target)
+        f, g = values[..., :m], values[..., m:]
         t = np.asarray(t, dtype=float)[..., None]
-        return (1.0 - t) * fv + self.gamma * t * gv
-
-    def _combine_jacobian(self, halves, t) -> np.ndarray:
-        """dh/dx (x, t) from the Jacobian halves at x."""
-        fj, gj = halves
-        t = np.asarray(t, dtype=float)[..., None, None]
-        return (1.0 - t) * fj + self.gamma * t * gj
-
-    def value(self, x, t) -> np.ndarray:
-        return self._combine(self._halves(x), t)
-
-    def jacobian_x(self, x, t) -> np.ndarray:
-        return self._combine_jacobian(self._split_jacobian(self._both.jacobian(x)), t)
-
-    def dh_dt(self, x) -> np.ndarray:
-        return self._dh_dt(self._halves(x))
-
-    def _dh_dt(self, halves) -> np.ndarray:
-        fv, gv = halves
-        return self.gamma * gv - fv
+        h = (1.0 - t) * f + self.gamma * t * g
+        t = t[..., None]
+        dh_dx = (1.0 - t) * jac[..., :m, :] + self.gamma * t * jac[..., m:, :]
+        return h, dh_dx, self.gamma * g - f
 
 
 @dataclass(frozen=True)
@@ -468,9 +429,9 @@ def track_paths(h: Homotopy, starts, record: bool = False) -> list:
     accepted t, adaptive halving/doubling of the step, then a final Newton
     polish on the target at t = 0.  The paths advance in lockstep, so each
     step evaluates and solves them as one batch of up to BLOCK_PATHS rows.
-    Each Newton iterate evaluates the values and the Jacobian from one
-    monomial table, and the predictor combines those kept from the accepted
-    point, so it evaluates nothing.  Each path keeps its own t, step size
+    Each Newton iterate evaluates h, dh/dx and dh/dt from one monomial
+    table, and the predictor solves with the dh/dx and dh/dt kept from the
+    accepted point, so it evaluates nothing.  Each path keeps its own t, step size
     and counters and leaves the batch when it ends, and a new start takes
     its row at once, so the batch stays full until the starts run out.
     Ended paths get the endgame and their final residuals in chunks of up to
@@ -570,13 +531,13 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
     ended = []
 
     # the live paths, compacted together as paths end: start index, point,
-    # t, the halves of the values and of the Jacobian at the point (the
-    # predictor combines them), step size, accepted steps in a row, step
-    # count, Newton updates and rejected steps
+    # dh/dt and dh/dx at the point and its t (the predictor's system), t,
+    # step size, accepted steps in a row, step count, Newton updates and
+    # rejected steps
     idx = np.zeros(0, int)
     x = np.zeros((0, n), dtype=complex)
-    fg = np.zeros((2, 0, m), dtype=complex)
-    jac = np.zeros((2, 0, m, n), dtype=complex)
+    hdot = np.zeros((0, m), dtype=complex)
+    jac = np.zeros((0, m, n), dtype=complex)
     t, dt = np.zeros(0), np.zeros(0)
     accepts, steps = np.zeros(0, int), np.zeros(0, int)
     updates, rejected = np.zeros(0, int), np.zeros(0, int)
@@ -589,8 +550,8 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
             more = len(new) == BLOCK_PATHS - idx.size
             if new:
                 X, k = np.array(new), len(new)
-                fg_new, jac_new = h._all_halves(X)
-                for res in np.linalg.norm(h._combine(fg_new, np.ones(k)), axis=1):
+                value, jac_new, hdot_new = h.evaluate(X, np.ones(k))
+                for res in np.linalg.norm(value, axis=1):
                     if res > TOL_START:
                         raise ContinuationError(
                             "start point is not on the start system "
@@ -598,20 +559,20 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
                 if record:
                     trajs += [[(1.0, x0.copy())] for x0 in X]
                 zero = np.zeros(k, int)
-                fresh = (np.arange(len(results), len(results) + k), X, np.ones(k),
-                         np.full(k, DT_INIT), zero, zero, zero, zero)
-                idx, x, t, dt, accepts, steps, updates, rejected = (
-                    np.concatenate(pair) for pair in
-                    zip((idx, x, t, dt, accepts, steps, updates, rejected), fresh))
-                fg = np.concatenate([fg, fg_new], axis=1)
-                jac = np.concatenate([jac, jac_new], axis=1)
+                fresh = (np.arange(len(results), len(results) + k), X, hdot_new,
+                         jac_new, np.ones(k), np.full(k, DT_INIT), zero, zero, zero,
+                         zero)
+                idx, x, hdot, jac, t, dt, accepts, steps, updates, rejected = (
+                    np.concatenate(pair) for pair in zip(
+                        (idx, x, hdot, jac, t, dt, accepts, steps, updates, rejected),
+                        fresh))
                 results += [None] * k
         if not idx.size:
             break
 
         step = np.minimum(dt, t - T_CUTOFF)
         t_new = t - step
-        dxdt, singular = _solve(h._combine_jacobian(jac, t), -h._dh_dt(fg))
+        dxdt, singular = _solve(jac, -hdot)
         # a row whose predictor failed is corrected too, and then rejected
         x_pred = x - step[:, None] * dxdt
         # scale the tolerance with the local value magnitude: far from the
@@ -620,20 +581,18 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
         # overflows
         with np.errstate(over="ignore"):
             corr_tol = NEWTON_TOL * (1.0 + np.linalg.norm(x_pred, axis=1) ** deg_h)
-        fg_new, jac_new = np.empty_like(fg), np.empty_like(jac)
+        hdot_new, jac_new = np.empty_like(hdot), np.empty_like(jac)
 
         def system(z, rows):
-            part, jac_part = h._all_halves(z)
-            fg_new[:, rows], jac_new[:, rows] = part, jac_part
-            t_rows = t_new[rows]
-            return h._combine(part, t_rows), h._combine_jacobian(jac_part, t_rows)
+            value, dh_dx, dh_dt = h.evaluate(z, t_new[rows])
+            jac_new[rows], hdot_new[rows] = dh_dx, dh_dt
+            return value, dh_dx
 
         x_corr, ok, made = _newton(system, x_pred, corr_tol, MAX_NEWTON)
         ok[singular] = False
-        # an accepted row's last residual and Jacobian were taken at its new
-        # point
+        # an accepted row's last evaluation was at its new point and t
         x = np.where(ok[:, None], x_corr, x)
-        fg = np.where(ok[:, None], fg_new, fg)
+        hdot = np.where(ok[:, None], hdot_new, hdot)
         jac = np.where(ok[:, None, None], jac_new, jac)
         t = np.where(ok, t_new, t)
         if record:
@@ -660,9 +619,9 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
             ended += zip(idx[out].tolist(), x[out], status.tolist(),
                          steps[out].tolist(), updates[out].tolist(),
                          rejected[out].tolist())
-            idx, x, fg, jac, t, dt, accepts, steps, updates, rejected = (
-                idx[keep], x[keep], fg[:, keep], jac[:, keep], t[keep], dt[keep],
-                accepts[keep], steps[keep], updates[keep], rejected[keep])
+            idx, x, hdot, jac, t, dt, accepts, steps, updates, rejected = (
+                a[keep] for a in
+                (idx, x, hdot, jac, t, dt, accepts, steps, updates, rejected))
             while len(ended) >= BLOCK_PATHS:
                 _finish(target, deg, ended[:BLOCK_PATHS], results, trajs)
                 del ended[:BLOCK_PATHS]

@@ -11,6 +11,7 @@ ideal-containment checking by normal forms.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -74,7 +75,11 @@ class SparsePoly:
                 coeff = self.coefficient(coeff)
                 if coeff == 0:
                     continue
-                exps = tuple(int(e) for e in exps)
+                try:
+                    # index, not int: an exponent of 1.5 or "2" is an error
+                    exps = tuple(map(operator.index, exps))
+                except TypeError:
+                    raise self.error(f"bad exponent vector {exps!r}") from None
                 if len(exps) != width or any(e < 0 for e in exps):
                     raise self.error(f"bad exponent vector {exps}")
                 clean[exps] = coeff

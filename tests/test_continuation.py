@@ -318,14 +318,14 @@ def test_batched_evaluation_rows_match_single_points(nvars, deg, single_term):
     X = rng.normal(size=(5, nvars)) + 1j * rng.normal(size=(5, nvars))
     t = rng.uniform(size=5)
     values, jacobians = f.evaluate(X), f.jacobian(X)
-    h_values, h_jacobians, h_dt = h.value(X, t), h.jacobian_x(X, t), h.dh_dt(X)
+    homotopy = h.evaluate(X, t)  # h, dh/dx and dh/dt
     assert values.shape == (5, nvars) and jacobians.shape == (5, nvars, nvars)
+    assert [a.shape for a in homotopy] == [(5, nvars), (5, nvars, nvars), (5, nvars)]
     for k in range(5):
         assert np.array_equal(values[k], f.evaluate(X[k]))
         assert np.array_equal(jacobians[k], f.jacobian(X[k]))
-        assert np.array_equal(h_values[k], h.value(X[k], float(t[k])))
-        assert np.array_equal(h_jacobians[k], h.jacobian_x(X[k], float(t[k])))
-        assert np.array_equal(h_dt[k], h.dh_dt(X[k]))
+        for rows, single in zip(homotopy, h.evaluate(X[k], float(t[k])), strict=True):
+            assert np.array_equal(rows[k], single)
     # the layout of the batch does not change a bit
     wide = np.zeros((5, 2 * nvars), dtype=complex)
     wide[:, ::2] = X
@@ -334,8 +334,25 @@ def test_batched_evaluation_rows_match_single_points(nvars, deg, single_term):
         assert np.array_equal(f.evaluate(Y), values)
         assert np.array_equal(f.jacobian(Y), jacobians)
         assert np.array_equal(both[0], values) and np.array_equal(both[1], jacobians)
-        assert np.array_equal(h.value(Y, t), h_values)
-        assert np.array_equal(h.jacobian_x(Y, t), h_jacobians)
+        for laid_out, rows in zip(h.evaluate(Y, t), homotopy, strict=True):
+            assert np.array_equal(laid_out, rows)
+
+
+def test_homotopy_evaluation_is_the_formula_on_target_and_start():
+    f, g = _dense_system((3, 2), 21), _dense_system((2, 2), 22)
+    gamma = complex(np.exp(1.3j))
+    h = Homotopy(target=f, start=g, gamma=gamma)
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    t = rng.uniform(size=6)
+    for x, s in ((X, t), (X[4], t[4])):
+        (F, dF), (G, dG) = f.evaluate_and_jacobian(x), g.evaluate_and_jacobian(x)
+        value, dh_dx, dh_dt = h.evaluate(x, s)
+        s = np.asarray(s)[..., None]  # t over a point's values
+        assert np.array_equal(value, (1.0 - s) * F + gamma * s * G)
+        s = s[..., None]  # and over its Jacobian
+        assert np.array_equal(dh_dx, (1.0 - s) * dF + gamma * s * dG)
+        assert np.array_equal(dh_dt, gamma * G - F)
 
 
 def test_batch_with_a_start_point_off_the_start_system_raises():
@@ -390,10 +407,10 @@ def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
     monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
     _solve_matching_single_paths(f, monkeypatch)
 
-    # solve again, counting the starts taken when each predictor step runs
+    # solve again, counting the starts taken when each step's corrector runs
     total = int(np.prod(f.degrees))
-    taken, predictor, evaluated = [0], [], []
-    real_track, real_dh_dt = continuation.track_paths, Homotopy._dh_dt
+    taken, stepped, evaluated = [0], [], []
+    real_track, real_newton = continuation.track_paths, continuation._newton
     real_evaluate = continuation._Batched.evaluate
 
     def counted(starts):
@@ -401,9 +418,11 @@ def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
             taken[0] += 1
             yield x0
 
-    def dh_dt(self, halves):
-        predictor.append((halves.shape[1], taken[0]))
-        return real_dh_dt(self, halves)
+    def newton(system, x, tol, max_iter):
+        # the endgame polish calls _newton with POLISH_STEPS
+        if max_iter == continuation.MAX_NEWTON:
+            stepped.append((len(x), taken[0]))
+        return real_newton(system, x, tol, max_iter)
 
     def evaluate(self, x, *sets):
         evaluated.append(np.asarray(x).reshape(-1, np.shape(x)[-1]).shape[0])
@@ -412,10 +431,10 @@ def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
     monkeypatch.setattr(continuation, "track_paths",
                         lambda h, starts, record=False:
                         real_track(h, counted(starts), record))
-    monkeypatch.setattr(Homotopy, "_dh_dt", dh_dt)
+    monkeypatch.setattr(continuation, "_newton", newton)
     monkeypatch.setattr(continuation._Batched, "evaluate", evaluate)
     assert len(solve_total_degree(f, seed=3)) == total
-    while_starts_remain = [rows for rows, k in predictor if k < total]
+    while_starts_remain = [rows for rows, k in stepped if k < total]
     assert len(while_starts_remain) > 1
     assert set(while_starts_remain) == {4}
     assert max(evaluated) == 4

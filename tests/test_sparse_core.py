@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from tensegrity import ContinuationError, MultiPoly, RationalPoly, SymbolicError
@@ -60,6 +61,11 @@ def test_each_type_is_immutable_and_raises_its_own_error(poly, error):
         type(poly)(poly.ring, {(1, -1, 0): 1})
     with pytest.raises(error):
         type(poly)(poly.ring, {(1, 0): 1})
+    # exponents are integers, never truncated
+    for exps in ((1.5, 0, 0), (2.0, 0, 0), ("a", 0, 0), ("2", 0, 0)):
+        with pytest.raises(error):
+            type(poly)(poly.ring, {exps: 1})
+    assert type(poly)(poly.ring, {tuple(np.arange(3)): 1}).terms == {(0, 1, 2): 1}
     with pytest.raises(error):
         poly ** -1
     other = RationalPoly(("u",), {(1,): 1}) if error is SymbolicError \

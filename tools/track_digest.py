@@ -7,12 +7,15 @@ sources of the checkout this file sits in, and records every `TrackResult`
 that `continuation.track_paths` returns while they run.  OUT_FILE gets one
 line per command (its arguments and exit code) and, under it, one line per
 result: its index, status, step count, the `repr` of its residual and of
-its largest imaginary part, and the sha256 of its endpoint's bytes.  Run it
-in two checkouts and compare with `diff`: an empty diff means the two
-trackers agree bit for bit on every path of the set.  That is the check for
-a pure refactor, which must not move a bit.  A change to the numerics of
-the tracker moves the last bits of most paths; compare its reports with
-`tools/compare_reports.py` instead.
+its largest imaginary part, the sha256 of its endpoint's bytes, and its work
+counters, Newton updates and rejected steps.  Run it in two checkouts and
+compare with `diff`: an empty diff means the two trackers agree bit for bit
+on every path of the set and do the same work on it.  That is the check for
+a pure refactor, which must not move a bit nor add an update.  Run it on one
+core and on all of them and compare with `cmp`: the counters of paths
+tracked in forked processes come back over their pipes, so this covers
+those too.  A change to the numerics of the tracker moves the last bits of
+most paths; compare its reports with `tools/compare_reports.py` instead.
 
 - `epscheck` on triangle and hinge, at seeds 0 and 5;
 - `deform --steps 3` on 3prism, square and hinge;
@@ -49,7 +52,8 @@ def commands(input_dir: Path) -> list:
 def digest(result) -> str:
     endpoint = hashlib.sha256(result.endpoint.tobytes()).hexdigest()
     return (f"{result.status} {result.steps} {result.residual!r} "
-            f"{result.max_imag!r} {endpoint}")
+            f"{result.max_imag!r} {endpoint} {result.newton_updates} "
+            f"{result.rejected_steps}")
 
 
 def main(argv) -> int:
