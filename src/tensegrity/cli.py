@@ -75,26 +75,6 @@ class Scene:
     trajectories: tuple = ()
 
 
-def _canvas_map(points):
-    """Affine map from scene coordinates to SVG pixels (y flipped)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        lo, hi = np.zeros(2), np.ones(2)
-    else:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    scale = min((WIDTH - 2 * MARGIN) / span[0],
-                (HEIGHT - 2 * MARGIN) / span[1])
-    mid = 0.5 * (lo + hi)
-
-    def to_px(p):
-        x = WIDTH / 2 + (p[0] - mid[0]) * scale
-        y = HEIGHT / 2 - (p[1] - mid[1]) * scale
-        return float(x), float(y)
-
-    return to_px
-
-
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
@@ -104,7 +84,9 @@ def render_svg(scene: Scene) -> str:
 
     Nodes become circles, members lines styled by kind, each displacement
     basis vector one group of arrows (zero-length arrows omitted), and each
-    trajectory a polyline through the complex plane.
+    trajectory a polyline through the complex plane.  One affine map, fitted
+    to the nodes, the arrow tips and the trajectory points, takes scene
+    coordinates to pixels (y flipped).
     """
     nodes = np.asarray(scene.nodes, dtype=float)
     n = nodes.shape[0]
@@ -112,7 +94,7 @@ def render_svg(scene: Scene) -> str:
     proj = _projection(d) if n else np.eye(2)
     flat = nodes @ proj.T if n else np.zeros((0, 2))
 
-    disp2d = None
+    fields = []
     if scene.displacements is not None and n:
         vecs = np.asarray(scene.displacements, dtype=float)
         if vecs.ndim == 1:
@@ -120,16 +102,26 @@ def render_svg(scene: Scene) -> str:
         if vecs.shape[0] != n * d:
             raise ValueError(f"displacement field must have {n * d} rows")
         # per vector: (n, 2) projected arrows
-        disp2d = [vecs[:, k].reshape(n, d) @ proj.T
+        fields = [vecs[:, k].reshape(n, d) @ proj.T
                   for k in range(vecs.shape[1])]
+    curves = [np.column_stack([zs.real, zs.imag]) for zs in
+              (np.asarray(path, dtype=complex).reshape(-1) for path in scene.trajectories)]
 
-    extent = [flat]
-    if disp2d:
-        extent.extend(flat + v for v in disp2d)
-    for path in scene.trajectories:
-        zs = np.asarray(path, dtype=complex).reshape(-1)
-        extent.append(np.column_stack([zs.real, zs.imag]))
-    to_px = _canvas_map(np.concatenate(extent))
+    parts = [flat] + [flat + v for v in fields] + curves
+    pts = np.concatenate(parts)
+    if pts.size == 0:
+        lo, hi = np.zeros(2), np.ones(2)
+    else:
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = np.maximum(hi - lo, 1e-9)
+    scale = min((WIDTH - 2 * MARGIN) / span[0],
+                (HEIGHT - 2 * MARGIN) / span[1])
+    mid = 0.5 * (lo + hi)
+    px = np.column_stack([WIDTH / 2 + (pts[:, 0] - mid[0]) * scale,
+                          HEIGHT / 2 - (pts[:, 1] - mid[1]) * scale])
+    node_px, *rest = np.split(px, np.cumsum([len(a) for a in parts])[:-1])
+    tips_px, curves_px = rest[:len(fields)], rest[len(fields):]
+    node_xy = node_px.tolist()
 
     root = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
@@ -139,18 +131,15 @@ def render_svg(scene: Scene) -> str:
     ET.SubElement(root, "rect", {"width": "100%", "height": "100%",
                                  "fill": "#ffffff"})
 
-    for path in scene.trajectories:
-        zs = np.asarray(path, dtype=complex).reshape(-1)
-        pts = " ".join("%s,%s" % tuple(map(_fmt, to_px((z.real, z.imag))))
-                       for z in zs)
+    for curve in curves_px:
         ET.SubElement(root, "polyline", {
-            "class": "trajectory", "points": pts, "fill": "none",
-            "stroke": "#555555", "stroke-width": "1",
+            "class": "trajectory",
+            "points": " ".join(f"{x:.3f},{y:.3f}" for x, y in curve.tolist()),
+            "fill": "none", "stroke": "#555555", "stroke-width": "1",
         })
 
     for (i, j, kind) in scene.members:
-        x1, y1 = to_px(flat[i - 1])
-        x2, y2 = to_px(flat[j - 1])
+        (x1, y1), (x2, y2) = node_xy[i - 1], node_xy[j - 1]
         ET.SubElement(root, "line", {
             "class": f"member {kind}",
             "x1": _fmt(x1), "y1": _fmt(y1), "x2": _fmt(x2), "y2": _fmt(y2),
@@ -159,44 +148,36 @@ def render_svg(scene: Scene) -> str:
             "stroke-dasharray": "6,3" if kind == "strut" else "none",
         })
 
-    if disp2d:
-        for k, vec in enumerate(disp2d):
-            color = ARROW_COLORS[k % len(ARROW_COLORS)]
-            group = ET.SubElement(root, "g", {"class": "arrows",
-                                              "data-vector": str(k),
-                                              "stroke": color})
-            for i in range(n):
-                if np.linalg.norm(vec[i]) <= 1e-12:
-                    continue
-                x1, y1 = to_px(flat[i])
-                x2, y2 = to_px(flat[i] + vec[i])
-                head = _arrow_head(x1, y1, x2, y2)
-                ET.SubElement(group, "path", {
-                    "class": "arrow", "fill": "none", "stroke-width": "1.5",
-                    "d": f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)} {head}",
-                })
+    for k, (vec, tip_px) in enumerate(zip(fields, tips_px)):
+        group = ET.SubElement(root, "g", {
+            "class": "arrows", "data-vector": str(k),
+            "stroke": ARROW_COLORS[k % len(ARROW_COLORS)]})
+        # arrows up to 1e-12 long are omitted, and heads of arrows up to
+        # 1e-12 px long (their direction u is then not needed)
+        drawn = ~(np.linalg.norm(vec, axis=1) <= 1e-12)
+        tail, tip = node_px[drawn], tip_px[drawn]
+        length = np.linalg.norm(tip - tail, axis=1)
+        headed = ~(length <= 1e-12)
+        u = (tip - tail) / np.where(headed, length, 1.0)[:, None]
+        back = tip - ARROW_HEAD * u
+        side = ARROW_HEAD * 0.5 * np.column_stack([-u[:, 1], u[:, 0]])
+        rows = np.column_stack([tail, tip, back + side, tip, back - side])
+        for row, head in zip(rows.tolist(), headed.tolist()):
+            # "M tail L tip " and the head "M left L tip L right", as _fmt writes
+            cmds = "M {:.3f} {:.3f} L {:.3f} {:.3f} ".format(*row[:4])
+            if head:
+                cmds += "M {:.3f} {:.3f} L {:.3f} {:.3f} L {:.3f} {:.3f}".format(*row[4:])
+            ET.SubElement(group, "path", {
+                "class": "arrow", "fill": "none", "stroke-width": "1.5", "d": cmds,
+            })
 
-    for i in range(n):
-        x, y = to_px(flat[i])
+    for x, y in node_xy:
         ET.SubElement(root, "circle", {
             "class": "node", "cx": _fmt(x), "cy": _fmt(y),
             "r": _fmt(NODE_RADIUS), "fill": "#000000",
         })
 
     return ET.tostring(root, encoding="unicode")
-
-
-def _arrow_head(x1, y1, x2, y2):
-    v = np.array([x2 - x1, y2 - y1])
-    norm = np.linalg.norm(v)
-    if norm <= 1e-12:
-        return ""
-    u = v / norm
-    tip = np.array([x2, y2]) - ARROW_HEAD * u
-    side = ARROW_HEAD * 0.5 * np.array([-u[1], u[0]])
-    left, right = tip + side, tip - side
-    return (f"M {_fmt(left[0])} {_fmt(left[1])} L {_fmt(x2)} {_fmt(y2)} "
-            f"L {_fmt(right[0])} {_fmt(right[1])}")
 
 
 # ---------------------------------------------------------------------------

@@ -552,7 +552,7 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
                 X, k = np.array(new), len(new)
                 value, jac_new, hdot_new = h.evaluate(X, np.ones(k))
                 for res in np.linalg.norm(value, axis=1):
-                    if res > TOL_START:
+                    if not res <= TOL_START:  # NaN too
                         raise ContinuationError(
                             "start point is not on the start system "
                             f"(residual {res:.2e})")
@@ -809,6 +809,8 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
         v = null[:, 0]
     else:
         v = np.asarray(direction, dtype=float).reshape(-1)
+        if not np.isfinite(v).all():
+            raise FrameworkError("direction must have finite entries")
         if v.size == n * d:
             v = np.array([v[i * d + k] for i, k in free])
         if v.size != N:

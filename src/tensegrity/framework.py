@@ -51,7 +51,7 @@ class FrameworkGraph:
             if (i, j) in seen:
                 raise FrameworkError(f"duplicate member ({i}, {j})")
             if kind not in MEMBER_KINDS:
-                raise FrameworkError(f"unknown member kind {kind!r}")
+                raise FrameworkError(f"unknown member kind {kind!r} of ({i}, {j})")
             seen.add((i, j))
 
     @property

@@ -187,12 +187,11 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     eigenvalue must exceed tol_rel times the spectral norm of its stress
     matrix, so that rounding noise on a flex the stress does not reach is
     not taken for positive definiteness.  Cable/strut sign feasibility is
-    reported against `partition` (defaults to the member kinds of sys).
+    reported against `partition`, one kind of `MEMBER_KINDS` per member
+    (defaults to the member kinds of sys).
     """
     graph = sys.graph
-    kinds = tuple(partition) if partition is not None else graph.kinds()
-    if len(kinds) != graph.m:
-        raise FrameworkError(f"expected {graph.m} member kinds, got {len(kinds)}")
+    kinds = (graph if partition is None else graph.with_kinds(partition)).kinds()
 
     decomp = nullspace_decomposition(sys, p, tol_rel)
     F = decomp.flexes

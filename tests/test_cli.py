@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from tensegrity import rigidity
-from tensegrity.cli import ISOMETRIC, Scene, _projection, render_svg, run_command
+from tensegrity.cli import (ARROW_COLORS, ARROW_HEAD, HEIGHT, ISOMETRIC, MARGIN,
+                            MEMBER_COLORS, NODE_RADIUS, WIDTH, Scene, _fmt,
+                            _projection, render_svg, run_command)
 from tensegrity.framework import FIXTURE_NAMES
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -145,6 +147,170 @@ def test_render_svg_omits_zero_arrows():
     groups = root.findall(f"{SVG}g")
     assert len(groups) == 1
     assert len(groups[0].findall(f"{SVG}path")) == 1
+
+
+
+# the point-at-a-time renderer that render_svg replaced, kept verbatim as
+# the reference its output must match byte for byte
+
+def _reference_canvas_map(points):
+    """Affine map from scene coordinates to SVG pixels (y flipped)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        lo, hi = np.zeros(2), np.ones(2)
+    else:
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = np.maximum(hi - lo, 1e-9)
+    scale = min((WIDTH - 2 * MARGIN) / span[0],
+                (HEIGHT - 2 * MARGIN) / span[1])
+    mid = 0.5 * (lo + hi)
+
+    def to_px(p):
+        x = WIDTH / 2 + (p[0] - mid[0]) * scale
+        y = HEIGHT / 2 - (p[1] - mid[1]) * scale
+        return float(x), float(y)
+
+    return to_px
+
+
+def _reference_svg(scene: Scene) -> str:
+    nodes = np.asarray(scene.nodes, dtype=float)
+    n = nodes.shape[0]
+    d = nodes.shape[1] if nodes.ndim == 2 and n else 2
+    proj = _projection(d) if n else np.eye(2)
+    flat = nodes @ proj.T if n else np.zeros((0, 2))
+
+    disp2d = None
+    if scene.displacements is not None and n:
+        vecs = np.asarray(scene.displacements, dtype=float)
+        if vecs.ndim == 1:
+            vecs = vecs[:, None]
+        if vecs.shape[0] != n * d:
+            raise ValueError(f"displacement field must have {n * d} rows")
+        # per vector: (n, 2) projected arrows
+        disp2d = [vecs[:, k].reshape(n, d) @ proj.T
+                  for k in range(vecs.shape[1])]
+
+    extent = [flat]
+    if disp2d:
+        extent.extend(flat + v for v in disp2d)
+    for path in scene.trajectories:
+        zs = np.asarray(path, dtype=complex).reshape(-1)
+        extent.append(np.column_stack([zs.real, zs.imag]))
+    to_px = _reference_canvas_map(np.concatenate(extent))
+
+    root = ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg",
+        "width": _fmt(WIDTH), "height": _fmt(HEIGHT),
+        "viewBox": f"0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}",
+    })
+    ET.SubElement(root, "rect", {"width": "100%", "height": "100%",
+                                 "fill": "#ffffff"})
+
+    for path in scene.trajectories:
+        zs = np.asarray(path, dtype=complex).reshape(-1)
+        pts = " ".join("%s,%s" % tuple(map(_fmt, to_px((z.real, z.imag))))
+                       for z in zs)
+        ET.SubElement(root, "polyline", {
+            "class": "trajectory", "points": pts, "fill": "none",
+            "stroke": "#555555", "stroke-width": "1",
+        })
+
+    for (i, j, kind) in scene.members:
+        x1, y1 = to_px(flat[i - 1])
+        x2, y2 = to_px(flat[j - 1])
+        ET.SubElement(root, "line", {
+            "class": f"member {kind}",
+            "x1": _fmt(x1), "y1": _fmt(y1), "x2": _fmt(x2), "y2": _fmt(y2),
+            "stroke": MEMBER_COLORS.get(kind, "#333333"),
+            "stroke-width": "2",
+            "stroke-dasharray": "6,3" if kind == "strut" else "none",
+        })
+
+    if disp2d:
+        for k, vec in enumerate(disp2d):
+            color = ARROW_COLORS[k % len(ARROW_COLORS)]
+            group = ET.SubElement(root, "g", {"class": "arrows",
+                                              "data-vector": str(k),
+                                              "stroke": color})
+            for i in range(n):
+                if np.linalg.norm(vec[i]) <= 1e-12:
+                    continue
+                x1, y1 = to_px(flat[i])
+                x2, y2 = to_px(flat[i] + vec[i])
+                head = _reference_arrow_head(x1, y1, x2, y2)
+                ET.SubElement(group, "path", {
+                    "class": "arrow", "fill": "none", "stroke-width": "1.5",
+                    "d": f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)} {head}",
+                })
+
+    for i in range(n):
+        x, y = to_px(flat[i])
+        ET.SubElement(root, "circle", {
+            "class": "node", "cx": _fmt(x), "cy": _fmt(y),
+            "r": _fmt(NODE_RADIUS), "fill": "#000000",
+        })
+
+    return ET.tostring(root, encoding="unicode")
+
+
+def _reference_arrow_head(x1, y1, x2, y2):
+    v = np.array([x2 - x1, y2 - y1])
+    norm = np.linalg.norm(v)
+    if norm <= 1e-12:
+        return ""
+    u = v / norm
+    tip = np.array([x2, y2]) - ARROW_HEAD * u
+    side = ARROW_HEAD * 0.5 * np.array([-u[1], u[0]])
+    left, right = tip + side, tip - side
+    return (f"M {_fmt(left[0])} {_fmt(left[1])} L {_fmt(x2)} {_fmt(y2)} "
+            f"L {_fmt(right[0])} {_fmt(right[1])}")
+
+
+def _reference_scenes():
+    rng = np.random.default_rng(7)
+    kinds = ("bar", "cable", "strut", 'a"<b')
+    scenes = {}
+    for d, n in ((1, 4), (2, 6), (3, 9)):
+        nodes = rng.normal(size=(n, d))
+        members = tuple((i, j, kinds[(i + j) % 4])
+                        for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                        if (i * j) % 3)
+        disp = rng.normal(size=(n * d, 10))
+        disp[:d] = 0.0            # node 1 never moves
+        disp[d:2 * d, 3] = 0.0    # nor does node 2 in field 3
+        disp[:, 5] = 0.0          # field 5 draws no arrow
+        scenes[f"d{d}"] = Scene(nodes=nodes, members=members, displacements=disp)
+    scenes["vector"] = Scene(nodes=rng.normal(size=(5, 2)),
+                             members=((1, 2, "cable"), (2, 5, "strut")),
+                             displacements=rng.normal(size=10))
+    # 2e-12 scene units, over 1e-12 px in a 1e6-unit-wide drawing: the
+    # arrow is drawn, its head is not
+    tiny = np.zeros(6)
+    tiny[2], tiny[5] = 2e-12, 0.5
+    scenes["headless"] = Scene(nodes=np.array([[0.0, 0.0], [1e6, 0.0], [0.0, 7e5]]),
+                               members=((1, 2, "bar"),), displacements=tiny)
+    paths = tuple(rng.normal(size=k) + 1j * rng.normal(size=k) for k in (1, 2, 7))
+    scenes["trajectories"] = Scene(nodes=np.zeros((0, 2)), trajectories=paths)
+    scenes["nodes-and-trajectories"] = Scene(nodes=rng.normal(size=(3, 2)),
+                                             members=((1, 3, "bar"),),
+                                             trajectories=paths)
+    scenes["empty"] = Scene(nodes=np.zeros((0, 2)))
+    scenes["empty-list"] = Scene(nodes=[])
+    return scenes
+
+
+@pytest.mark.parametrize("name", sorted(_reference_scenes()))
+def test_render_svg_matches_the_reference(name):
+    scene = _reference_scenes()[name]
+    svg = render_svg(scene)
+    assert svg == _reference_svg(scene)
+    if name == "headless":
+        paths = [e.get("d") for e in ET.fromstring(svg).iter(f"{SVG}path")]
+        assert len(paths) == 2 and paths[0].endswith(" ") and paths[0].count("L") == 1
+        assert paths[1].count("L") == 3
+    if name.startswith("d"):
+        assert "a&quot;&lt;b" in svg and 'data-vector="5"' in svg
 
 
 def test_flags_are_accepted_only_where_they_act(tmp_path):

@@ -156,6 +156,12 @@ def test_homotopy_validates_inputs():
     with pytest.raises(ContinuationError):
         # start point does not satisfy the start system
         track_path(h, np.array([5.0 + 0j]))
+    # nor does NaN, alone or inside a batch
+    nan = np.array([np.nan + 0j])
+    with pytest.raises(ContinuationError, match="residual nan"):
+        track_path(h, nan)
+    with pytest.raises(ContinuationError, match="residual nan"):
+        track_paths(h, [np.array([1.0 + 0j]), nan, np.array([-1.0 + 0j])])
 
 
 def test_non_square_system_rejected():
@@ -229,6 +235,17 @@ def test_deform_rejects_unknown_direction():
     sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
     with pytest.raises(FrameworkError, match="flex"):
         deform_framework(sysp, pp, direction="random", epsilon=0.05, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_deform_rejects_a_non_finite_direction(bad):
+    graph, p, sys_ = load_fixture("hinge")
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    direction = np.ones(graph.n * graph.d)
+    direction[-1] = bad
+    with pytest.raises(FrameworkError, match="finite"):
+        deform_framework(sysp, pp, direction=direction, epsilon=0.05, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,14 @@ def test_tensegrity_partition_signs(prism):
             assert wk > 0.0
 
 
+def test_partition_kinds_must_be_member_kinds(prism):
+    graph, p, sys_ = prism
+    with pytest.raises(FrameworkError, match=r"'rope' of \(1, 2\)"):
+        prestress_certificate(sys_, p, partition=["rope"] * graph.m)
+    with pytest.raises(FrameworkError, match="expected"):
+        prestress_certificate(sys_, p, partition=["cable"] * (graph.m - 1))
+
+
 def test_quadratic_form_regression(prism):
     # the 3-digit rounded flex and stress land at 89.8896, not 89.569
     graph, _, _ = prism

@@ -14,11 +14,12 @@ empty diff means the two checkouts agree on every report in the set.
 - `deform --steps 3 --svg` on 3prism, square and hinge;
 - `solve --svg` on a cubic, on a system with fractional coefficients, and
   on a 75-path system whose recorded solve refills the lockstep batch;
-- `prestress` on five collinear nodes in 3-space, all pairs joined: 6 self
-  stresses and 6 flexes, so the k >= 2 convex solve runs;
-- `prestress` on a planar K5 with a pendant node: its 3 self stresses live
-  on the K5 and its one flex swings the pendant node, so no stress reaches
-  the flex and the solve is skipped;
+- `prestress` and `plot --svg` on five collinear nodes in 3-space, all
+  pairs joined: 6 self stresses and 6 flexes, so the k >= 2 convex solve
+  runs and the plot draws 6 arrow fields in an isometric view;
+- `prestress` and `plot --svg` on a planar K5 with a pendant node: its 3
+  self stresses live on the K5 and its one flex swings the pendant node, so
+  no stress reaches the flex and the solve is skipped;
 - `epscheck` on triangle and hinge, and on triangle again at seed 1,
   whose verdict is `inconclusive` (most of its paths end
   `step_underflow`), written into OUT_DIR/seed1;
@@ -81,7 +82,8 @@ def commands(input_dir: Path) -> list:
     for name in SYSTEMS:
         out.append(["solve", str(input_dir / f"{name}.json"), "--svg"])
     for name in FRAMEWORKS:
-        out.append(["prestress", str(input_dir / f"{name}.json")])
+        out += [["prestress", str(input_dir / f"{name}.json")],
+                ["plot", str(input_dir / f"{name}.json"), "--svg"]]
     for fx in ("triangle", "hinge"):
         out.append(["epscheck", fx])
     out.append(["verify-ideals"])
