@@ -139,6 +139,8 @@ def render_svg(scene: Scene) -> str:
         })
 
     for (i, j, kind) in scene.members:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"member ({i}, {j}) names a node outside 1..{n}")
         (x1, y1), (x2, y2) = node_xy[i - 1], node_xy[j - 1]
         ET.SubElement(root, "line", {
             "class": f"member {kind}",

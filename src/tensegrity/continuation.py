@@ -327,7 +327,7 @@ class Homotopy:
         object.__setattr__(self, "start", start)
         if len(target) != len(start) or target.nvars != start.nvars:
             raise ContinuationError("target and start systems must match in shape")
-        if abs(abs(self.gamma) - 1.0) > 1e-12:
+        if not abs(abs(self.gamma) - 1.0) <= 1e-12:  # NaN too
             raise ContinuationError("gamma must lie on the unit circle")
         # one stacked evaluator: rows [0, m) are the target, [m, 2m) the start
         object.__setattr__(self, "_both",
@@ -417,9 +417,11 @@ def _newton(system, x, tol, max_iter):
     return x, ok, updates
 
 
-def _newton_on(system: PolySystem, x, tol, max_iter):
-    """_newton on a system without a homotopy parameter."""
-    return _newton(lambda z, rows: system.evaluate_and_jacobian(z), x, tol, max_iter)
+def _newton_on(h: Homotopy, end: int, x, tol, max_iter):
+    """_newton on the target (end 0) or start (end 1) rows of h's stacked system."""
+    rows = slice(end * len(h.target), (end + 1) * len(h.target))
+    both = h._both.evaluate_and_jacobian
+    return _newton(lambda z, _: tuple(a[:, rows] for a in both(z)), x, tol, max_iter)
 
 
 def track_paths(h: Homotopy, starts, record: bool = False) -> list:
@@ -520,10 +522,9 @@ def _track_share(sender, h: Homotopy, starts, record: bool) -> None:
 
 def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
     """track_paths in this process."""
-    target = h.target
-    deg = max(target.degrees, default=1)
+    deg = max(h.target.degrees, default=1)
     deg_h = max(deg, max(h.start.degrees, default=1))
-    m, n = len(target), target.nvars
+    m, n = len(h.target), h.target.nvars
     results = []  # per start, filled in as chunks of ended paths finish
     trajs = [] if record else None  # per start
     # (start, point, status, steps, Newton updates, rejected steps) of paths
@@ -623,10 +624,10 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
                 a[keep] for a in
                 (idx, x, hdot, jac, t, dt, accepts, steps, updates, rejected))
             while len(ended) >= BLOCK_PATHS:
-                _finish(target, deg, ended[:BLOCK_PATHS], results, trajs)
+                _finish(h, deg, ended[:BLOCK_PATHS], results, trajs)
                 del ended[:BLOCK_PATHS]
     if ended:
-        _finish(target, deg, ended, results, trajs)
+        _finish(h, deg, ended, results, trajs)
     return results
 
 
@@ -635,12 +636,11 @@ def track_path(h: Homotopy, x0, record: bool = False) -> TrackResult:
     return track_paths(h, [x0], record)[0]
 
 
-def _finish(target: PolySystem, deg: int, ended: list, results: list,
-            trajs) -> None:
+def _finish(h: Homotopy, deg: int, ended: list, results: list, trajs) -> None:
     """Endgame and final residuals of a chunk of ended paths: a Newton
-    polish directly on the target system for the paths that reached
-    T_CUTOFF, then each path's TrackResult into results.  trajs is None
-    unless the trajectories are recorded."""
+    polish directly on the target rows of h's stacked system for the paths
+    that reached T_CUTOFF, then each path's TrackResult into results.  trajs
+    is None unless the trajectories are recorded."""
     ids = [path[0] for path in ended]
     X = np.array([path[1] for path in ended])
     status = np.array([path[2] for path in ended], dtype=object)
@@ -652,7 +652,7 @@ def _finish(target: PolySystem, deg: int, ended: list, results: list,
 
     end = np.flatnonzero(status == "")
     if end.size:
-        X[end], _, polish = _newton_on(target, X[end], 1e-4 * tol_end(X[end]),
+        X[end], _, polish = _newton_on(h, 0, X[end], 1e-4 * tol_end(X[end]),
                                        POLISH_STEPS)
         updates[end] += polish
         if trajs is not None:
@@ -662,7 +662,8 @@ def _finish(target: PolySystem, deg: int, ended: list, results: list,
     residual = np.full(len(X), np.inf)
     finite = np.all(np.isfinite(X), axis=1)
     if finite.any():
-        residual[finite] = np.linalg.norm(target.evaluate(X[finite]), axis=1)
+        residual[finite] = np.linalg.norm(
+            h._both.evaluate(X[finite])[:, :len(h.target)], axis=1)
     far = ~finite | (np.linalg.norm(X, axis=1) > DIVERGENCE)
     good = residual <= tol_end(X)
     status[end] = np.where(far[end], "diverged",
@@ -846,21 +847,19 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
     anchor = p_free.astype(complex)
     for _ in range(steps):
         shift = complex(v @ anchor)
-        start = squared(shift)
-        target = squared(shift + epsilon)
+        h = Homotopy(target=squared(shift + epsilon), start=squared(shift), gamma=1.0)
         # settle the anchor exactly onto the start system before tracking;
         # after the first push it is complex and only approximately on it
-        settled, ok, _ = _newton_on(start, anchor[None], np.array([1e-12]), 10)
+        settled, ok, _ = _newton_on(h, 1, anchor[None], np.array([1e-12]), 10)
         anchor = settled[0]
         if not ok[0]:
             results.append(DeformationStep(
                 point=_restore_full(free, anchor, n, d),
                 result=TrackResult(endpoint=anchor, status="step_underflow",
-                                   residual=float(np.linalg.norm(start.evaluate(anchor))),
+                                   residual=float(np.linalg.norm(h._both.evaluate(anchor)[N:])),
                                    steps=0, max_imag=float(np.max(np.abs(anchor.imag)))),
                 real=False, member_residual=float("nan")))
             break
-        h = Homotopy(target=target, start=start, gamma=1.0)
         res = track_path(h, anchor)
         member_res = float(np.max(np.abs(
             members.evaluate(res.endpoint.real.astype(complex)).real)))

@@ -226,8 +226,9 @@ def rigidity_report(sys: MemberConstraintSystem, p: Configuration,
     rng = np.random.default_rng(seed)
     coranks = []
     for _ in range(GENERIC_TRIALS):
-        q = random_configuration(graph, rng)
-        coranks.append(numerical_nullspace(jacobian_at(sys, q), tol_rel).shape[1])
+        dg = jacobian_at(sys, random_configuration(graph, rng))
+        s = np.linalg.svd(dg, compute_uv=False)
+        coranks.append(dg.shape[1] - _numerical_rank(s, tol_rel))
     generic_corank = min(coranks)
 
     decomp = nullspace_decomposition(sys, p, tol_rel)

@@ -149,6 +149,13 @@ def test_render_svg_omits_zero_arrows():
     assert len(groups[0].findall(f"{SVG}path")) == 1
 
 
+@pytest.mark.parametrize("member", [(0, 2, "bar"), (1, 4, "bar")])
+def test_render_svg_rejects_a_member_outside_the_nodes(member):
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=rf"member \({member[0]}, {member[1]}\)"):
+        render_svg(Scene(nodes=nodes, members=((1, 2, "bar"), member)))
+
+
 
 # the point-at-a-time renderer that render_svg replaced, kept verbatim as
 # the reference its output must match byte for byte

@@ -152,6 +152,8 @@ def test_homotopy_validates_inputs():
     g = _univariate([1, 0, -1])
     with pytest.raises(ContinuationError):
         Homotopy(target=f, start=g, gamma=2.0)  # not on the unit circle
+    with pytest.raises(ContinuationError):
+        Homotopy(target=f, start=g, gamma=complex("nan"))
     h = Homotopy(target=f, start=g, gamma=1.0)
     with pytest.raises(ContinuationError):
         # start point does not satisfy the start system
@@ -235,6 +237,24 @@ def test_deform_rejects_unknown_direction():
     sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
     with pytest.raises(FrameworkError, match="flex"):
         deform_framework(sysp, pp, direction="random", epsilon=0.05, seed=0)
+
+
+def test_deform_reports_an_anchor_that_does_not_settle():
+    """Square with member (1, 2)'s rest squared length x4: p is far from the
+    first push's start system, so the settle fails and the walk ends there,
+    with the residual of the settled anchor on the start system."""
+    graph, p, sys_ = load_fixture("square")
+    pp = pin_moving_frame(p)
+    rest = sys_.rest_sq_lengths * np.array([4.0, 1.0, 1.0, 1.0])
+    sysp = build_constraints(graph, pp, rest_sq_lengths=rest)
+    steps = deform_framework(sysp, pp, epsilon=0.05, steps=1, seed=0)
+    assert len(steps) == 1
+    step = steps[0]
+    assert step.result.status == "step_underflow"
+    assert step.result.steps == 0
+    assert step.real is False
+    assert np.isnan(step.member_residual)
+    assert step.result.residual == 1.569842129607382
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -370,6 +390,80 @@ def test_homotopy_evaluation_is_the_formula_on_target_and_start():
         s = s[..., None]  # and over its Jacobian
         assert np.array_equal(dh_dx, (1.0 - s) * dF + gamma * s * dG)
         assert np.array_equal(dh_dt, gamma * G - F)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_newton_on_an_end_is_newton_on_that_system_alone(end):
+    f, g = _dense_system((3, 2), 21), _dense_system((2, 2), 22)
+    h = Homotopy(target=f, start=g, gamma=complex(np.exp(1.3j)))
+    alone = (f, g)[end]
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    tol = np.full(8, 1e-10)
+    got = continuation._newton_on(h, end, X, tol, 6)
+    want = continuation._newton(lambda z, _: alone.evaluate_and_jacobian(z), X, tol, 6)
+    assert want[1].any()  # some rows converge
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def _record_evaluators(monkeypatch):
+    """Record every _Batched evaluator built, every one evaluated (once per
+    call) and every homotopy tracked, with the number of evaluations made
+    before it was tracked."""
+    built, evaluated, tracked = [], [], []
+    of, evaluate = continuation._Batched.of.__func__, continuation._Batched.evaluate
+    track = continuation.track_paths
+
+    def build(cls, polys, nvars):
+        built.append(of(cls, polys, nvars))
+        return built[-1]
+
+    def evaluate_recorded(self, x, sets=(0,)):
+        evaluated.append(self)
+        return evaluate(self, x, sets)
+
+    def track_recorded(h, starts, record=False):
+        tracked.append((h, len(evaluated)))
+        return track(h, starts, record)
+
+    monkeypatch.setattr(continuation._Batched, "of", classmethod(build))
+    monkeypatch.setattr(continuation._Batched, "evaluate", evaluate_recorded)
+    monkeypatch.setattr(continuation, "track_paths", track_recorded)
+    return built, evaluated, tracked
+
+
+def test_a_solve_evaluates_only_its_homotopy(monkeypatch):
+    built, evaluated, tracked = _record_evaluators(monkeypatch)
+    f = PolySystem([MultiPoly(2, {(2, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0}),
+                    MultiPoly(2, {(1, 1): 1.0, (0, 2): 2.0, (0, 0): -4.0})])
+    res = solve_total_degree(f, seed=2)
+    assert [r.status for r in res] == ["converged"] * 4
+    (h, _), = tracked
+    # the step loop, the endgame polish and the final residuals read the
+    # one stacked system; the target alone is never evaluated
+    assert built == [h._both._batched]
+    assert set(evaluated) == {h._both._batched}
+
+
+def test_a_deform_push_evaluates_only_its_homotopy(monkeypatch):
+    graph, p, sys_ = load_fixture("square")
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    built, evaluated, tracked = _record_evaluators(monkeypatch)
+    steps = deform_framework(sysp, pp, steps=3, seed=5)
+    assert len(steps) == 3
+    # the member system, for the flex and the member residuals, and one
+    # stacked system per push
+    assert len(built) == 4
+    stacked = [h._both._batched for h, _ in tracked]
+    assert stacked == built[1:]
+    # the flex, then per push its settle and tracking, then its member residual
+    runs = [e for k, e in enumerate(evaluated) if k == 0 or e is not evaluated[k - 1]]
+    members = built[0]
+    assert runs == [members] + [e for b in stacked for e in (b, members)]
+    for (h, before) in tracked:
+        assert evaluated[before - 1] is h._both._batched  # the settle
 
 
 def test_batch_with_a_start_point_off_the_start_system_raises():

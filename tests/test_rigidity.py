@@ -11,7 +11,7 @@ from tensegrity import (Configuration, FrameworkError, build_constraints,
                         rigid_motion_basis, rigidity_and_incidence,
                         rigidity_report)
 from tensegrity.framework import FIXTURE_NAMES
-from tensegrity.rigidity import RANK_REL_TOL
+from tensegrity.rigidity import GENERIC_TRIALS, RANK_REL_TOL, random_configuration
 
 from conftest import random_framework
 
@@ -67,6 +67,16 @@ def test_generic_corank_agrees_across_trials(prism):
         q = Configuration(rng.uniform(-1, 1, size=(graph.n, graph.d)))
         coranks.add(numerical_nullspace(jacobian_at(sys_, q)).shape[1])
     assert coranks == {6}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_generic_corank_is_the_least_nullspace_dimension_of_the_trials(name):
+    graph, p, sys_ = load_fixture(name)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        coranks = [numerical_nullspace(jacobian_at(sys_, random_configuration(graph, rng)))
+                   .shape[1] for _ in range(GENERIC_TRIALS)]
+        assert rigidity_report(sys_, p, seed=seed).generic_corank == min(coranks)
 
 
 def test_numerical_nullspace_matches_exact_rank():

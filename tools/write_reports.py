@@ -12,6 +12,9 @@ empty diff means the two checkouts agree on every report in the set.
 - `analyze --svg`, `flexes --svg`, `prestress` and `plot --svg` on all six
   fixtures;
 - `deform --steps 3 --svg` on 3prism, square and hinge;
+- `deform --steps 3` on a strained square: square with member (1, 2)'s
+  rest squared length 4 instead of 1, so the anchor cannot settle onto the
+  first push's start system and the walk ends `step_underflow` at step 1;
 - `solve --svg` on a cubic, on a system with fractional coefficients, and
   on a 75-path system whose recorded solve refills the lockstep batch;
 - `prestress` and `plot --svg` on five collinear nodes in 3-space, all
@@ -66,6 +69,12 @@ FRAMEWORKS = {
                              + [{"i": 2, "j": 6}]},
 }
 
+#: square with a rest squared length on every member, member (1, 2)'s x4
+STRAINED_SQUARE = {"dimension": 2,
+                   "nodes": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                   "members": [{"i": i, "j": j, "rest_sq_length": rest} for i, j, rest
+                               in [(1, 2, 4.0), (1, 4, 1.0), (2, 3, 1.0), (3, 4, 1.0)]]}
+
 
 #: commands run at their own seed, each with its own output subdirectory
 #: because a report's name carries only its input and subcommand
@@ -79,6 +88,7 @@ def commands(input_dir: Path) -> list:
                 ["prestress", fx], ["plot", fx, "--svg"]]
     for fx in ("3prism", "square", "hinge"):
         out.append(["deform", fx, "--steps", "3", "--svg"])
+    out.append(["deform", str(input_dir / "strained_square.json"), "--steps", "3"])
     for name in SYSTEMS:
         out.append(["solve", str(input_dir / f"{name}.json"), "--svg"])
     for name in FRAMEWORKS:
@@ -98,7 +108,8 @@ def main(argv) -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         input_dir = Path(tmp)
-        for name, doc in {**SYSTEMS, **FRAMEWORKS}.items():
+        for name, doc in {**SYSTEMS, **FRAMEWORKS,
+                          "strained_square": STRAINED_SQUARE}.items():
             (input_dir / f"{name}.json").write_text(json.dumps(doc))
         runs = [(cmd, SEED, out_dir) for cmd in commands(input_dir)]
         runs += [(cmd, seed, out_dir / f"seed{seed}") for cmd, seed in OTHER_SEEDS]
