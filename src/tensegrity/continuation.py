@@ -1,6 +1,7 @@
 """Homotopy continuation over complex polynomial systems.
 
-Complex sparse polynomials on the core shared with `symbolic`, Davidenko
+Complex sparse polynomials on the core shared with `symbolic`, whose
+values and Jacobian come from one evaluation of one term set, Davidenko
 predictor-corrector tracking of many paths in lockstep, total-degree
 solving with the gamma trick, real parameter homotopies that deform pinned
 frameworks along hyperplanes, and the critical-point formulation of
@@ -108,51 +109,13 @@ class MultiPoly(SparsePoly):
         return f"MultiPoly({self.nvars}, {self.terms!r})"
 
 
-class _Terms:
-    """One set of terms summed from a _Batched table: each term's
-    coefficient times its table column, summed into its output row."""
-
-    def __init__(self, coeffs, rows, column, nrows):
-        self.nrows = nrows
-        # 2-D, so that it multiplies a (P, T) batch as a 1-D T at one point
-        self.coeffs = coeffs[None]
-        self.column = column
-        self.empty = coeffs.size == 0
-        # bins of the interleaved real and imaginary parts of the terms at
-        # one point; the bins of a batch are built on first use (_batch_bins)
-        self.bins = (2 * rows[:, None] + np.arange(2)).ravel()
-        self.wide_bins = self.bins
-
-    def sum(self, mono, P: int) -> np.ndarray:
-        """The (P, nrows) sums over the terms at each row of the (P, width)
-        table; with no terms there is no table to read."""
-        if self.empty:
-            return np.zeros((P, self.nrows), dtype=complex)
-        vals = self.coeffs * mono.take(self.column, axis=1)
-        sums = np.bincount(self._batch_bins(P), weights=vals.view(np.float64).ravel(),
-                           minlength=2 * P * self.nrows)
-        # a bincount sum is never -0.0, so the view holds the values that
-        # sums[0::2] + 1j * sums[1::2] would, except that an infinite or NaN
-        # imaginary sum leaves the real sum as it is (0 * inf there is NaN)
-        return sums.view(complex).reshape(P, self.nrows)
-
-    def _batch_bins(self, P: int) -> np.ndarray:
-        """The bins of the terms at P points, row after row: a prefix of one
-        array built for max(P, BLOCK_PATHS) points, which grows only when a
-        larger batch comes."""
-        size = P * len(self.bins)
-        if len(self.wide_bins) < size:
-            rows = np.arange(max(P, BLOCK_PATHS))[:, None]
-            self.wide_bins = (self.bins + 2 * self.nrows * rows).ravel()
-        return self.wide_bins[:size]
-
-
 class _Batched:
-    """Shared-monomial evaluator for sets of polynomials at once, at one
-    point or at each row of a (P, nvars) batch of points.
+    """Shared-monomial evaluator of one set of terms, each a coefficient
+    times a monomial summed into its output row, at one point or at each
+    row of a (P, nvars) batch of points.
 
-    Each distinct monomial is a column of one (P, W) table, which every set
-    of terms sums from.  The first (max_exp + 1) * nvars columns are the
+    Each distinct monomial is a column of one (P, W) table, which the terms
+    read.  The first (max_exp + 1) * nvars columns are the
     powers x_j^k (column k * nvars + j), which are every monomial in at most
     one variable; the constant 1 is x_0^0 in column 0.  A monomial in L >= 2
     variables is its prefix, the same monomial without its last variable,
@@ -165,13 +128,17 @@ class _Batched:
     so leaving them out can change only the sign of a zero, which the
     bincount sum drops.  A monomial's column depends on its exponents alone,
     so it has the same bits in any table that holds it.
+
+    The terms' products go to a buffer kept on the evaluator that, like the
+    bins, holds one point until a batch comes and then max(P, BLOCK_PATHS)
+    points: repeated calls allocate neither, and two threads may not share it.
     """
 
-    def __init__(self, exponents, sets):
-        """The distinct monomials, as rows of `exponents`, and the term sets:
-        for each, every term's coefficient, output row and monomial (a row
-        of `exponents`), and its number of output rows."""
+    def __init__(self, exponents, coeffs, rows, monomial, nrows):
+        """The distinct monomials, as rows of `exponents`, and per term its
+        coefficient, output row and monomial (a row of `exponents`)."""
         E, nvars = exponents, exponents.shape[1]
+        self.nvars, self.nrows = nvars, nrows
         self.max_exp = int(E.max(initial=0))
         power = E * nvars + np.arange(nvars)  # column of x_j^e
         level = np.count_nonzero(E, axis=1)
@@ -197,20 +164,24 @@ class _Batched:
                                 np.array(list(slot), dtype=np.int64)))
             column[wide] = self.width + at
             self.width += len(slot)
-        self.sets = [_Terms(coeffs, rows, column[monomial], nrows)
-                     for coeffs, rows, monomial, nrows in sets]
+        self.column = column[monomial]
+        # 2-D, so that it multiplies a (P, T) batch as a 1-D T at one point
+        self.coeffs = coeffs[None]
+        # bins of the interleaved real and imaginary parts at one point
+        self.bins = (2 * rows[:, None] + np.arange(2)).ravel()
+        self.wide_bins = self.bins
+        self.products = np.empty((1, len(coeffs)), dtype=complex)
 
     @classmethod
     def of(cls, polys, nvars) -> "_Batched":
-        """The evaluator of polynomials: term set 0 gives their values, row i
-        for polys[i], and term set 1 every partial derivative, d row_i / d x_j
-        in row i * nvars + j."""
+        """The evaluator of m polynomials and their partial derivatives: row
+        i is polys[i] and row m + i * nvars + j is d polys[i] / d x_j."""
         sizes = [len(p.terms) for p in polys]
         coeffs = np.fromiter(
             itertools.chain.from_iterable(p.terms.values() for p in polys),
             dtype=complex, count=sum(sizes))
-        nrows = len(polys)
-        rows = np.repeat(np.arange(nrows), sizes)
+        m = len(polys)
+        rows = np.repeat(np.arange(m), sizes)
         # polynomials in a system share most monomials, so evaluate each
         # distinct exponent tuple once and scatter
         unique = {}
@@ -229,21 +200,36 @@ class _Batched:
                        for e in map(tuple, lowered.tolist())]
         exps = E[monomial]
         t, j = np.nonzero(exps)
-        sets = [(coeffs, rows, monomial, nrows),
-                (coeffs[t] * exps[t, j], rows[t] * nvars + j,
-                 index[monomial[t], j], nrows * nvars)]
+        # each row's terms keep their order, so its bincount sum keeps its bits
         exponents = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
-        return cls(exponents, sets)
+        return cls(exponents, np.concatenate([coeffs, coeffs[t] * exps[t, j]]),
+                   np.concatenate([rows, m + rows[t] * nvars + j]),
+                   np.concatenate([monomial, index[monomial[t], j]]), m * (1 + nvars))
 
-    def evaluate(self, x: np.ndarray, sets=(0,)) -> tuple:
-        """The sums of the given term sets, each (nrows,) at a point or
-        (P, nrows) at a batch, from one table."""
+    def evaluate(self, x) -> np.ndarray:
+        """The row sums at a point (nrows,) or a batch (P, nrows), in a new array."""
         x = np.asarray(x, dtype=complex)
-        X = x.reshape(-1, x.shape[-1])
-        chosen = [self.sets[k] for k in sets]
-        mono = None if all(terms.empty for terms in chosen) else self._table(X)
-        return tuple(terms.sum(mono, len(X)).reshape(x.shape[:-1] + (terms.nrows,))
-                     for terms in chosen)
+        if x.shape[-1:] != (self.nvars,):
+            raise ContinuationError(
+                f"a point needs {self.nvars} coordinates, got an array of shape {x.shape}")
+        X = x.reshape(-1, self.nvars)
+        P = len(X)
+        if len(self.products) < P:
+            points = np.arange(max(P, BLOCK_PATHS))[:, None]
+            self.wide_bins = (self.bins + 2 * self.nrows * points).ravel()
+            self.products = np.empty((len(points), self.coeffs.shape[1]), dtype=complex)
+        # the indices are in range, and mode="raise" would buffer the take
+        vals = np.take(self._table(X), self.column, axis=1, out=self.products[:P],
+                       mode="clip")
+        # this operand order keeps the bits of self.coeffs * vals
+        np.multiply(self.coeffs, vals, out=vals)
+        sums = np.bincount(self.wide_bins[:P * len(self.bins)],
+                           weights=vals.view(np.float64).ravel(),
+                           minlength=2 * P * self.nrows)
+        # a bincount sum is never -0.0, so the view holds the values that
+        # sums[0::2] + 1j * sums[1::2] would, except that an infinite or NaN
+        # imaginary sum leaves the real sum as it is (0 * inf there is NaN)
+        return sums.view(complex).reshape(x.shape[:-1] + (self.nrows,))
 
     def _table(self, X: np.ndarray) -> np.ndarray:
         """The (P, width) monomial table at the rows of X."""
@@ -262,13 +248,15 @@ class _Batched:
 
 
 class PolySystem:
-    """A list of MultiPoly over a shared variable list, with fast batched
-    evaluation of the system and its Jacobian from one monomial table."""
+    """A list of MultiPoly over a shared variable list, whose values (rows
+    [0, m)) and Jacobian (rows m + i * n + j) are one _Batched evaluation."""
 
     def __init__(self, polys):
-        polys = [p for p in polys]
+        polys = list(polys)
         if not polys:
             raise ContinuationError("empty polynomial system")
+        if not all(isinstance(p, MultiPoly) for p in polys):
+            raise ContinuationError("every polynomial of a system must be a MultiPoly")
         nvars = polys[0].nvars
         if any(p.nvars != nvars for p in polys):
             raise ContinuationError("variable count mismatch in system")
@@ -291,21 +279,19 @@ class PolySystem:
             self._batched = _Batched.of(self.polys, self.nvars)
         return self._batched
 
-    def _shaped(self, flat) -> np.ndarray:
-        return flat.reshape(flat.shape[:-1] + (len(self.polys), self.nvars))
-
     def evaluate(self, x) -> np.ndarray:
         """Values at a point (m,), or at each row of a (P, n) batch (P, m)."""
-        return self._evaluator().evaluate(x, (0,))[0]
+        return self.evaluate_and_jacobian(x)[0]
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobian at a point (m, n), or at each row of a batch (P, m, n)."""
-        return self._shaped(self._evaluator().evaluate(x, (1,))[0])
+        return self.evaluate_and_jacobian(x)[1]
 
     def evaluate_and_jacobian(self, x) -> tuple:
-        """evaluate(x) and jacobian(x), bit for bit, from one monomial table."""
-        values, flat = self._evaluator().evaluate(x, (0, 1))
-        return values, self._shaped(flat)
+        """evaluate(x) and jacobian(x), views of one evaluation's sums."""
+        sums = self._evaluator().evaluate(x)
+        m = len(self.polys)
+        return sums[..., :m], sums[..., m:].reshape(sums.shape[:-1] + (m, self.nvars))
 
 
 def _as_system(f) -> PolySystem:
@@ -350,7 +336,7 @@ class Homotopy:
 @dataclass(frozen=True)
 class TrackResult:
     endpoint: np.ndarray
-    status: str  # converged | diverged | step_underflow | no_real_solution
+    status: str  # converged | diverged | step_underflow | no_real_solution | settle_failed
     residual: float
     steps: int
     max_imag: float
@@ -549,6 +535,8 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
             new = [np.asarray(x0, dtype=complex) for x0 in
                    itertools.islice(starts, BLOCK_PATHS - idx.size)]
             more = len(new) == BLOCK_PATHS - idx.size
+            if any(x0.shape != (n,) for x0 in new):
+                raise ContinuationError(f"every start point needs {n} coordinates")
             if new:
                 X, k = np.array(new), len(new)
                 value, jac_new, hdot_new = h.evaluate(X, np.ones(k))
@@ -789,6 +777,7 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
     flex at p for direction="flex", else a vector over the free or all n*d
     coordinates.  The rectangular system is squared by a seeded random
     complex matrix; the homotopy is a real parameter homotopy (gamma = 1).
+    An anchor that does not settle ends the walk with a settle_failed step.
     """
     if not math.isfinite(epsilon):
         raise FrameworkError(f"epsilon must be a finite number, got {epsilon}")
@@ -852,24 +841,22 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
         # after the first push it is complex and only approximately on it
         settled, ok, _ = _newton_on(h, 1, anchor[None], np.array([1e-12]), 10)
         anchor = settled[0]
-        if not ok[0]:
-            results.append(DeformationStep(
-                point=_restore_full(free, anchor, n, d),
-                result=TrackResult(endpoint=anchor, status="step_underflow",
-                                   residual=float(np.linalg.norm(h._both.evaluate(anchor)[N:])),
-                                   steps=0, max_imag=float(np.max(np.abs(anchor.imag)))),
-                real=False, member_residual=float("nan")))
-            break
-        res = track_path(h, anchor)
-        member_res = float(np.max(np.abs(
-            members.evaluate(res.endpoint.real.astype(complex)).real)))
+        if ok[0]:
+            res = track_path(h, anchor)
+            member_res = float(np.max(np.abs(
+                members.evaluate(res.endpoint.real.astype(complex)).real)))
+        else:
+            res = TrackResult(endpoint=anchor, status="settle_failed",
+                              residual=float(np.linalg.norm(h._both.evaluate(anchor)[N:])),
+                              steps=0, max_imag=float(np.max(np.abs(anchor.imag))))
+            member_res = float("nan")
         real = res.max_imag <= TAU_IMAG
         if res.status == "converged" and not real:
             res = replace(res, status="no_real_solution")
         results.append(DeformationStep(
             point=_restore_full(free, res.endpoint, n, d),
             result=res, real=real, member_residual=member_res))
-        if res.status in ("diverged", "step_underflow"):
+        if res.status in ("diverged", "step_underflow", "settle_failed"):
             break
         anchor = res.endpoint
     return results

@@ -15,6 +15,7 @@ from tensegrity import (ContinuationError, FrameworkError, Homotopy,
                         track_paths)
 from tensegrity import continuation
 from tensegrity.framework import build_constraints
+from tensegrity.symbolic import RationalPoly
 
 
 def _close_multisets(found, expected, tol):
@@ -166,6 +167,30 @@ def test_homotopy_validates_inputs():
         track_paths(h, [np.array([1.0 + 0j]), nan, np.array([-1.0 + 0j])])
 
 
+def test_a_system_of_other_polynomials_is_rejected():
+    x = RationalPoly.parse("x^2 - 1", ["x"])
+    with pytest.raises(ContinuationError, match="MultiPoly"):
+        PolySystem([x])
+    with pytest.raises(ContinuationError, match="MultiPoly"):
+        Homotopy(target=[x], start=[x])
+
+
+def test_points_of_the_wrong_length_are_rejected():
+    f, g = _dense_system((2, 2), 41), _dense_system((2, 2), 42)
+    h = Homotopy(target=f, start=g, gamma=complex(np.exp(0.4j)))
+    calls = (f.evaluate, f.jacobian, f.evaluate_and_jacobian,
+             lambda z: h.evaluate(z, np.full(np.shape(z)[:-1], 0.5)))
+    # a point, a batch and a scalar that do not have 2 coordinates
+    for x in (np.ones(1), np.ones(3), np.ones((4, 1)), np.ones((4, 3)), np.array(1.0)):
+        for call in calls:
+            with pytest.raises(ContinuationError, match="needs 2 coordinates"):
+                call(x)
+    good = np.ones(2, dtype=complex)
+    for starts in ([np.ones(1)], [np.ones(3)] * 2, [good, np.ones(1), good]):
+        with pytest.raises(ContinuationError, match="needs 2 coordinates"):
+            track_paths(h, starts)
+
+
 def test_non_square_system_rejected():
     f = PolySystem([MultiPoly(2, {(1, 0): 1.0})])
     with pytest.raises(ContinuationError):
@@ -242,7 +267,8 @@ def test_deform_rejects_unknown_direction():
 def test_deform_reports_an_anchor_that_does_not_settle():
     """Square with member (1, 2)'s rest squared length x4: p is far from the
     first push's start system, so the settle fails and the walk ends there,
-    with the residual of the settled anchor on the start system."""
+    with the residual of the settled anchor on the start system and its
+    reality flag read from its imaginary part, as on every other step."""
     graph, p, sys_ = load_fixture("square")
     pp = pin_moving_frame(p)
     rest = sys_.rest_sq_lengths * np.array([4.0, 1.0, 1.0, 1.0])
@@ -250,9 +276,10 @@ def test_deform_reports_an_anchor_that_does_not_settle():
     steps = deform_framework(sysp, pp, epsilon=0.05, steps=1, seed=0)
     assert len(steps) == 1
     step = steps[0]
-    assert step.result.status == "step_underflow"
+    assert step.result.status == "settle_failed"
     assert step.result.steps == 0
-    assert step.real is False
+    assert step.result.max_imag <= continuation.TAU_IMAG
+    assert step.real is True
     assert np.isnan(step.member_residual)
     assert step.result.residual == 1.569842129607382
 
@@ -419,9 +446,9 @@ def _record_evaluators(monkeypatch):
         built.append(of(cls, polys, nvars))
         return built[-1]
 
-    def evaluate_recorded(self, x, sets=(0,)):
+    def evaluate_recorded(self, x):
         evaluated.append(self)
-        return evaluate(self, x, sets)
+        return evaluate(self, x)
 
     def track_recorded(h, starts, record=False):
         tracked.append((h, len(evaluated)))
@@ -535,9 +562,9 @@ def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
             stepped.append((len(x), taken[0]))
         return real_newton(system, x, tol, max_iter)
 
-    def evaluate(self, x, *sets):
+    def evaluate(self, x):
         evaluated.append(np.asarray(x).reshape(-1, np.shape(x)[-1]).shape[0])
-        return real_evaluate(self, x, *sets)
+        return real_evaluate(self, x)
 
     monkeypatch.setattr(continuation, "track_paths",
                         lambda h, starts, record=False:
@@ -809,6 +836,53 @@ def test_a_non_finite_imaginary_sum_keeps_its_real_sum():
     assert values[0, 2] == old[0, 2] == 4.0 - 2.0j
     assert np.array_equal(both[0], values, equal_nan=True)
     assert np.array_equal(both[1], jac, equal_nan=True)
+
+
+def test_a_call_leaves_every_earlier_output_unchanged():
+    """The evaluator keeps its product buffer from call to call: it holds one
+    point until a batch comes and then max(P, BLOCK_PATHS) points, and no
+    output is the buffer or a view of it."""
+    f = _dense_system((3, 2, 2), 31)
+    rng = np.random.default_rng(32)
+    f.evaluate(rng.normal(size=3))
+    assert len(f._batched.products) == 1
+    f.evaluate(rng.normal(size=(2, 3)))
+    assert len(f._batched.products) == continuation.BLOCK_PATHS
+    outputs, copies = [], []
+    for P in (65, 1, 64):
+        X = rng.normal(size=(P, 3)) + 1j * rng.normal(size=(P, 3))
+        out = (f.evaluate(X), f.jacobian(X)) + f.evaluate_and_jacobian(X)
+        for a in out:
+            assert not np.shares_memory(a, f._batched.products)
+        # a new evaluator, whose buffer no earlier call has filled
+        out += PolySystem(f.polys).evaluate_and_jacobian(X)
+        for a, b in zip(out[:2], out[2:4]):
+            assert np.array_equal(a, b)
+        for a, b in zip(out[:2], out[4:]):
+            assert np.array_equal(a, b)
+        outputs.append(out)
+        copies.append(tuple(a.copy() for a in out))
+    assert len(f._batched.products) == 65
+    for out, kept in zip(outputs, copies):
+        for a, b in zip(out, kept):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("P", [0, 1, 65])
+def test_zero_and_constant_systems_have_zero_jacobians(P):
+    zero = PolySystem([MultiPoly(2, {}), MultiPoly(2, {})])
+    constant = PolySystem([MultiPoly.constant(2, 1.5 - 2j), MultiPoly(2, {(0, 0): -3.0})])
+    X = np.random.default_rng(P).normal(size=(P, 2)) + 0j
+    for f, c in ((zero, [0.0, 0.0]), (constant, [1.5 - 2j, -3.0])):
+        values, jacobian = f.evaluate_and_jacobian(X)
+        assert values.shape == (P, 2) and jacobian.shape == (P, 2, 2)
+        assert np.array_equal(values, np.broadcast_to(np.array(c, dtype=complex), (P, 2)))
+        assert not jacobian.any()
+        assert np.array_equal(f.evaluate(X), values)
+        assert np.array_equal(f.jacobian(X), jacobian)
+        if P:
+            assert np.array_equal(f.evaluate(X[0]), values[0])
+            assert np.array_equal(f.jacobian(X[-1]), jacobian[-1])
 
 
 def test_a_nan_polish_residual_is_no_witness(monkeypatch):

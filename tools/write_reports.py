@@ -14,7 +14,7 @@ empty diff means the two checkouts agree on every report in the set.
 - `deform --steps 3 --svg` on 3prism, square and hinge;
 - `deform --steps 3` on a strained square: square with member (1, 2)'s
   rest squared length 4 instead of 1, so the anchor cannot settle onto the
-  first push's start system and the walk ends `step_underflow` at step 1;
+  first push's start system and the walk ends `settle_failed` at step 1;
 - `solve --svg` on a cubic, on a system with fractional coefficients, and
   on a 75-path system whose recorded solve refills the lockstep batch;
 - `prestress` and `plot --svg` on five collinear nodes in 3-space, all
