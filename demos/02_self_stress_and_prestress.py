@@ -25,15 +25,18 @@ print("stress entries by member:")
 for (i, j, _), wk in zip(graph.members, w):
     print(f"  ({i}, {j}): {wk:+.3f}")
 
-# the tensegrity split stored with the fixture: which members could be
-# cables (positive tension) and which struts
-partition = sys_.metadata["tensegrity_partition"]
-print(f"\ncables: {partition['cables']}")
-print(f"bars:   {partition['bars']}")
+# the tensegrity split is each member's kind: cables must carry tension
+# (positive stress), struts compression (negative)
+cables = [(i, j) for i, j, kind in graph.members if kind == "cable"]
+struts = [(i, j) for i, j, kind in graph.members if kind == "strut"]
+print(f"\ncables: {cables}")
+print(f"struts: {struts}")
 
 cert = prestress_certificate(sys_, p)
 print(f"\ncertificate: {cert.verdict}, "
       f"min eigenvalue of the reduced matrix: {cert.min_eigenvalue:.6f}")
+print(f"cables positive: {cert.cables_positive}, "
+      f"struts negative: {cert.struts_negative}")
 
 # re-verify off the certificate's path: restrict Omega_w to the flex space
 omega = stress_matrix(graph, cert.stress)

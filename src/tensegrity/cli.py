@@ -216,29 +216,6 @@ def _pinned(graph, p, sys_):
     return pp, build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
 
 
-def _partition_kinds(graph, sys_):
-    """Member kinds for prestress sign checks; a tensegrity_partition block
-    in the input metadata overrides the stored kinds."""
-    block = sys_.metadata.get("tensegrity_partition")
-    if not isinstance(block, dict):
-        return None
-    members = [[i, j] for i, j, _ in graph.members]
-    lookup = {}
-    for kind in ("bar", "cable", "strut"):
-        pairs = block.get(kind + "s", [])
-        if not isinstance(pairs, list):
-            raise FrameworkError(
-                f"tensegrity_partition {kind}s must be a list of member pairs")
-        for pair in pairs:
-            if pair not in members or tuple(pair) in lookup:
-                raise FrameworkError(f"tensegrity_partition {kind}s entry "
-                                     f"{pair!r} is not a member or repeats one")
-            lookup[tuple(pair)] = kind
-    if not lookup:
-        return None
-    return tuple(lookup.get((i, j), kind) for (i, j, kind) in graph.members)
-
-
 def _cmd_analyze(args) -> CommandOutput:
     graph, p, sys_, stem = _load_input(args.framework)
     report = rigidity_report(sys_, p, tol_rel=args.tol, seed=args.seed)
@@ -276,15 +253,9 @@ def _cmd_flexes(args) -> CommandOutput:
 
 
 def _cmd_prestress(args) -> CommandOutput:
-    graph, p, sys_, stem = _load_input(args.framework)
-    partition = _partition_kinds(graph, sys_)
-    cert = prestress_certificate(sys_, p, partition=partition,
-                                 tol_rel=args.tol)
-    payload = {
-        "input": stem,
-        "partition": list(partition) if partition else None,
-        **cert.to_json_dict(),
-    }
+    _, p, sys_, stem = _load_input(args.framework)
+    cert = prestress_certificate(sys_, p, tol_rel=args.tol)
+    payload = {"input": stem, **cert.to_json_dict()}
     return CommandOutput(stem, payload, summary=f"verdict: {cert.verdict}")
 
 

@@ -1,20 +1,26 @@
 """Domain model for bar and tensegrity frameworks.
 
 A framework is a graph whose members are classified as bars, cables or
-struts, together with an embedding of the nodes in R^d.  Member constraints
-are the squared-length polynomials g_ij(x) = sum_k (x_ik - x_jk)^2 - l_ij^2,
-required to be = 0 on bars, <= 0 on cables and >= 0 on struts.
+struts, together with an embedding of the nodes in R^d.  Each member's
+`kind` is the only source of its class.  Member constraints are the
+squared-length polynomials g_ij(x) = sum_k (x_ik - x_jk)^2 - l_ij^2,
+required to be = 0 on bars, <= 0 on cables and >= 0 on struts; a self
+stress must be > 0 on cables and < 0 on struts.  KIND_SIGN holds that
+rule: s = 0 for a bar, and s * g <= 0, s * w > 0 for a cable (s = 1) or a
+strut (s = -1).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-MEMBER_KINDS = ("bar", "cable", "strut")
+#: sign of each member kind: a cable shortens and carries tension, a strut
+#: is the reverse, a bar keeps its length and may carry either
+KIND_SIGN = {"bar": 0, "cable": 1, "strut": -1}
 
 #: slack when deciding whether a member constraint is satisfied;
 #: floating residuals of exact solutions sit near 1e-15, so this is generous.
@@ -47,29 +53,17 @@ class FrameworkGraph:
         seen = set()
         for i, j, kind in self.members:
             if not (1 <= i < j <= self.n):
-                raise FrameworkError(f"member ({i}, {j}) out of range for n={self.n}")
+                raise FrameworkError(f"member ({i}, {j}) must have 1 <= i < j <= n "
+                                     f"with n={self.n}")
             if (i, j) in seen:
                 raise FrameworkError(f"duplicate member ({i}, {j})")
-            if kind not in MEMBER_KINDS:
+            if not (isinstance(kind, str) and kind in KIND_SIGN):
                 raise FrameworkError(f"unknown member kind {kind!r} of ({i}, {j})")
             seen.add((i, j))
 
     @property
     def m(self) -> int:
         return len(self.members)
-
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(kind for _, _, kind in self.members)
-
-    def with_kinds(self, kinds) -> "FrameworkGraph":
-        """Same graph with the member kinds replaced (e.g. a tensegrity split)."""
-        kinds = tuple(kinds)
-        if len(kinds) != self.m:
-            raise FrameworkError(f"expected {self.m} kinds, got {len(kinds)}")
-        return FrameworkGraph(
-            self.n, self.d,
-            tuple((i, j, k) for (i, j, _), k in zip(self.members, kinds)),
-        )
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,6 @@ class MemberConstraintSystem:
 
     graph: FrameworkGraph
     rest_sq_lengths: np.ndarray
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         rest = np.asarray(self.rest_sq_lengths, dtype=float)
@@ -148,20 +141,14 @@ def build_constraints(graph: FrameworkGraph, p: Configuration,
 def evaluate_members(sys: MemberConstraintSystem, x: Configuration):
     """Residuals g_ij(x) and a per-member feasibility flag.
 
-    Bars require |g| <= FEASIBILITY_TOL, cables g <= FEASIBILITY_TOL and
-    struts g >= -FEASIBILITY_TOL.  Returns (residuals, feasible) as arrays
-    of length m.
+    With s = KIND_SIGN[kind], a bar (s = 0) requires |g| <= FEASIBILITY_TOL
+    and a cable or strut s * g <= FEASIBILITY_TOL.  Returns (residuals,
+    feasible) as arrays of length m.
     """
     residuals = squared_lengths(sys.graph, x) - sys.rest_sq_lengths
-    feasible = np.empty(sys.m, dtype=bool)
-    for k, (_, _, kind) in enumerate(sys.graph.members):
-        g = residuals[k]
-        if kind == "bar":
-            feasible[k] = abs(g) <= FEASIBILITY_TOL
-        elif kind == "cable":
-            feasible[k] = g <= FEASIBILITY_TOL
-        else:
-            feasible[k] = g >= -FEASIBILITY_TOL
+    signs = [KIND_SIGN[kind] for _, _, kind in sys.graph.members]
+    feasible = np.array([(s * g if s else abs(g)) <= FEASIBILITY_TOL
+                         for g, s in zip(residuals, signs)], dtype=bool)
     return residuals, feasible
 
 
@@ -183,6 +170,9 @@ def _number(value, what: str) -> float:
 def _parse_document(doc: dict):
     if not isinstance(doc, dict):
         raise FrameworkError("framework document must be a JSON object")
+    if "tensegrity_partition" in doc:
+        raise FrameworkError("the tensegrity_partition block is retired: give each "
+                             "member its 'kind' (bar, cable or strut) instead")
     try:
         d = _integer(doc["dimension"], "'dimension'")
         nodes = doc["nodes"]
@@ -223,9 +213,7 @@ def _parse_document(doc: dict):
             rest.append(None)
     if explicit and any(r is None for r in rest):
         raise FrameworkError("either all members or none may carry rest_sq_length")
-    metadata = {k: v for k, v in doc.items()
-                if k not in ("dimension", "nodes", "members")}
-    return d, coords, triples, (rest if explicit else None), metadata
+    return d, coords, triples, (rest if explicit else None)
 
 
 def load_framework(source):
@@ -247,13 +235,10 @@ def load_framework(source):
         except json.JSONDecodeError as exc:
             raise FrameworkError(f"invalid JSON in {source}: {exc}") from exc
 
-    d, coords, triples, rest, metadata = _parse_document(doc)
+    d, coords, triples, rest = _parse_document(doc)
     graph = FrameworkGraph(coords.shape[0], d, tuple(triples))
     p = Configuration(coords)
-    sys = build_constraints(graph, p, rest)
-    if metadata:
-        sys.metadata.update(metadata)
-    return graph, p, sys
+    return graph, p, build_constraints(graph, p, rest)
 
 
 def load_fixture(name: str):

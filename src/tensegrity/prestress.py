@@ -3,7 +3,9 @@
 A self stress is a left null vector w of dg|_p: edge tensions in perfect
 equilibrium at every node.  The stress matrix Omega_w spreads the w-weighted
 graph Laplacian across the d spatial dimensions; positive definiteness of
-F^T Omega_w F on a flex basis F certifies prestress rigidity.
+F^T Omega_w F on a flex basis F certifies prestress rigidity.  The sign
+report reads each member's kind through KIND_SIGN: a cable's stress must
+be positive and a strut's negative.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Configuration, FrameworkError, FrameworkGraph, MemberConstraintSystem
+from .framework import (KIND_SIGN, Configuration, FrameworkError, FrameworkGraph,
+                        MemberConstraintSystem)
 from .rigidity import (
     RANK_REL_TOL,
     NullspaceDecomposition,
@@ -172,8 +175,7 @@ def _max_min_eigenvalue(parts) -> tuple:
 
 
 def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
-                          partition=None, tol_rel: float = RANK_REL_TOL
-                          ) -> PrestressCertificate:
+                          tol_rel: float = RANK_REL_TOL) -> PrestressCertificate:
     """Look for a self stress whose stress matrix is positive definite on the
     flex space.
 
@@ -186,12 +188,10 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     definiteness of the result is re-verified from scratch: its minimum
     eigenvalue must exceed tol_rel times the spectral norm of its stress
     matrix, so that rounding noise on a flex the stress does not reach is
-    not taken for positive definiteness.  Cable/strut sign feasibility is
-    reported against `partition`, one kind of `MEMBER_KINDS` per member
-    (defaults to the member kinds of sys).
+    not taken for positive definiteness.  A member violates the sign report
+    when s = KIND_SIGN[kind] is nonzero and s * w <= SIGN_MARGIN.
     """
     graph = sys.graph
-    kinds = (graph if partition is None else graph.with_kinds(partition)).kinds()
 
     decomp = nullspace_decomposition(sys, p, tol_rel)
     F = decomp.flexes
@@ -224,16 +224,15 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     zero_members = []
     cables_ok = True
     struts_ok = True
-    for k, ((i, j, _), kind) in enumerate(zip(graph.members, kinds)):
-        wk = stress[k]
+    for (i, j, kind), wk in zip(graph.members, stress):
         if abs(wk) <= SIGN_MARGIN:
             zero_members.append((i, j))
-        if kind == "cable" and wk <= SIGN_MARGIN:
+        s = KIND_SIGN[kind]
+        if s and s * wk <= SIGN_MARGIN:
             violations.append((i, j))
-            cables_ok = False
-        elif kind == "strut" and wk >= -SIGN_MARGIN:
-            violations.append((i, j))
-            struts_ok = False
+            # a violating cable (s = 1) clears cables_ok, a strut struts_ok
+            cables_ok &= s < 0
+            struts_ok &= s > 0
 
     return PrestressCertificate(
         verdict="found" if definite else "not_found",

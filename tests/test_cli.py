@@ -12,7 +12,7 @@ from tensegrity import rigidity
 from tensegrity.cli import (ARROW_COLORS, ARROW_HEAD, HEIGHT, ISOMETRIC, MARGIN,
                             MEMBER_COLORS, NODE_RADIUS, WIDTH, Scene, _fmt,
                             _projection, render_svg, run_command)
-from tensegrity.framework import FIXTURE_NAMES
+from tensegrity.framework import FIXTURE_NAMES, load_fixture
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -60,12 +60,17 @@ def test_framework_svg_structure(tmp_path):
 
 
 def test_prestress_uses_fixture_partition(tmp_path):
+    # the cable/strut split is the fixture members' own kinds
+    graph, _, _ = load_fixture("3prism")
+    kinds = [kind for _, _, kind in graph.members]
+    assert (kinds.count("cable"), kinds.count("strut")) == (9, 3)
     run_command(["prestress", "3prism", "--out", str(tmp_path)])
     doc = _read(tmp_path / "3prism_prestress.json")
     assert doc["verdict"] == "found"
     assert doc["self_stress_dim"] == 1
-    assert doc["partition"].count("bar") == 3
-    assert doc["partition"].count("cable") == 9
+    assert doc["cables_positive"] and doc["struts_negative"]
+    assert doc["sign_violations"] == [] and doc["zero_members"] == []
+    assert "partition" not in doc
 
 
 def test_solve_roots_and_trajectories(tmp_path):
@@ -338,15 +343,21 @@ def test_solve_rejects_malformed_system(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("block", [{"cables": [1]}, {"cables": [[1, 7]]},
                                    {"bars": [[4, 1]]},
-                                   {"cables": [[1, 2]], "struts": [[1, 2]]}])
+                                   {"cables": [[1, 2]], "struts": [[1, 2]]},
+                                   {"bars": [[1, 4], [2, 5], [3, 6]], "struts": [],
+                                    "cables": [[1, 2], [1, 3], [1, 5], [2, 3], [2, 6],
+                                               [3, 4], [4, 5], [4, 6], [5, 6]]}])
 def test_prestress_rejects_bad_partition(tmp_path, capsys, block):
+    # the retired block is refused whatever it holds: kinds come only from
+    # the members, and ignoring it would change the sign report silently
     fixture = resources.files("tensegrity.fixtures").joinpath("3prism.json")
     doc = json.loads(fixture.read_text())
     doc["tensegrity_partition"] = block
     frame = tmp_path / "prism.json"
     frame.write_text(json.dumps(doc))
     assert run_command(["prestress", str(frame), "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'kind'" in err
 
 
 @pytest.mark.parametrize("argv", [["analyze", "3prism", "--tol", "-1"],

@@ -8,7 +8,7 @@ import pytest
 from tensegrity import (Configuration, FrameworkError, FrameworkGraph,
                         MemberConstraintSystem, build_constraints,
                         evaluate_members, load_fixture, load_framework)
-from tensegrity.framework import FIXTURE_NAMES, squared_lengths
+from tensegrity.framework import FEASIBILITY_TOL, FIXTURE_NAMES, squared_lengths
 
 from conftest import random_framework, random_rigid_motion
 
@@ -112,6 +112,18 @@ def test_load_framework_round_trip(tmp_path):
     assert np.array_equal(p.coords, np.array(doc["nodes"]))
     # rest lengths default to the embedding's squared lengths
     assert np.allclose(sys_.rest_sq_lengths, [1.0, 1.0, 2.0])
+    for kind in ("rope", ["bar"]):
+        doc["members"][1]["kind"] = kind
+        with pytest.raises(FrameworkError, match=r"unknown member kind .* of \(2, 3\)"):
+            load_framework(doc)
+
+
+def test_reversed_member_is_rejected_with_the_index_rule():
+    doc = {"dimension": 2, "nodes": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+           "members": [{"i": 1, "j": 2}, {"i": 4, "j": 1}]}
+    with pytest.raises(FrameworkError, match=r"member \(4, 1\) must have "
+                                             r"1 <= i < j <= n with n=4"):
+        load_framework(doc)
 
 
 def test_residuals_vanish_at_defining_embedding():
@@ -147,20 +159,40 @@ def test_residual_depends_only_on_member_endpoints():
         assert r[k] == base[k]
 
 
-def test_cable_and_strut_feasibility_signs():
-    graph = FrameworkGraph(n=2, d=1, members=((1, 2, "cable"),))
-    sys_ = MemberConstraintSystem(graph, np.array([1.0]))
-    # shorter than rest: fine for a cable
-    _, ok = evaluate_members(sys_, Configuration([[0.0], [0.5]]))
-    assert ok[0]
-    _, ok = evaluate_members(sys_, Configuration([[0.0], [2.0]]))
-    assert not ok[0]
+def _feasible_by_kind(kind, g):
+    """The member feasibility rule as one branch per kind."""
+    if kind == "bar":
+        return abs(g) <= FEASIBILITY_TOL
+    if kind == "cable":
+        return g <= FEASIBILITY_TOL
+    return g >= -FEASIBILITY_TOL
 
-    strut = MemberConstraintSystem(graph.with_kinds(["strut"]), np.array([1.0]))
-    _, ok = evaluate_members(strut, Configuration([[0.0], [2.0]]))
-    assert ok[0]
-    _, ok = evaluate_members(strut, Configuration([[0.0], [0.5]]))
-    assert not ok[0]
+
+def test_cable_and_strut_feasibility_signs():
+    # node 1 at 0 and nodes 2.. at lengths below, at and above rest 1,
+    # including squared lengths just inside and just outside the slack
+    lengths = [0.5, np.sqrt(1 - 2e-9), np.sqrt(1 - 0.5e-9), 1.0,
+               np.sqrt(1 + 0.5e-9), np.sqrt(1 + 2e-9), 2.0]
+    coords = [[0.0]] + [[x] for x in lengths]
+    expected = {"bar": [False, False, True, True, True, False, False],
+                "cable": [True, True, True, True, True, False, False],
+                "strut": [False, False, True, True, True, True, True]}
+    for kind, want in expected.items():
+        members = tuple((1, k, kind) for k in range(2, len(coords) + 1))
+        graph = FrameworkGraph(n=len(coords), d=1, members=members)
+        sys_ = MemberConstraintSystem(graph, np.ones(graph.m))
+        residuals, feasible = evaluate_members(sys_, Configuration(coords))
+        assert feasible.tolist() == want
+        assert want == [_feasible_by_kind(kind, g) for g in residuals]
+
+    # mixed kinds keep the member order
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        graph, p, _ = random_framework(rng, kinds=("bar", "cable", "strut"))
+        sys_ = MemberConstraintSystem(graph, rng.uniform(0.5, 2.0, size=graph.m))
+        residuals, feasible = evaluate_members(sys_, p)
+        assert feasible.tolist() == [_feasible_by_kind(kind, g) for (_, _, kind), g
+                                     in zip(graph.members, residuals)]
 
 
 def test_squared_lengths_match_direct_formula():

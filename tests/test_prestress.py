@@ -120,44 +120,103 @@ def test_square_has_no_self_stress():
     assert cert.verdict == "no_self_stress"
 
 
+# a convex quadrilateral with both diagonals carries one self stress, with
+# the sides of one sign and the diagonals of the other; node 5 hangs off
+# node 2 by an unstressed member and gives the one flex
+PENDANT_QUAD = [[0.0, 0.0], [1.0, 0.0], [1.1, 0.9], [0.1, 1.2], [2.0, 0.4]]
+PENDANT_QUAD_MEMBERS = list(itertools.combinations(range(1, 5), 2)) + [(2, 5)]
+QUAD_SIDES = {(1, 2), (2, 3), (3, 4), (1, 4)}
+
+
+def _pendant_quad(sides, diagonals, pendant):
+    kinds = [sides if pair in QUAD_SIDES else diagonals
+             for pair in PENDANT_QUAD_MEMBERS[:-1]] + [pendant]
+    return _framework_with_kinds(kinds)
+
+
+def _framework_with_kinds(kinds):
+    return load_framework({
+        "dimension": 2, "nodes": PENDANT_QUAD,
+        "members": [{"i": i, "j": j, "kind": kind}
+                    for (i, j), kind in zip(PENDANT_QUAD_MEMBERS, kinds)]})
+
+
 def test_flex_the_stress_does_not_reach_is_not_certified():
-    # a braced quadrilateral carries the one self stress; node 5 hangs off
-    # node 2 by an unstressed bar and swings freely, so the reduced stress
-    # matrix is exactly zero and its computed eigenvalue is rounding noise
-    quad = [[0.0, 0.0], [1.0, 0.0], [1.1, 0.9], [0.1, 1.2]]
-    members = [{"i": i, "j": j}
-               for i, j in itertools.combinations(range(1, 5), 2)]
-    _, p, sys_ = load_framework({
-        "dimension": 2, "nodes": quad + [[2.0, 0.4]],
-        "members": members + [{"i": 2, "j": 5}]})
+    # the pendant node swings freely, so the reduced stress matrix is
+    # exactly zero and its computed eigenvalue is rounding noise
+    _, p, sys_ = _framework_with_kinds(["bar"] * len(PENDANT_QUAD_MEMBERS))
     cert = prestress_certificate(sys_, p)
     assert abs(cert.min_eigenvalue) <= 1e-12
     assert cert.verdict == "not_found"
 
 
 def test_tensegrity_partition_signs(prism):
+    # the fixture's cables and struts are its members' own kinds: the three
+    # diagonals carry the stress -1 and are struts, the other nine cables
     graph, p, sys_ = prism
-    block = sys_.metadata["tensegrity_partition"]
-    lookup = {}
-    for kind in ("bar", "cable", "strut"):
-        for pair in block.get(kind + "s", ()):
-            lookup[tuple(pair)] = kind
-    partition = tuple(lookup[(i, j)] for (i, j, _) in graph.members)
-    cert = prestress_certificate(sys_, p, partition=partition)
+    cert = prestress_certificate(sys_, p)
     assert cert.verdict == "found"
-    assert cert.cables_positive
-    assert cert.sign_violations == ()
-    for (i, j, kind), wk in zip(graph.with_kinds(partition).members, cert.stress):
-        if kind == "cable":
-            assert wk > 0.0
+    assert cert.cables_positive and cert.struts_negative
+    assert cert.sign_violations == () and cert.zero_members == ()
+    struts = [(i, j) for i, j, kind in graph.members if kind == "strut"]
+    assert struts == [(1, 4), (2, 5), (3, 6)]
+    for (i, j, kind), wk in zip(graph.members, cert.stress):
+        assert wk == pytest.approx(-1.0) if kind == "strut" else wk > 0.0
 
 
-def test_partition_kinds_must_be_member_kinds(prism):
-    graph, p, sys_ = prism
-    with pytest.raises(FrameworkError, match=r"'rope' of \(1, 2\)"):
-        prestress_certificate(sys_, p, partition=["rope"] * graph.m)
-    with pytest.raises(FrameworkError, match="expected"):
-        prestress_certificate(sys_, p, partition=["cable"] * (graph.m - 1))
+def _sign_report_by_kind(members, stress):
+    """The sign report as one branch per kind: (violations, zero members,
+    cables positive, struts negative)."""
+    violations, zero_members = [], []
+    cables_ok = struts_ok = True
+    for (i, j, kind), wk in zip(members, stress):
+        if abs(wk) <= prestress.SIGN_MARGIN:
+            zero_members.append((i, j))
+        if kind == "cable" and wk <= prestress.SIGN_MARGIN:
+            violations.append((i, j))
+            cables_ok = False
+        elif kind == "strut" and wk >= -prestress.SIGN_MARGIN:
+            violations.append((i, j))
+            struts_ok = False
+    return tuple(violations), tuple(zero_members), cables_ok, struts_ok
+
+
+def _sign_report(cert):
+    return (cert.sign_violations, cert.zero_members,
+            cert.cables_positive, cert.struts_negative)
+
+
+def test_cable_sides_and_strut_diagonals_sign_properly():
+    for pendant in ("bar", "cable", "strut"):
+        _, p, sys_ = _pendant_quad("cable", "strut", pendant)
+        cert = prestress_certificate(sys_, p)
+        assert cert.self_stress_dim == 1 and cert.reduced.shape == (1, 1)
+        # the pendant member carries no stress, so as a cable or a strut it
+        # violates its sign
+        violations = () if pendant == "bar" else ((2, 5),)
+        assert _sign_report(cert) == (violations, ((2, 5),), pendant != "cable",
+                                      pendant != "strut")
+
+
+def test_strut_sides_and_cable_diagonals_violate_every_loaded_member():
+    _, p, sys_ = _pendant_quad("strut", "cable", "bar")
+    cert = prestress_certificate(sys_, p)
+    loaded = tuple(PENDANT_QUAD_MEMBERS[:-1])
+    assert _sign_report(cert) == (loaded, ((2, 5),), False, False)
+
+
+def test_sign_report_matches_the_rule_written_out():
+    # every one of the 3^7 kind assignments of the pendant quadrilateral
+    stress = None
+    for kinds in itertools.product(("bar", "cable", "strut"),
+                                   repeat=len(PENDANT_QUAD_MEMBERS)):
+        graph, p, sys_ = _framework_with_kinds(kinds)
+        cert = prestress_certificate(sys_, p)
+        assert _sign_report(cert) == _sign_report_by_kind(graph.members, cert.stress)
+        # kinds change only the sign report, never the stress
+        if stress is None:
+            stress = cert.stress
+        assert np.array_equal(cert.stress, stress)
 
 
 def test_quadratic_form_regression(prism):

@@ -23,6 +23,11 @@ empty diff means the two checkouts agree on every report in the set.
 - `prestress` and `plot --svg` on a planar K5 with a pendant node: its 3
   self stresses live on the K5 and its one flex swings the pendant node, so
   no stress reaches the flex and the solve is skipped;
+- `prestress` and `plot --svg` on a mixed-kind tensegrity: a convex
+  quadrilateral with cable sides and strut diagonals, whose one self
+  stress signs them properly, and a pendant node hung by a cable, which
+  carries no stress, so the sign report lists it as a zero member and a
+  violation;
 - `epscheck` on triangle and hinge, and on triangle again at seed 1,
   whose verdict is `inconclusive` (most of its paths end
   `step_underflow`), written into OUT_DIR/seed1;
@@ -67,6 +72,13 @@ FRAMEWORKS = {
                   "members": [{"i": i, "j": j}
                               for i in range(1, 6) for j in range(i + 1, 6)]
                              + [{"i": 2, "j": 6}]},
+    "quadpendant": {"dimension": 2,
+                    "nodes": [[0.0, 0.0], [1.0, 0.0], [1.1, 0.9], [0.1, 1.2],
+                              [2.0, 0.4]],
+                    "members": [{"i": i, "j": j,
+                                 "kind": "strut" if j - i == 2 else "cable"}
+                                for i in range(1, 5) for j in range(i + 1, 5)]
+                               + [{"i": 2, "j": 5, "kind": "cable"}]},
 }
 
 #: square with a rest squared length on every member, member (1, 2)'s x4
