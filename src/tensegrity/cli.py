@@ -261,6 +261,11 @@ def _cmd_prestress(args) -> CommandOutput:
 
 def _read_system(path: Path):
     doc = json.loads(path.read_text())
+    if isinstance(doc, dict):
+        for key in doc:
+            if key not in ("variables", "equations"):
+                raise ContinuationError(f"unknown key {key!r} in the system document; "
+                                        "allowed keys are 'variables', 'equations'")
     for key in ("variables", "equations"):
         value = doc.get(key) if isinstance(doc, dict) else None
         if not (isinstance(value, list)

@@ -55,9 +55,14 @@ POLISH_STEPS = 30
 #: times 1 + |x|^deg
 TOL_END_REL = 1e-8
 
-#: paths tracked together in one lockstep batch; bounds the evaluator's
-#: temporaries, which grow with paths x terms
+#: the fewest rows of one lockstep batch, and the granularity of the split
+#: of a solve over forked processes (see track_paths)
 BLOCK_PATHS = 64
+
+#: rows x terms of the evaluator's product buffer that one lockstep batch
+#: may fill: a batch of a homotopy whose stacked evaluator has T terms
+#: holds max(BLOCK_PATHS, BATCH_TERMS // T) paths (see _batch_rows)
+BATCH_TERMS = 2 ** 16
 
 #: refuse total-degree solves beyond this many paths unless overridden
 DEFAULT_PATH_BUDGET = 100_000
@@ -131,7 +136,9 @@ class _Batched:
 
     The terms' products go to a buffer kept on the evaluator that, like the
     bins, holds one point until a batch comes and then max(P, BLOCK_PATHS)
-    points: repeated calls allocate neither, and two threads may not share it.
+    points, so a tracker's batch of _batch_rows points fills it from its
+    first call: repeated calls allocate neither, and two threads may not
+    share it.
     """
 
     def __init__(self, exponents, coeffs, rows, monomial, nrows):
@@ -171,6 +178,10 @@ class _Batched:
         self.bins = (2 * rows[:, None] + np.arange(2)).ravel()
         self.wide_bins = self.bins
         self.products = np.empty((1, len(coeffs)), dtype=complex)
+
+    @property
+    def terms(self) -> int:
+        return self.coeffs.shape[1]
 
     @classmethod
     def of(cls, polys, nvars) -> "_Batched":
@@ -217,7 +228,7 @@ class _Batched:
         if len(self.products) < P:
             points = np.arange(max(P, BLOCK_PATHS))[:, None]
             self.wide_bins = (self.bins + 2 * self.nrows * points).ravel()
-            self.products = np.empty((len(points), self.coeffs.shape[1]), dtype=complex)
+            self.products = np.empty((len(points), self.terms), dtype=complex)
         # the indices are in range, and mode="raise" would buffer the take
         vals = np.take(self._table(X), self.column, axis=1, out=self.products[:P],
                        mode="clip")
@@ -416,15 +427,18 @@ def track_paths(h: Homotopy, starts, record: bool = False) -> list:
     Euler prediction on the Davidenko equation, Newton correction at each
     accepted t, adaptive halving/doubling of the step, then a final Newton
     polish on the target at t = 0.  The paths advance in lockstep, so each
-    step evaluates and solves them as one batch of up to BLOCK_PATHS rows.
-    Each Newton iterate evaluates h, dh/dx and dh/dt from one monomial
-    table, and the predictor solves with the dh/dx and dh/dt kept from the
-    accepted point, so it evaluates nothing.  Each path keeps its own t, step size
+    step evaluates and solves them as one batch of up to _batch_rows(h)
+    rows: max(BLOCK_PATHS, BATCH_TERMS // T) for a stacked evaluator of T
+    terms, so that the evaluator's (rows, T) products stay within
+    BATCH_TERMS whenever T >= BATCH_TERMS / BLOCK_PATHS.  Each Newton
+    iterate evaluates h, dh/dx and dh/dt from one monomial table, and the
+    predictor solves with the dh/dx and dh/dt kept from the accepted
+    point, so it evaluates nothing.  Each path keeps its own t, step size
     and counters and leaves the batch when it ends, and a new start takes
     its row at once, so the batch stays full until the starts run out.
-    Ended paths get the endgame and their final residuals in chunks of up to
-    BLOCK_PATHS.  A path's result does not depend on the others; results
-    come back in the order of the starts.
+    Ended paths get the endgame and their final residuals in chunks of the
+    same rows.  A path's result does not depend on the others, nor on the
+    batch size; results come back in the order of the starts.
 
     More than BLOCK_PATHS starts are dealt out in turn over c processes, one
     per core this process may run on, but no more than there are batches of
@@ -506,8 +520,14 @@ def _track_share(sender, h: Homotopy, starts, record: bool) -> None:
     sender.close()
 
 
+def _batch_rows(h: Homotopy) -> int:
+    """The rows of one lockstep batch of h; see track_paths."""
+    return max(BLOCK_PATHS, BATCH_TERMS // h._both._evaluator().terms)
+
+
 def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
     """track_paths in this process."""
+    batch = _batch_rows(h)
     deg = max(h.target.degrees, default=1)
     deg_h = max(deg, max(h.start.degrees, default=1))
     m, n = len(h.target), h.target.nvars
@@ -531,10 +551,10 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
     more = True
 
     while True:
-        if more and idx.size < BLOCK_PATHS:
+        if more and idx.size < batch:
             new = [np.asarray(x0, dtype=complex) for x0 in
-                   itertools.islice(starts, BLOCK_PATHS - idx.size)]
-            more = len(new) == BLOCK_PATHS - idx.size
+                   itertools.islice(starts, batch - idx.size)]
+            more = len(new) == batch - idx.size
             if any(x0.shape != (n,) for x0 in new):
                 raise ContinuationError(f"every start point needs {n} coordinates")
             if new:
@@ -611,9 +631,9 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
             idx, x, hdot, jac, t, dt, accepts, steps, updates, rejected = (
                 a[keep] for a in
                 (idx, x, hdot, jac, t, dt, accepts, steps, updates, rejected))
-            while len(ended) >= BLOCK_PATHS:
-                _finish(h, deg, ended[:BLOCK_PATHS], results, trajs)
-                del ended[:BLOCK_PATHS]
+            while len(ended) >= batch:
+                _finish(h, deg, ended[:batch], results, trajs)
+                del ended[:batch]
     if ended:
         _finish(h, deg, ended, results, trajs)
     return results

@@ -167,12 +167,22 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _known_keys(doc: dict, allowed: tuple, what: str) -> None:
+    """Reject a key of doc outside `allowed`, which would otherwise be
+    dropped without a word (a misspelt "kind" loads a bar)."""
+    for key in doc:
+        if key not in allowed:
+            raise FrameworkError(f"unknown key {key!r} in {what}; allowed keys are "
+                                 + ", ".join(map(repr, allowed)))
+
+
 def _parse_document(doc: dict):
     if not isinstance(doc, dict):
         raise FrameworkError("framework document must be a JSON object")
     if "tensegrity_partition" in doc:
         raise FrameworkError("the tensegrity_partition block is retired: give each "
                              "member its 'kind' (bar, cable or strut) instead")
+    _known_keys(doc, ("name", "dimension", "nodes", "members"), "the framework document")
     try:
         d = _integer(doc["dimension"], "'dimension'")
         nodes = doc["nodes"]
@@ -203,6 +213,7 @@ def _parse_document(doc: dict):
             i, j = (_integer(entry[key], f"{key!r} of member {entry!r}") for key in "ij")
         except (KeyError, TypeError) as exc:
             raise FrameworkError(f"bad member entry {entry!r}") from exc
+        _known_keys(entry, ("i", "j", "kind", "rest_sq_length"), f"member {entry!r}")
         kind = entry.get("kind", "bar")
         triples.append((i, j, kind))
         if "rest_sq_length" in entry:

@@ -341,6 +341,23 @@ def test_solve_rejects_malformed_system(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unknown_keys_exit_1_naming_the_key(tmp_path, capsys):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"variables": ["x"], "equations": ["x^2 - 1"],
+                                  "equation": ["x - 3"]}))
+    assert run_command(["solve", str(system), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown key 'equation' in the system document; "
+        "allowed keys are 'variables', 'equations'\n")
+    frame = tmp_path / "rod.json"
+    frame.write_text(json.dumps({"dimension": 2, "nodes": [[0.0, 0.0], [1.0, 0.0]],
+                                 "members": [{"i": 1, "j": 2, "Kind": "cable"}]}))
+    assert run_command(["prestress", str(frame), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key 'Kind' in member ")
+    assert not list(tmp_path.glob("*_prestress.json"))
+
+
 @pytest.mark.parametrize("block", [{"cables": [1]}, {"cables": [[1, 7]]},
                                    {"bars": [[4, 1]]},
                                    {"cables": [[1, 2]], "struts": [[1, 2]]},

@@ -312,11 +312,13 @@ def _dense_system(degrees, seed):
 
 
 def _assert_same_result(a, b):
-    assert np.array_equal(a.endpoint, b.endpoint)
+    """Two results bit for bit: endpoint bytes, reported fields, work
+    counters and trajectories."""
+    assert a.endpoint.tobytes() == b.endpoint.tobytes()
     assert (a.status, a.steps) == (b.status, b.steps)
     assert (a.newton_updates, a.rejected_steps) == (b.newton_updates, b.rejected_steps)
     assert 0 <= a.rejected_steps <= a.steps and a.newton_updates >= 0
-    assert a.residual == b.residual and a.max_imag == b.max_imag
+    assert (repr(a.residual), repr(a.max_imag)) == (repr(b.residual), repr(b.max_imag))
     assert len(a.trajectory) == len(b.trajectory)
     for (ta, xa), (tb, xb) in zip(a.trajectory, b.trajectory):
         assert ta == tb and np.array_equal(xa, xb)
@@ -357,10 +359,29 @@ def _solve_matching_single_paths(f, monkeypatch):
     return batch
 
 
+def _small_batches(monkeypatch, rows):
+    """Lockstep batches of `rows` rows: with no term budget, BLOCK_PATHS is
+    the batch size."""
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", rows)
+    monkeypatch.setattr(continuation, "BATCH_TERMS", 0)
+
+
+def _tracked(run, monkeypatch):
+    """The homotopy and the start points of the one track_paths call that
+    run() makes, which here tracks nothing."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(continuation, "track_paths",
+                      lambda h, starts, record=False: calls.append((h, list(starts))) or [])
+        run()
+    (h, starts), = calls
+    return h, starts
+
+
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_SYSTEMS))
 def test_lockstep_solve_matches_single_path_tracking(name, monkeypatch):
     # a small batch, so that ended paths hand their rows to new starts
-    monkeypatch.setattr(continuation, "BLOCK_PATHS", 3)
+    _small_batches(monkeypatch, 3)
     batch = _solve_matching_single_paths(LOCKSTEP_SYSTEMS[name], monkeypatch)
     if name == "inconsistent":
         assert {r.status for r in batch} == {"diverged"}
@@ -518,7 +539,7 @@ def test_singular_path_leaves_the_rest_of_its_batch_unchanged():
 
 
 def test_step_cap_ends_every_path_as_step_underflow(monkeypatch):
-    monkeypatch.setattr(continuation, "BLOCK_PATHS", 2)
+    _small_batches(monkeypatch, 2)
     monkeypatch.setattr(continuation, "MAX_STEPS", 3)
     batch = _solve_matching_single_paths(LOCKSTEP_SYSTEMS["cubic"], monkeypatch)
     assert [(r.status, r.steps) for r in batch] == [("step_underflow", 3)] * 3
@@ -537,19 +558,12 @@ def _quintic():
                       (0, 0, 0): -3 / 4})])
 
 
-@pytest.mark.parametrize("name", ["dense_222", "quintic"])
-def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
-    f = LOCKSTEP_SYSTEMS["dense_222"] if name == "dense_222" else _quintic()
-    monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
-    # one core, so that every path runs in this process, where it is counted
-    monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
-    _solve_matching_single_paths(f, monkeypatch)
-
-    # solve again, counting the starts taken when each step's corrector runs
-    total = int(np.prod(f.degrees))
+def _count_batches(monkeypatch):
+    """Patch the tracker to record the rows of each step's corrector with
+    the starts taken by then, and the rows of every evaluator call.  Returns
+    the lists and a wrapper that counts the starts taken from an iterable."""
     taken, stepped, evaluated = [0], [], []
-    real_track, real_newton = continuation.track_paths, continuation._newton
-    real_evaluate = continuation._Batched.evaluate
+    real_newton, real_evaluate = continuation._newton, continuation._Batched.evaluate
 
     def counted(starts):
         for x0 in starts:
@@ -566,16 +580,80 @@ def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
         evaluated.append(np.asarray(x).reshape(-1, np.shape(x)[-1]).shape[0])
         return real_evaluate(self, x)
 
+    monkeypatch.setattr(continuation, "_newton", newton)
+    monkeypatch.setattr(continuation._Batched, "evaluate", evaluate)
+    return stepped, evaluated, counted
+
+
+@pytest.mark.parametrize("name", ["dense_222", "quintic"])
+def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
+    f = LOCKSTEP_SYSTEMS["dense_222"] if name == "dense_222" else _quintic()
+    # a term budget of 4 rows of the evaluator's terms makes batches of 4
+    h, _ = _tracked(lambda: solve_total_degree(f, seed=3), monkeypatch)
+    monkeypatch.setattr(continuation, "BLOCK_PATHS", 1)
+    monkeypatch.setattr(continuation, "BATCH_TERMS", 4 * h._both._evaluator().terms)
+    assert continuation._batch_rows(h) == 4
+    # one core, so that every path runs in this process, where it is counted
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
+    _solve_matching_single_paths(f, monkeypatch)
+
+    # solve again, counting the starts taken when each step's corrector runs
+    total = int(np.prod(f.degrees))
+    stepped, evaluated, counted = _count_batches(monkeypatch)
+    real_track = continuation.track_paths
     monkeypatch.setattr(continuation, "track_paths",
                         lambda h, starts, record=False:
                         real_track(h, counted(starts), record))
-    monkeypatch.setattr(continuation, "_newton", newton)
-    monkeypatch.setattr(continuation._Batched, "evaluate", evaluate)
     assert len(solve_total_degree(f, seed=3)) == total
     while_starts_remain = [rows for rows, k in stepped if k < total]
     assert len(while_starts_remain) > 1
     assert set(while_starts_remain) == {4}
     assert max(evaluated) == 4
+
+
+@pytest.mark.parametrize("name", ["small_budget", "many_terms"])
+def test_no_evaluator_call_exceeds_the_batch_rule(name, monkeypatch):
+    if name == "small_budget":
+        # the quintic's batch is cut from all 75 paths to 10 by the budget
+        h, starts = _tracked(lambda: solve_total_degree(_quintic(), seed=3), monkeypatch)
+        terms = h._both._evaluator().terms
+        monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
+        monkeypatch.setattr(continuation, "BATCH_TERMS", 11 * terms - 1)
+        rows = 10
+    else:
+        # past BATCH_TERMS / BLOCK_PATHS = 1,024 terms, batches keep BLOCK_PATHS rows
+        h, starts = _tracked(lambda: solve_total_degree(_dense_system((5,) * 4, 5), seed=3),
+                             monkeypatch)
+        terms = h._both._evaluator().terms
+        assert terms > continuation.BATCH_TERMS // continuation.BLOCK_PATHS
+        starts, rows = starts[:80], continuation.BLOCK_PATHS
+    assert continuation._batch_rows(h) == rows
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
+    stepped, evaluated, counted = _count_batches(monkeypatch)
+    assert len(track_paths(h, counted(starts))) == len(starts)
+    while_starts_remain = [size for size, k in stepped if k < len(starts)]
+    assert len(while_starts_remain) > 1
+    assert set(while_starts_remain) == {rows}
+    assert max(evaluated) == rows
+
+
+@pytest.mark.parametrize("name", ["epscheck_triangle", "quintic"])
+def test_results_do_not_depend_on_the_batch_rows(name, monkeypatch):
+    if name == "quintic":
+        h, starts = _tracked(lambda: solve_total_degree(_quintic(), seed=3), monkeypatch)
+    else:
+        h, starts = _tracked(_epscheck_triangle, monkeypatch)
+        assert len(starts) == 512 and continuation._batch_rows(h) == 368
+    monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
+    default = track_paths(h, starts)
+    # the 4-row batches track every fourth start of the 512 to keep the
+    # test short; a path's result does not depend on the other starts
+    every = 4 if len(starts) > 100 else 1
+    for rows, subset in ((64, 1), (4, every)):
+        _small_batches(monkeypatch, rows)
+        for a, b in zip(track_paths(h, starts[::subset]), default[::subset], strict=True):
+            _assert_same_result(a, b)
+    assert {r.status for r in default} >= {"converged"}
 
 
 # ---------------------------------------------------------------------------
@@ -764,16 +842,16 @@ def _references(f):
             _GatherReduce(diffs, n, m * n, range(m * n)))
 
 
-def _epscheck_homotopy(monkeypatch):
+def _epscheck_triangle():
+    """epscheck triangle at epsilon 0.1 and seed 0."""
     graph, p, sys_ = load_fixture("triangle")
     pp = pin_moving_frame(p)
     sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
-    homotopies = []
-    monkeypatch.setattr(continuation, "track_paths",
-                        lambda h, starts, record=False: homotopies.append(h) or [])
-    epsilon_rigidity_check(sysp, pp, epsilon=0.1, seed=0)
-    monkeypatch.undo()
-    return homotopies[0]._both
+    return epsilon_rigidity_check(sysp, pp, epsilon=0.1, seed=0)
+
+
+def _epscheck_homotopy(monkeypatch):
+    return _tracked(_epscheck_triangle, monkeypatch)[0]._both
 
 
 def _mixed_rows(n, seed):

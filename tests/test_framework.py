@@ -118,6 +118,24 @@ def test_load_framework_round_trip(tmp_path):
             load_framework(doc)
 
 
+@pytest.mark.parametrize("where,key", [("document", "Members"),
+                                       ("document", "tensegrity-partition"),
+                                       ("member", "Kind"), ("member", "rest_length")])
+def test_unknown_keys_are_rejected_naming_the_key(where, key):
+    doc = {"name": "rod", "dimension": 2, "nodes": [[0.0, 0.0], [1.0, 0.0]],
+           "members": [{"i": 1, "j": 2, "kind": "bar", "rest_sq_length": 1.0}]}
+    graph, _, _ = load_framework(doc)
+    assert graph.members == ((1, 2, "bar"),)
+    # a misspelt kind would otherwise load the member as a bar
+    (doc if where == "document" else doc["members"][0])[key] = "cable"
+    allowed = ("'name', 'dimension', 'nodes', 'members'" if where == "document"
+               else "'i', 'j', 'kind', 'rest_sq_length'")
+    with pytest.raises(FrameworkError) as info:
+        load_framework(doc)
+    assert str(info.value).startswith(f"unknown key {key!r} in ")
+    assert str(info.value).endswith(f"allowed keys are {allowed}")
+
+
 def test_reversed_member_is_rejected_with_the_index_rule():
     doc = {"dimension": 2, "nodes": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
            "members": [{"i": 1, "j": 2}, {"i": 4, "j": 1}]}
