@@ -131,14 +131,14 @@ class _Batched:
     left to right over the variables, like a product over all of them with
     the x^0 = 1 factors left out.  At finite points those factors are exact,
     so leaving them out can change only the sign of a zero, which the
-    bincount sum drops.  A monomial's column depends on its exponents alone,
+    scatter sum drops.  A monomial's column depends on its exponents alone,
     so it has the same bits in any table that holds it.
 
     The terms' products go to a buffer kept on the evaluator that, like the
-    bins, holds one point until a batch comes and then max(P, BLOCK_PATHS)
-    points, so a tracker's batch of _batch_rows points fills it from its
-    first call: repeated calls allocate neither, and two threads may not
-    share it.
+    terms' output rows, holds one point until a batch comes and then
+    max(P, BLOCK_PATHS) points, so a tracker's batch of _batch_rows points
+    fills it from its first call: repeated calls allocate neither, and two
+    threads may not share it.
     """
 
     def __init__(self, exponents, coeffs, rows, monomial, nrows):
@@ -174,9 +174,9 @@ class _Batched:
         self.column = column[monomial]
         # 2-D, so that it multiplies a (P, T) batch as a 1-D T at one point
         self.coeffs = coeffs[None]
-        # bins of the interleaved real and imaginary parts at one point
-        self.bins = (2 * rows[:, None] + np.arange(2)).ravel()
-        self.wide_bins = self.bins
+        # the terms' output rows at one point and, once a batch comes, at
+        # each point of the product buffer
+        self.rows = self.wide_rows = rows
         self.products = np.empty((1, len(coeffs)), dtype=complex)
 
     @property
@@ -211,7 +211,7 @@ class _Batched:
                        for e in map(tuple, lowered.tolist())]
         exps = E[monomial]
         t, j = np.nonzero(exps)
-        # each row's terms keep their order, so its bincount sum keeps its bits
+        # each row's terms keep their order, so its scatter sum keeps its bits
         exponents = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
         return cls(exponents, np.concatenate([coeffs, coeffs[t] * exps[t, j]]),
                    np.concatenate([rows, m + rows[t] * nvars + j]),
@@ -227,20 +227,20 @@ class _Batched:
         P = len(X)
         if len(self.products) < P:
             points = np.arange(max(P, BLOCK_PATHS))[:, None]
-            self.wide_bins = (self.bins + 2 * self.nrows * points).ravel()
+            self.wide_rows = (self.rows + self.nrows * points).ravel()
             self.products = np.empty((len(points), self.terms), dtype=complex)
         # the indices are in range, and mode="raise" would buffer the take
         vals = np.take(self._table(X), self.column, axis=1, out=self.products[:P],
                        mode="clip")
         # this operand order keeps the bits of self.coeffs * vals
         np.multiply(self.coeffs, vals, out=vals)
-        sums = np.bincount(self.wide_bins[:P * len(self.bins)],
-                           weights=vals.view(np.float64).ravel(),
-                           minlength=2 * P * self.nrows)
-        # a bincount sum is never -0.0, so the view holds the values that
-        # sums[0::2] + 1j * sums[1::2] would, except that an infinite or NaN
-        # imaginary sum leaves the real sum as it is (0 * inf there is NaN)
-        return sums.view(complex).reshape(x.shape[:-1] + (self.nrows,))
+        # ufunc.at adds in index order from 0 and complex addition is part
+        # by part, so each part of a row gets the bits of a bincount of that
+        # part: never -0.0, and an infinite or NaN imaginary sum leaves the
+        # real sum as it is
+        sums = np.zeros(P * self.nrows, dtype=complex)
+        np.add.at(sums, self.wide_rows[:P * self.terms], vals.ravel())
+        return sums.reshape(x.shape[:-1] + (self.nrows,))
 
     def _table(self, X: np.ndarray) -> np.ndarray:
         """The (P, width) monomial table at the rows of X."""
@@ -918,25 +918,53 @@ HARVEST_IMAG = 0.5
 REAL_POLISH_STEPS = 50
 
 
-def _polish_real(target: PolySystem, x: np.ndarray) -> tuple:
-    """Gauss-Newton on a real system, here {members = 0, sphere = 0}."""
-    def val_jac(z):
-        values, jac = target.evaluate_and_jacobian(z.astype(complex))
-        return values.real, jac.real
-
-    prev = np.inf
-    r, J = val_jac(x)
+def _polish_real(target: PolySystem, X: np.ndarray) -> tuple:
+    """Gauss-Newton on a real system, here {members = 0, sphere = 0}, at
+    each row of the (A, N) batch X.  A row stops when its worst residual is
+    at most 1e-12 or no better than before its last step, at a non-finite
+    step, or after REAL_POLISH_STEPS steps.  Each step is the minimum-norm
+    least-squares solution from _least_squares_steps, and a row's result
+    does not depend on the other rows.  Returns the last iterate and its
+    worst residual of each row."""
+    X = np.array(X, dtype=float)
+    rows = np.arange(len(X))
+    values, jac = target.evaluate_and_jacobian(X.astype(complex))
+    r, J = values.real, jac.real
+    worst = np.max(np.abs(r), axis=1)
+    prev = np.full(len(X), np.inf)
     for _ in range(REAL_POLISH_STEPS):
-        worst = np.max(np.abs(r))
-        if worst <= 1e-12 or worst >= prev:
+        # a NaN residual is neither small nor worse, so its row steps on
+        go = ~((worst[rows] <= 1e-12) | (worst[rows] >= prev[rows]))
+        rows, r, J = rows[go], r[go], J[go]
+        if not rows.size:
             break
-        prev = worst
-        step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        x = x - step
-        r, J = val_jac(x)
-    return x, float(np.max(np.abs(r)))
+        prev[rows] = worst[rows]
+        step = _least_squares_steps(J, r)
+        finite = np.all(np.isfinite(step), axis=1)
+        rows = rows[finite]
+        X[rows] -= step[finite]
+        values, jac = target.evaluate_and_jacobian(X[rows].astype(complex))
+        r, J = values.real, jac.real
+        worst[rows] = np.max(np.abs(r), axis=1)
+    return X, worst
+
+
+def _least_squares_steps(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of each J[k] s = r[k], from a
+    stacked SVD with np.linalg.lstsq's default cutoff: singular values at
+    most eps * max(M, N) times the largest count as zero.  A row whose J[k]
+    or r[k] is not finite, or whose solution overflows, gets a non-finite
+    step."""
+    A, M, N = J.shape
+    step = np.full((A, N), np.nan)
+    finite = np.all(np.isfinite(J), axis=(1, 2)) & np.all(np.isfinite(r), axis=1)
+    U, s, Vt = np.linalg.svd(J[finite], full_matrices=False)
+    kept = s > np.finfo(float).eps * max(M, N) * s[:, :1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.divide(np.sum(U * r[finite, :, None], axis=1), s,
+                      out=np.zeros_like(s), where=kept)
+        step[finite] = np.sum(Vt * c[:, :, None], axis=1)
+    return step
 
 
 def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
@@ -956,12 +984,20 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
     """
     if not 0.0 < epsilon < math.inf:
         raise FrameworkError(f"epsilon must be a positive finite number, got {epsilon}")
+    try:
+        square = float(epsilon ** 2)
+    except OverflowError:
+        square = math.inf
+    # above about 1.3e154 the square overflows, below about 1.6e-162 it is 0
+    if not 0.0 < square < math.inf:
+        raise FrameworkError(
+            f"epsilon must have a positive finite square, got {epsilon} (square {square})")
     members, free, p_free = pinned_member_system(sys, p)
     n, d = sys.graph.n, sys.graph.d
     N = len(free)
     rng = np.random.default_rng(seed)
 
-    sphere = MultiPoly.constant(N, -epsilon ** 2)
+    sphere = MultiPoly.constant(N, -square)
     for i in range(N):
         diff = MultiPoly.variable(N, i) - MultiPoly.constant(N, p_free[i])
         sphere = sphere + diff * diff
@@ -990,23 +1026,23 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
 
     results = solve_total_degree(PolySystem(eqs), seed=seed, budget=budget)
 
+    # harvest the finite endpoints whose x part is nearly real, and polish
+    # their real parts as one batch
     real_system = PolySystem(list(members.polys) + [sphere])
+    X = np.array([res.endpoint[:N] for res in results]).reshape(-1, N)
+    harvest = np.all(np.isfinite(X), axis=1)
+    harvest[harvest] = np.max(np.abs(X[harvest].imag), axis=1) <= HARVEST_IMAG
+    polished, residual = _polish_real(real_system, X[harvest].real)
     witnesses = []
     seen = set()
-    for res in results:
-        x_part = res.endpoint[:N]
-        if not np.all(np.isfinite(x_part)):
+    for point, res in zip(polished, residual.tolist()):
+        if not res <= 1e-10:  # a NaN residual is no witness
             continue
-        if np.max(np.abs(x_part.imag)) > HARVEST_IMAG:
-            continue
-        polished, residual = _polish_real(real_system, x_part.real.copy())
-        if not residual <= 1e-10:  # a NaN residual is no witness
-            continue
-        key = tuple(np.round(polished, 6))
+        key = tuple(np.round(point, 6))
         if key in seen:
             continue
         seen.add(key)
-        witnesses.append(Configuration(_restore_full(free, polished, n, d).real))
+        witnesses.append(Configuration(_restore_full(free, point, n, d).real))
 
     counts = {"converged": 0, "diverged": 0, "step_underflow": 0}
     for res in results:

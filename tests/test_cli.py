@@ -401,6 +401,16 @@ def test_out_of_range_tolerance_or_epsilon_is_rejected(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("epsilon", ["1e200", "1e-200"])
+def test_an_epsilon_whose_square_is_not_a_positive_float_exits_1(tmp_path, capsys, epsilon):
+    """1e200 squared overflows and 1e-200 squared is 0."""
+    argv = ["epscheck", "triangle", "--epsilon", epsilon, "--out", str(tmp_path)]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon must have a positive finite square")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
 @pytest.mark.parametrize("argv", [["analyze", "3prism"], ["flexes", "3prism"],
                                   ["prestress", "3prism"], ["plot", "hinge"],
                                   ["deform", "hinge"], ["epscheck", "triangle"],

@@ -256,6 +256,27 @@ def test_epsilon_check_refuses_over_budget(prism):
         epsilon_rigidity_check(sysp, pp, epsilon=0.1, seed=0, budget=1000)
 
 
+@pytest.mark.parametrize("epsilon", [1e200, 1.4e154, 10 ** 200, 1e-162, 1e-200])
+def test_an_epsilon_whose_square_is_not_a_positive_float_is_rejected(epsilon, prism):
+    """Above about 1.3e154 the square of epsilon overflows and below about
+    1.6e-162 it is 0; either is refused before anything is built."""
+    graph, p, sys_ = prism
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    with pytest.raises(FrameworkError, match="positive finite square"):
+        epsilon_rigidity_check(sysp, pp, epsilon=epsilon, seed=0)
+
+
+@pytest.mark.parametrize("epsilon", [1.3e154, 1e-161])
+def test_an_epsilon_whose_square_is_a_positive_float_is_accepted(epsilon, monkeypatch):
+    graph, p, sys_ = load_fixture("triangle")
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    h, starts = _tracked(lambda: epsilon_rigidity_check(sysp, pp, epsilon=epsilon, seed=0),
+                         monkeypatch)
+    assert len(starts) == np.prod(h.target.degrees) == 512
+
+
 def test_deform_rejects_unknown_direction():
     graph, p, sys_ = load_fixture("hinge")
     pp = pin_moving_frame(p)
@@ -803,6 +824,12 @@ class _GatherReduce:
         self.gather = E * nvars + np.arange(nvars)
 
     def evaluate(self, X):
+        sums = self.parts(X).reshape(-1)
+        return (sums[0::2] + 1j * sums[1::2]).reshape(len(X), self.nrows)
+
+    def parts(self, X):
+        """The bincount sums of the real and of the imaginary parts of each
+        row's terms, as a (P, nrows, 2) float array."""
         P, n = X.shape
         K = self.max_exp + 1
         table = np.empty((K, P, n), dtype=complex)
@@ -818,7 +845,7 @@ class _GatherReduce:
         bins = (self.bins + 2 * self.nrows * np.arange(P)[:, None]).ravel()
         sums = np.bincount(bins, weights=vals.view(np.float64).ravel(),
                            minlength=2 * P * self.nrows)
-        return (sums[0::2] + 1j * sums[1::2]).reshape(P, self.nrows)
+        return sums.reshape(P, self.nrows, 2)
 
 
 def _kernel_points(rng, P, n):
@@ -916,6 +943,54 @@ def test_a_non_finite_imaginary_sum_keeps_its_real_sum():
     assert np.array_equal(both[1], jac, equal_nan=True)
 
 
+def _scatter_reference(f, X):
+    """The bincount parts of every row of f's evaluator, values then
+    Jacobian, at the (P, n) batch X: a (P, rows, 2) float array."""
+    values, jacobian = _references(f)
+    return np.concatenate([values.parts(X), jacobian.parts(X)], axis=1)
+
+
+SCATTER_CASES = {
+    # at the origin every term of the first row is -0.0 + 0j and every term
+    # of the second is 0 - 0.0j, so a sum from the first term would keep a
+    # -0.0 that bincount, which starts from +0.0, never gives
+    "zero_sums": lambda: (
+        PolySystem([MultiPoly(2, {(1, 0): -1.0, (0, 1): -2.0}),
+                    MultiPoly(2, {(1, 1): -1.0 - 1.0j, (2, 0): -3.0 - 1.0j})]),
+        np.array([[0j, 0j], [complex(-0.0, -0.0)] * 2, [0j, complex(-0.0, 0.0)]])),
+    # row 0 sums its imaginary parts to inf and row 1 to NaN (see
+    # test_a_non_finite_imaginary_sum_keeps_its_real_sum)
+    "non_finite_imaginary": lambda: (
+        PolySystem([MultiPoly(3, {(1, 0, 0): 1 + 1e308j, (0, 1, 0): 1 + 1e308j}),
+                    MultiPoly(3, {(1, 0, 0): 1 + 1e308j, (0, 1, 0): 1 + 1e308j,
+                                  (0, 0, 1): 1 - 1e308j})]),
+        np.array([[1.0, 1.0, 2.0]], dtype=complex)),
+    "no_points": lambda: (_dense_system((3, 2, 2), 41), np.zeros((0, 3), dtype=complex)),
+    "one_point": lambda: (_dense_system((3, 2, 2), 42),
+                          _kernel_points(np.random.default_rng(43), 1, 3)),
+    "one_dimensional_point": lambda: (_dense_system((3, 2, 2), 44),
+                                      _kernel_points(np.random.default_rng(45), 1, 3)[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCATTER_CASES))
+def test_the_complex_scatter_gives_the_bincount_parts_bit_for_bit(name):
+    """Each row's real and imaginary sums are the bincount sums of its
+    terms' parts, signs of zeros and non-finite values included, and the
+    sums keep the shape of the points."""
+    f, X = SCATTER_CASES[name]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _scatter_reference(f, X.reshape(-1, f.nvars))
+        got = f._evaluator().evaluate(X)
+    assert got.shape == X.shape[:-1] + (want.shape[1],)
+    assert got.view(np.float64).tobytes() == want.tobytes()
+    parts = got.view(np.float64)
+    assert not np.signbit(parts[parts == 0.0]).any()
+    if name == "non_finite_imaginary":
+        assert parts[0, :2].tolist() == [2.0, np.inf]
+        assert parts[0, 2] == 4.0 and np.isnan(parts[0, 3])
+
+
 def test_a_call_leaves_every_earlier_output_unchanged():
     """The evaluator keeps its product buffer from call to call: it holds one
     point until a batch comes and then max(P, BLOCK_PATHS) points, and no
@@ -963,15 +1038,123 @@ def test_zero_and_constant_systems_have_zero_jacobians(P):
             assert np.array_equal(f.jacobian(X[-1]), jacobian[-1])
 
 
+def _reference_polish(target, x):
+    """The real polish of one endpoint as it was before batches:
+    Gauss-Newton with np.linalg.lstsq steps.  The reference for
+    _polish_real."""
+    def val_jac(z):
+        values, jac = target.evaluate_and_jacobian(z.astype(complex))
+        return values.real, jac.real
+
+    prev = np.inf
+    r, J = val_jac(x)
+    for _ in range(continuation.REAL_POLISH_STEPS):
+        worst = np.max(np.abs(r))
+        if worst <= 1e-12 or worst >= prev:
+            break
+        prev = worst
+        step, *_ = np.linalg.lstsq(J, r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            break
+        x = x - step
+        r, J = val_jac(x)
+    return x, float(np.max(np.abs(r)))
+
+
+def _harvest(fixture, seed, monkeypatch):
+    """epscheck of a fixture at epsilon 0.1: its result, the real system it
+    polished on, the candidates it polished and its free positions."""
+    calls = []
+    real = continuation._polish_real
+
+    def spy(target, X):
+        calls.append((target, X.copy()))
+        return real(target, X)
+
+    monkeypatch.setattr(continuation, "_polish_real", spy)
+    graph, p, sys_ = load_fixture(fixture)
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    result = epsilon_rigidity_check(sysp, pp, epsilon=0.1, seed=seed)
+    (target, X), = calls
+    return result, target, X, continuation.free_coordinate_positions(graph.n, graph.d)
+
+
+@pytest.mark.parametrize("fixture, seed", [("triangle", 0), ("triangle", 5),
+                                           ("hinge", 0), ("hinge", 5)])
+def test_the_batched_polish_accepts_what_the_loop_per_point_accepts(
+        fixture, seed, monkeypatch):
+    result, target, X, free = _harvest(fixture, seed, monkeypatch)
+    assert len(X) > 100
+    kept = X.copy()
+    polished, residual = continuation._polish_real(target, X)
+    assert X.tobytes() == kept.tobytes()
+    seen, expected = set(), []
+    for k, x in enumerate(X):
+        point, res = _reference_polish(target, x.copy())
+        assert (residual[k] <= 1e-10) == (res <= 1e-10)
+        if res <= 1e-10:
+            assert np.max(np.abs(polished[k] - point)) <= 1e-12
+            key = tuple(np.round(point, 6))
+            if key not in seen:
+                seen.add(key)
+                expected.append(point)
+        # a row polished alone has the bits it has in the batch
+        alone, alone_residual = continuation._polish_real(target, X[k:k + 1])
+        assert alone.tobytes() == polished[k:k + 1].tobytes()
+        assert repr(alone_residual[0]) == repr(residual[k])
+    got = [np.array([w.coords[i, j] for i, j in free]) for w in result.witnesses]
+    assert len(got) == len(expected) == (2 if fixture == "hinge" else 0)
+    for a, b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_each_row_of_the_polish_stops_by_its_own_rule():
+    # x^2: a root, which takes no step; 2^-10, which halves to 2^-20 in
+    # 10 steps, where x^2 = 2^-40 <= 1e-12; and 1e10, which halves at each
+    # of the REAL_POLISH_STEPS = 50 steps and still has x^2 = 7.9e-11
+    square = PolySystem([MultiPoly(1, {(2,): 1.0})])
+    # x^2 + 1, which has no real root: at 0 the Jacobian is 0, so the step
+    # is 0 and nothing improves; from 0.5 the step to -0.75 makes the
+    # residual worse, and that point is kept; at 1e-310 the step
+    # 1 / 2e-310 overflows and is not taken; a NaN row steps on a NaN
+    # Jacobian, which is no step either
+    shifted = PolySystem([MultiPoly(1, {(2,): 1.0, (0,): 1.0})])
+    cases = [(square, [0.0, 2.0 ** -10, 1e10],
+              [0.0, 2.0 ** -20, 1e10 * 2.0 ** -50], [0.0, 2.0 ** -40, 1e20 * 2.0 ** -100]),
+             (shifted, [0.0, 0.5, 1e-310, np.nan],
+              [0.0, -0.75, 1e-310, np.nan], [1.0, 1.5625, 1.0, np.nan])]
+    assert continuation.REAL_POLISH_STEPS == 50
+    for f, starts, points, residuals in cases:
+        X = np.array(starts)[:, None]
+        polished, residual = continuation._polish_real(f, X)
+        assert np.array_equal(polished[:, 0], points, equal_nan=True)
+        assert np.array_equal(residual, residuals, equal_nan=True)
+        for k, x in enumerate(X):
+            if np.isnan(x[0]):
+                # the loop per point handed the NaN Jacobian to lstsq
+                with pytest.raises(np.linalg.LinAlgError):
+                    _reference_polish(f, x)
+                continue
+            point, res = _reference_polish(f, x)
+            assert point[0] == polished[k, 0] and res == residual[k]
+            alone, alone_residual = continuation._polish_real(f, X[k:k + 1])
+            assert alone.tobytes() == polished[k:k + 1].tobytes()
+            assert repr(alone_residual[0]) == repr(residual[k])
+    # no endpoint to polish
+    polished, residual = continuation._polish_real(square, np.zeros((0, 1)))
+    assert polished.shape == (0, 1) and residual.shape == (0,)
+
+
 def test_a_nan_polish_residual_is_no_witness(monkeypatch):
     graph, p, sys_ = load_fixture("hinge")
     pp = pin_moving_frame(p)
     sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
     polished = []
 
-    def nan_polish(target, x):
-        polished.append(x)
-        return x, float("nan")
+    def nan_polish(target, X):
+        polished.append(X)
+        return X, np.full(len(X), np.nan)
 
     monkeypatch.setattr(continuation, "_polish_real", nan_polish)
     result = epsilon_rigidity_check(sysp, pp, epsilon=0.1, seed=0)

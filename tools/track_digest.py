@@ -8,10 +8,15 @@ that `continuation.track_paths` returns while they run.  OUT_FILE gets one
 line per command (its arguments and exit code) and, under it, one line per
 result: its index, status, step count, the `repr` of its residual and of
 its largest imaginary part, the sha256 of its endpoint's bytes, and its work
-counters, Newton updates and rejected steps.  Run it in two checkouts and
-compare with `diff`: an empty diff means the two trackers agree bit for bit
-on every path of the set and do the same work on it.  That is the check for
-a pure refactor, which must not move a bit nor add an update.  Run it on one
+counters, Newton updates and rejected steps.  An `epscheck` command also
+gets a line for its harvest: the number of endpoints polished on the real
+system, the number whose polish residual is at most 1e-10, and the number
+and the sha256 of the bytes of the witnesses in its report.  Run it in two
+checkouts and compare with `diff`: an empty diff means the two trackers
+agree bit for bit on every path of the set and do the same work on it, and
+the two ε-checks polish and accept the same number of endpoints and report
+the same witnesses bit for bit.  That is the check for a pure refactor,
+which must not move a bit nor add an update.  Run it on one
 core and on all of them and compare with `cmp`: the counters of paths
 tracked in forked processes come back over their pipes, so this covers
 those too.  A change to the numerics of the tracker moves the last bits of
@@ -32,9 +37,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tensegrity import continuation  # noqa: E402
+from tensegrity import cli, continuation  # noqa: E402
 from tensegrity.cli import run_command  # noqa: E402
 from write_reports import SEED, SYSTEMS  # noqa: E402
 
@@ -61,15 +68,33 @@ def main(argv) -> int:
         print("usage: python3 tools/track_digest.py OUT_FILE", file=sys.stderr)
         return 2
     captured = []
+    harvest = []  # per polish call: endpoints polished, residuals at most 1e-10
+    checks = []  # per ε-check: its witnesses
     real = continuation.track_paths
+    real_polish = continuation._polish_real
+    real_check = cli.epsilon_rigidity_check
 
     def capture(*args, **kwargs):
         results = real(*args, **kwargs)
         captured.extend(results)
         return results
 
+    def polish(target, x):
+        # one endpoint (N,) or a batch (A, N) of them, and a residual for each
+        polished, residual = real_polish(target, x)
+        harvest.append((len(np.atleast_2d(x)),
+                        int(np.count_nonzero(np.asarray(residual) <= 1e-10))))
+        return polished, residual
+
+    def check(*args, **kwargs):
+        result = real_check(*args, **kwargs)
+        checks.append(result.witnesses)
+        return result
+
     lines = []
     continuation.track_paths = capture
+    continuation._polish_real = polish
+    cli.epsilon_rigidity_check = check
     try:
         with tempfile.TemporaryDirectory() as tmp:
             input_dir = Path(tmp)
@@ -77,14 +102,25 @@ def main(argv) -> int:
                 (input_dir / f"{name}.json").write_text(json.dumps(doc))
             for cmd in commands(input_dir):
                 captured.clear()
+                harvest.clear()
+                checks.clear()
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = run_command(cmd + ["--out", str(input_dir / "out")])
                 # the input directory changes from run to run
                 shown = [Path(a).name if a.startswith(tmp) else a for a in cmd]
                 lines.append(f"{' '.join(shown)}: exit {code}, {len(captured)} paths")
                 lines += [f"  {k} {digest(r)}" for k, r in enumerate(captured)]
+                for witnesses in checks:
+                    coords = np.array([w.coords for w in witnesses], dtype=float)
+                    lines.append(
+                        f"  harvest: {sum(h[0] for h in harvest)} polished, "
+                        f"{sum(h[1] for h in harvest)} accepted, "
+                        f"{len(witnesses)} witnesses "
+                        f"{hashlib.sha256(coords.tobytes()).hexdigest()}")
     finally:
         continuation.track_paths = real
+        continuation._polish_real = real_polish
+        cli.epsilon_rigidity_check = real_check
     Path(argv[0]).write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} lines to {argv[0]}")
     return 0
