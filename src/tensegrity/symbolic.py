@@ -416,6 +416,11 @@ def _parse(text: str, variables) -> RationalPoly:
             if kind == "op" and value in "+-":
                 break
             if kind == "op" and value == "*":
+                if expect_factor:
+                    # skipping it would read x**2 as 2*x
+                    raise SymbolicError(
+                        "'*' does not follow a factor; powers are written "
+                        "'^', as in x^2, not '**'")
                 i += 1
                 expect_factor = True
                 continue
@@ -746,11 +751,22 @@ def verify_containment(I_gens, P_gens, order: str = "degrevlex") -> ContainmentR
     """Does the ideal generated by I_gens lie inside <P_gens>?
 
     True iff every generator of I has zero normal form modulo a Groebner
-    basis of P; per-generator remainders are kept for diagnosis.
+    basis of P; per-generator remainders are kept for diagnosis.  The
+    normal form is unique and linear, NF(-f) = -NF(f) exactly, so a
+    generator equal to an earlier one or to its negative is not reduced
+    again.
     """
     gb = buchberger(list(P_gens), order)
-    remainders = tuple(gb.reduce(f) for f in I_gens)
+    seen = {}
+    remainders = []
+    for f in I_gens:
+        r = seen.get(f)
+        if r is None:
+            r = seen.get(-f)
+            r = gb.reduce(f) if r is None else -r
+            seen[f] = r
+        remainders.append(r)
     return ContainmentReport(
         contained=all(r.is_zero() for r in remainders),
-        remainders=remainders,
+        remainders=tuple(remainders),
     )

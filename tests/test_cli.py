@@ -333,7 +333,10 @@ def test_flags_are_accepted_only_where_they_act(tmp_path):
 
 
 @pytest.mark.parametrize("doc", [[1, 2],
-                                 {"variables": ["x"], "equations": [3]}])
+                                 {"variables": ["x"], "equations": [3]},
+                                 # a skipped '*' solved these as 2*x - 4 and x - 2
+                                 {"variables": ["x"], "equations": ["x**2 - 4"]},
+                                 {"variables": ["x"], "equations": ["*x - 2"]}])
 def test_solve_rejects_malformed_system(tmp_path, capsys, doc):
     system = tmp_path / "system.json"
     system.write_text(json.dumps(doc))

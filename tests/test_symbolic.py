@@ -10,6 +10,8 @@ import sympy
 from tensegrity import (GroebnerBasis, PairBudgetError, RationalPoly,
                         SymbolicError, buchberger, normal_form_reduce,
                         ring_variables, symbolic_minors, verify_containment)
+from tensegrity.ideals import (adjacent_minor_primes, adjacent_minors,
+                               slingshot_equations, slingshot_primes)
 from tensegrity.symbolic import s_polynomial
 
 
@@ -460,3 +462,96 @@ def test_groebner_basis_reduction_reuses_no_state_across_bases(order):
         assert got.terms == want.terms
         assert list(got.terms) == list(want.terms)
         assert gb.contains(f) == want.is_zero()
+
+
+# -- one normal form per distinct generator ----------------------------------
+
+
+def _reference_containment(I_gens, P_gens, order="degrevlex"):
+    """The loop that reduces every generator, repeats included."""
+    gb = buchberger(list(P_gens), order)
+    remainders = tuple(gb.reduce(f) for f in I_gens)
+    return all(r.is_zero() for r in remainders), remainders
+
+
+def _typed_terms(poly):
+    return [(e, type(c), c) for e, c in poly.terms.items()]
+
+
+def _assert_same_as_reference(I_gens, P_gens, order="degrevlex"):
+    contained, remainders = _reference_containment(I_gens, P_gens, order)
+    report = verify_containment(I_gens, P_gens, order)
+    assert report.contained == contained
+    assert len(report.remainders) == len(remainders) == len(I_gens)
+    for got, want in zip(report.remainders, remainders):
+        assert got.variables == want.variables
+        assert _typed_terms(got) == _typed_terms(want)
+    worst = [r for r in remainders if not r.is_zero()]
+    want_worst = (max(worst, key=lambda r: (len(r.terms), r.total_degree()))
+                  if worst else None)
+    assert report.worst_remainder == want_worst
+    if want_worst is not None:
+        assert _typed_terms(report.worst_remainder) == _typed_terms(want_worst)
+    return report
+
+
+def test_slingshot_containment_matches_the_loop_over_every_generator():
+    equations = slingshot_equations()
+    for prime in slingshot_primes():
+        assert _assert_same_as_reference(equations, prime).contained
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_repeated_negated_and_zero_generators_give_the_loops_remainders(order, seed):
+    rng = random.Random(700 + seed)
+    variables = ("x", "y", "z")
+    x, y, _ = ring_variables(variables)
+    # both vanish where x = y = 0, so the ideal is proper
+    prime = [_random_poly(rng, variables, max_terms=3, max_deg=2) * v
+             for v in (x, y)]
+    base = [_random_poly(rng, variables) for _ in range(5)]
+    zero = RationalPoly.zero(variables)
+    gens = list(base)
+    for _ in range(3):
+        f, g, h, k = (rng.choice(base) for _ in range(4))
+        # (h / 2) * 2 equals h with integral Fraction coefficients
+        gens += [f, -g, zero, (h / 2) * 2, -((k / 3) * 3)]
+    rng.shuffle(gens)
+    report = _assert_same_as_reference(gens, prime, order)
+    assert not report.contained
+
+
+def test_each_generator_is_reduced_once_up_to_sign(monkeypatch):
+    calls = [0]
+    reduce = GroebnerBasis.reduce
+
+    def counted(self, f):
+        calls[0] += 1
+        return reduce(self, f)
+
+    monkeypatch.setattr(GroebnerBasis, "reduce", counted)
+    equations = slingshot_equations()
+    assert len(equations) == 102 and len(set(equations)) == 39
+    for prime in slingshot_primes():
+        calls[0] = 0
+        verify_containment(equations, prime)
+        assert calls[0] == 23
+    for prime in adjacent_minor_primes():
+        calls[0] = 0
+        verify_containment(adjacent_minors(), prime)
+        assert calls[0] == 4
+    x, y = ring_variables(("x", "y"))
+    calls[0] = 0
+    report = verify_containment([x + y, -x - y, x + y, x * 0, x * 0], [x])
+    assert calls[0] == 2
+    assert [str(r) for r in report.remainders] == ["y", "-y", "y", "0", "0"]
+
+
+@pytest.mark.parametrize("text", ["x**2", "x***2", "2**x", "*x - 2",
+                                  "x^2 + *y", "x * * y"])
+def test_a_stray_star_is_refused_and_powers_are_caret(text):
+    # a skipped '*' read x**2 as 2*x and *x - 2 as x - 2
+    with pytest.raises(SymbolicError, match=r"'\*' does not follow a factor; "
+                                            r"powers are written '\^'"):
+        RationalPoly.parse(text, ("x", "y"))
