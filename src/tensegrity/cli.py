@@ -21,8 +21,8 @@ import numpy as np
 from .continuation import (DEFAULT_PATH_BUDGET, ContinuationError, MultiPoly,
                            PolySystem, deform_framework,
                            epsilon_rigidity_check, solve_total_degree)
-from .framework import (FIXTURE_NAMES, FrameworkError, build_constraints,
-                        evaluate_members, load_fixture, load_framework)
+from .framework import (FIXTURE_NAMES, FrameworkError, evaluate_members, load_fixture,
+                        load_framework)
 from .ideals import (adjacent_minors, adjacent_minor_primes,
                      slingshot_displayed_minor, slingshot_member_constraints,
                      slingshot_minors, slingshot_primes)
@@ -211,11 +211,6 @@ def _scene(graph, p, displacements=None) -> Scene:
                  displacements=displacements)
 
 
-def _pinned(graph, p, sys_):
-    pp = pin_moving_frame(p)
-    return pp, build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
-
-
 def _cmd_analyze(args) -> CommandOutput:
     graph, p, sys_, stem = _load_input(args.framework)
     report = rigidity_report(sys_, p, tol_rel=args.tol, seed=args.seed)
@@ -308,8 +303,8 @@ def _cmd_solve(args) -> CommandOutput:
 
 def _cmd_deform(args) -> CommandOutput:
     graph, p, sys_, stem = _load_input(args.framework)
-    pp, sysp = _pinned(graph, p, sys_)
-    steps = deform_framework(sysp, pp, direction="flex",
+    pp = pin_moving_frame(p)  # a rigid motion: the loaded rest lengths still hold
+    steps = deform_framework(sys_, pp, direction="flex",
                              epsilon=args.epsilon, steps=args.steps,
                              seed=args.seed)
     payload = {
@@ -334,9 +329,8 @@ def _cmd_deform(args) -> CommandOutput:
 
 
 def _cmd_epscheck(args) -> CommandOutput:
-    graph, p, sys_, stem = _load_input(args.framework)
-    pp, sysp = _pinned(graph, p, sys_)
-    out = epsilon_rigidity_check(sysp, pp, epsilon=args.epsilon,
+    _, p, sys_, stem = _load_input(args.framework)
+    out = epsilon_rigidity_check(sys_, pin_moving_frame(p), epsilon=args.epsilon,
                                  seed=args.seed, budget=args.budget)
     payload = {"input": stem, "epsilon": args.epsilon, **out.to_json_dict()}
     return CommandOutput(stem, payload, summary=f"verdict: {out.verdict}")

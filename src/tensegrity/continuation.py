@@ -19,7 +19,7 @@ from math import prod
 import numpy as np
 
 from .framework import Configuration, FrameworkError, MemberConstraintSystem
-from .rigidity import numerical_nullspace, pin_moving_frame
+from .rigidity import free_coordinate_mask, numerical_nullspace, pin_moving_frame
 from .symbolic import SparsePoly
 
 #: endpoints are flagged real when no coordinate has |Im| above this
@@ -723,15 +723,9 @@ def solve_total_degree(f, seed=None, budget: int | None = None,
 
 
 def free_coordinate_positions(n: int, d: int) -> list:
-    """(node, axis) pairs that stay variable after pin_moving_frame; the
-    first min(d, n) nodes lose their trailing coordinates."""
-    out = []
-    for i in range(n):
-        for k in range(d):
-            if i < d and k >= i:
-                continue
-            out.append((i, k))
-    return out
+    """(node, axis) pairs that stay variable after pin_moving_frame, in
+    row-major order: the True entries of free_coordinate_mask."""
+    return [tuple(pos) for pos in np.argwhere(free_coordinate_mask(n, d)).tolist()]
 
 
 def _require_pinned(p: Configuration) -> None:
@@ -763,14 +757,12 @@ def pinned_member_system(sys: MemberConstraintSystem, p: Configuration):
             diff = coord(i - 1, k) - coord(j - 1, k)
             g = g + diff * diff
         polys.append(g)
-    values = np.array([p.coords[i, k] for i, k in free])
-    return PolySystem(polys), free, values
+    return PolySystem(polys), free, p.coords[free_coordinate_mask(n, d)]
 
 
-def _restore_full(free, x, n, d) -> np.ndarray:
+def _restore_full(x, n, d) -> np.ndarray:
     full = np.zeros((n, d), dtype=complex)
-    for (i, k), v in zip(free, x):
-        full[i, k] = v
+    full[free_coordinate_mask(n, d)] = x
     return full
 
 
@@ -799,13 +791,16 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
     complex matrix; the homotopy is a real parameter homotopy (gamma = 1).
     An anchor that does not settle ends the walk with a settle_failed step.
     """
-    if not math.isfinite(epsilon):
-        raise FrameworkError(f"epsilon must be a finite number, got {epsilon}")
+    # an endpoint of the push has norm at least |eps| - |anchor|, so a push
+    # much further than DIVERGENCE could only diverge (and overflows first)
+    if not abs(epsilon) <= DIVERGENCE:
+        raise FrameworkError(f"epsilon must be a number of size at most {DIVERGENCE:g}, "
+                             f"got {epsilon}")
     if steps < 1:
         raise FrameworkError(f"steps must be at least 1, got {steps}")
-    members, free, p_free = pinned_member_system(sys, p)
+    members, _, p_free = pinned_member_system(sys, p)
     n, d = sys.graph.n, sys.graph.d
-    N = len(free)
+    N = p_free.size
     rng = np.random.default_rng(seed)
 
     if isinstance(direction, str):
@@ -822,7 +817,7 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
         if not np.isfinite(v).all():
             raise FrameworkError("direction must have finite entries")
         if v.size == n * d:
-            v = np.array([v[i * d + k] for i, k in free])
+            v = v.reshape(n, d)[free_coordinate_mask(n, d)]
         if v.size != N:
             raise FrameworkError(f"direction must have {N} (or {n * d}) entries")
     norm = np.linalg.norm(v)
@@ -874,7 +869,7 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
         if res.status == "converged" and not real:
             res = replace(res, status="no_real_solution")
         results.append(DeformationStep(
-            point=_restore_full(free, res.endpoint, n, d),
+            point=_restore_full(res.endpoint, n, d),
             result=res, real=real, member_residual=member_res))
         if res.status in ("diverged", "step_underflow", "settle_failed"):
             break
@@ -992,9 +987,9 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
     if not 0.0 < square < math.inf:
         raise FrameworkError(
             f"epsilon must have a positive finite square, got {epsilon} (square {square})")
-    members, free, p_free = pinned_member_system(sys, p)
+    members, _, p_free = pinned_member_system(sys, p)
     n, d = sys.graph.n, sys.graph.d
-    N = len(free)
+    N = p_free.size
     rng = np.random.default_rng(seed)
 
     sphere = MultiPoly.constant(N, -square)
@@ -1042,7 +1037,7 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
         if key in seen:
             continue
         seen.add(key)
-        witnesses.append(Configuration(_restore_full(free, point, n, d).real))
+        witnesses.append(Configuration(_restore_full(point, n, d).real))
 
     counts = {"converged": 0, "diverged": 0, "step_underflow": 0}
     for res in results:

@@ -13,6 +13,7 @@ strut (s = -1).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -37,8 +38,10 @@ class FrameworkError(ValueError):
 class FrameworkGraph:
     """Combinatorial part of a framework: node count, dimension, members.
 
-    Members are (i, j, kind) triples with 1 <= i < j <= n, no duplicates.
-    Node indices are 1-based throughout, matching the input format.
+    Members are (i, j, kind) triples with integer 1 <= i < j <= n, no
+    duplicates.  Node indices are 1-based, matching the input format;
+    validation sets (m,) arrays, not fields, of the 0-based ends `heads`
+    (i - 1) and `tails` (j - 1) and of the `signs` KIND_SIGN[kind].
     """
 
     n: int
@@ -52,7 +55,7 @@ class FrameworkGraph:
             raise FrameworkError(f"dimension must be positive, got {self.d}")
         seen = set()
         for i, j, kind in self.members:
-            if not (1 <= i < j <= self.n):
+            if not (1 <= _integer(i, "node index i") < _integer(j, "node index j") <= self.n):
                 raise FrameworkError(f"member ({i}, {j}) must have 1 <= i < j <= n "
                                      f"with n={self.n}")
             if (i, j) in seen:
@@ -60,6 +63,11 @@ class FrameworkGraph:
             if not (isinstance(kind, str) and kind in KIND_SIGN):
                 raise FrameworkError(f"unknown member kind {kind!r} of ({i}, {j})")
             seen.add((i, j))
+        ends = np.array([m[:2] for m in self.members], dtype=np.intp).reshape(-1, 2) - 1
+        signs = np.array([KIND_SIGN[kind] for *_, kind in self.members], dtype=np.intp)
+        for name, value in (("heads", ends[:, 0]), ("tails", ends[:, 1]), ("signs", signs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -125,7 +133,7 @@ def _check_shape(graph: FrameworkGraph, x: Configuration) -> np.ndarray:
 def squared_lengths(graph: FrameworkGraph, x: Configuration) -> np.ndarray:
     """Squared member lengths at x, one entry per member."""
     coords = _check_shape(graph, x)
-    diffs = np.array([coords[i - 1] - coords[j - 1] for i, j, _ in graph.members])
+    diffs = coords[graph.heads] - coords[graph.tails]
     return np.einsum("ij,ij->i", diffs, diffs)
 
 
@@ -146,17 +154,21 @@ def evaluate_members(sys: MemberConstraintSystem, x: Configuration):
     feasible) as arrays of length m.
     """
     residuals = squared_lengths(sys.graph, x) - sys.rest_sq_lengths
-    signs = [KIND_SIGN[kind] for _, _, kind in sys.graph.members]
-    feasible = np.array([(s * g if s else abs(g)) <= FEASIBILITY_TOL
-                         for g, s in zip(residuals, signs)], dtype=bool)
-    return residuals, feasible
+    signs = sys.graph.signs
+    # s * g only where s != 0: 0 * inf would warn and give NaN
+    signed = np.multiply(signs, residuals, out=np.abs(residuals), where=signs != 0)
+    return residuals, signed <= FEASIBILITY_TOL
 
 
 def _integer(value, what: str) -> int:
-    """value itself if it is a JSON integer: an int that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FrameworkError(f"{what} must be an integer, got {value!r}")
-    return value
+    """value as an int if it is an integer, numpy ones included, and not a
+    bool: JSON's true would load as 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise FrameworkError(f"{what} must be an integer, got {value!r}")
 
 
 def _number(value, what: str) -> float:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import (KIND_SIGN, Configuration, FrameworkError, FrameworkGraph,
-                        MemberConstraintSystem)
+from .framework import Configuration, FrameworkError, FrameworkGraph, MemberConstraintSystem
 from .rigidity import (
     RANK_REL_TOL,
     NullspaceDecomposition,
@@ -220,19 +219,12 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     min_eig = float(eigenvalues[0])
     definite = min_eig > tol_rel * np.linalg.norm(omega, 2)
 
-    violations = []
-    zero_members = []
-    cables_ok = True
-    struts_ok = True
-    for (i, j, kind), wk in zip(graph.members, stress):
-        if abs(wk) <= SIGN_MARGIN:
-            zero_members.append((i, j))
-        s = KIND_SIGN[kind]
-        if s and s * wk <= SIGN_MARGIN:
-            violations.append((i, j))
-            # a violating cable (s = 1) clears cables_ok, a strut struts_ok
-            cables_ok &= s < 0
-            struts_ok &= s > 0
+    signs = graph.signs
+    signed = np.multiply(signs, stress, out=np.full(graph.m, np.inf), where=signs != 0)
+    violating = signed <= SIGN_MARGIN
+
+    def ends(flags):
+        return tuple(graph.members[k][:2] for k in np.flatnonzero(flags))
 
     return PrestressCertificate(
         verdict="found" if definite else "not_found",
@@ -242,8 +234,8 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
         reduced=reduced,
         reduced_eigenvalues=eigenvalues,
         min_eigenvalue=min_eig,
-        cables_positive=cables_ok,
-        struts_negative=struts_ok,
-        sign_violations=tuple(violations),
-        zero_members=tuple(zero_members),
+        cables_positive=not np.any(violating & (signs > 0)),
+        struts_negative=not np.any(violating & (signs < 0)),
+        sign_violations=ends(violating),
+        zero_members=ends(np.abs(stress) <= SIGN_MARGIN),
     )

@@ -17,6 +17,7 @@ from .framework import (
     FrameworkError,
     FrameworkGraph,
     MemberConstraintSystem,
+    _check_shape,
     squared_lengths,
 )
 
@@ -98,25 +99,21 @@ def jacobian_at(sys: MemberConstraintSystem, x: Configuration) -> np.ndarray:
     the negative in the node-j block.
     """
     graph = sys.graph
-    coords = np.asarray(x.coords, dtype=float)
-    if coords.shape != (graph.n, graph.d):
-        raise FrameworkError(
-            f"configuration shape {coords.shape} does not match ({graph.n}, {graph.d})")
-    d = graph.d
-    dg = np.zeros((graph.m, graph.n * d))
-    for k, (i, j, _) in enumerate(graph.members):
-        diff = 2.0 * (coords[i - 1] - coords[j - 1])
-        dg[k, (i - 1) * d:i * d] = diff
-        dg[k, (j - 1) * d:j * d] = -diff
-    return dg
+    coords = _check_shape(graph, x)
+    diff = 2.0 * (coords[graph.heads] - coords[graph.tails])
+    rows = np.arange(graph.m)
+    dg = np.zeros((graph.m, graph.n, graph.d))
+    dg[rows, graph.heads] = diff
+    dg[rows, graph.tails] = -diff
+    return dg.reshape(graph.m, -1)
 
 
 def incidence_matrix(graph: FrameworkGraph) -> np.ndarray:
     """m x n incidence matrix: row of member (i, j) has -1 at i and +1 at j."""
+    rows = np.arange(graph.m)
     inc = np.zeros((graph.m, graph.n))
-    for k, (i, j, _) in enumerate(graph.members):
-        inc[k, i - 1] = -1.0
-        inc[k, j - 1] = 1.0
+    inc[rows, graph.heads] = -1.0
+    inc[rows, graph.tails] = 1.0
     return inc
 
 
@@ -276,9 +273,15 @@ def pin_moving_frame(x: Configuration) -> Configuration:
         pinned = centered @ q
     else:
         pinned = centered.copy()
-    for i in range(min(d, n)):
-        pinned[i, i:] = 0.0
+    pinned[~free_coordinate_mask(n, d)] = 0.0
     return Configuration(pinned)
+
+
+def free_coordinate_mask(n: int, d: int) -> np.ndarray:
+    """n x d mask of the coordinates that pin_moving_frame leaves free: node
+    i (0-based) keeps its first min(i, d) coordinates, so entry (i, k) is
+    k < i."""
+    return np.arange(d) < np.arange(n)[:, None]
 
 
 def laplacian_eigenpairs(graph: FrameworkGraph, conductances) -> tuple:

@@ -398,7 +398,9 @@ def test_prestress_rejects_bad_partition(tmp_path, capsys, block):
                                   ["plot", "hinge", "--seed", "-1"],
                                   ["deform", "hinge", "--seed", "-1"],
                                   ["epscheck", "triangle", "--seed", "-1"],
-                                  ["verify-ideals", "--seed", "-1"]])
+                                  ["verify-ideals", "--seed", "-1"],
+                                  ["deform", "hinge", "--epsilon", "1e20"],
+                                  ["deform", "hinge", "--epsilon", "1e200"]])
 def test_out_of_range_tolerance_or_epsilon_is_rejected(tmp_path, capsys, argv):
     assert run_command(argv + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")

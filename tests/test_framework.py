@@ -24,6 +24,16 @@ def test_member_validation():
         FrameworkGraph(n=3, d=2, members=((1, 2, "bar"), (1, 2, "cable")))
     with pytest.raises(FrameworkError):
         FrameworkGraph(n=3, d=2, members=((1, 2, "rope"),))
+    with pytest.raises(FrameworkError, match="must be an integer"):
+        FrameworkGraph(n=3, d=2, members=((1.5, 2, "bar"),))
+    with pytest.raises(FrameworkError, match="must be an integer"):
+        FrameworkGraph(n=3, d=2, members=((1, 2.0, "bar"),))
+    with pytest.raises(FrameworkError, match="must be an integer"):
+        FrameworkGraph(n=3, d=2, members=((True, 2, "bar"),))
+    with pytest.raises(FrameworkError, match="must be an integer"):
+        FrameworkGraph(n=3, d=2, members=((1, np.True_, "bar"),))
+    with pytest.raises(FrameworkError, match="must be an integer"):
+        FrameworkGraph(n=3, d=2, members=(("1", 2, "bar"),))
 
 
 def test_rest_lengths_must_be_positive():

@@ -11,7 +11,10 @@ from tensegrity import (Configuration, FrameworkError, build_constraints,
                         rigid_motion_basis, rigidity_and_incidence,
                         rigidity_report)
 from tensegrity.framework import FIXTURE_NAMES
-from tensegrity.rigidity import GENERIC_TRIALS, RANK_REL_TOL, random_configuration
+from tensegrity.continuation import free_coordinate_positions
+from tensegrity.ideals import SLINGSHOT_PINNED, SLINGSHOT_VARIABLES
+from tensegrity.rigidity import (GENERIC_TRIALS, RANK_REL_TOL, free_coordinate_mask,
+                                 random_configuration)
 
 from conftest import random_framework
 
@@ -145,6 +148,31 @@ def test_pinning_zero_pattern():
     for i in range(3):
         assert np.all(pinned.coords[i, i:] == 0.0)
     assert pinned.coords[1, 0] > 0.0
+
+
+def test_the_free_coordinate_mask_is_the_exact_slingshot_pinning():
+    """The numeric pinning frees the variables of the exact slingshot ideals,
+    in their order, and fixes the coordinates they set to zero."""
+    mask = free_coordinate_mask(5, 2)
+    names = np.array([[f"x{i}{k}" for k in (1, 2)] for i in range(1, 6)])
+    assert tuple(names[mask]) == SLINGSHOT_VARIABLES
+    assert set(names[~mask]) == set(SLINGSHOT_PINNED)
+    assert set(SLINGSHOT_PINNED.values()) == {0}
+    assert free_coordinate_positions(5, 2) == [tuple(pos) for pos in np.argwhere(mask).tolist()]
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 1), (2, 2), (3, 2), (5, 2),
+                                  (3, 3), (4, 3), (6, 3), (5, 4)])
+def test_pinning_is_zero_exactly_off_the_free_coordinate_mask(n, d):
+    mask = free_coordinate_mask(n, d)
+    assert mask.shape == (n, d)
+    assert mask.sum() == n * d - min(n, d) * (2 * d - min(n, d) + 1) // 2
+    rng = np.random.default_rng(n * 10 + d)
+    for _ in range(5):
+        pinned = pin_moving_frame(Configuration(rng.uniform(-1, 1, size=(n, d)))).coords
+        off = pinned[~mask]
+        assert np.all(off == 0.0) and not np.any(np.signbit(off))
+        assert np.all(pinned[mask] != 0.0)
 
 
 def test_pinning_rejects_degenerate_leading_nodes():
