@@ -13,8 +13,8 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -79,6 +79,14 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _escape_attrib(text: str) -> str:
+    """Attribute text escaped as ElementTree escapes it."""
+    for char, entity in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+                         ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;")):
+        text = text.replace(char, entity)
+    return text
+
+
 def render_svg(scene: Scene) -> str:
     """Draw a scene as an SVG document string.
 
@@ -123,40 +131,40 @@ def render_svg(scene: Scene) -> str:
     tips_px, curves_px = rest[:len(fields)], rest[len(fields):]
     node_xy = node_px.tolist()
 
-    root = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "width": _fmt(WIDTH), "height": _fmt(HEIGHT),
-        "viewBox": f"0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}",
-    })
-    ET.SubElement(root, "rect", {"width": "100%", "height": "100%",
-                                 "fill": "#ffffff"})
+    # element and attribute order, spacing, escaping and self-closing tags
+    # are ElementTree.tostring's, so the bytes match its output
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+           f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">'
+           '<rect width="100%" height="100%" fill="#ffffff" />']
 
     for curve in curves_px:
-        ET.SubElement(root, "polyline", {
-            "class": "trajectory",
-            "points": " ".join(f"{x:.3f},{y:.3f}" for x, y in curve.tolist()),
-            "fill": "none", "stroke": "#555555", "stroke-width": "1",
-        })
+        points = " ".join(f"{x:.3f},{y:.3f}" for x, y in curve.tolist())
+        out.append(f'<polyline class="trajectory" points="{points}" fill="none" '
+                   'stroke="#555555" stroke-width="1" />')
 
     for (i, j, kind) in scene.members:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"member ({i}, {j}) names a node outside 1..{n}")
         (x1, y1), (x2, y2) = node_xy[i - 1], node_xy[j - 1]
-        ET.SubElement(root, "line", {
-            "class": f"member {kind}",
-            "x1": _fmt(x1), "y1": _fmt(y1), "x2": _fmt(x2), "y2": _fmt(y2),
-            "stroke": MEMBER_COLORS.get(kind, "#333333"),
-            "stroke-width": "2",
-            "stroke-dasharray": "6,3" if kind == "strut" else "none",
-        })
+        out.append(f'<line class="{_escape_attrib(f"member {kind}")}" '
+                   f'x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
+                   f'stroke="{MEMBER_COLORS.get(kind, "#333333")}" stroke-width="2" '
+                   f'stroke-dasharray="{"6,3" if kind == "strut" else "none"}" />')
 
+    # "M tail L tip " and the head "M left L tip L right", as _fmt writes
+    shaft = ('<path class="arrow" fill="none" stroke-width="1.5" '
+             'd="M {:.3f} {:.3f} L {:.3f} {:.3f} ')
+    arrow = shaft + 'M {:.3f} {:.3f} L {:.3f} {:.3f} L {:.3f} {:.3f}" />'
+    shaft += '" />'
     for k, (vec, tip_px) in enumerate(zip(fields, tips_px)):
-        group = ET.SubElement(root, "g", {
-            "class": "arrows", "data-vector": str(k),
-            "stroke": ARROW_COLORS[k % len(ARROW_COLORS)]})
+        group = (f'<g class="arrows" data-vector="{k}" '
+                 f'stroke="{ARROW_COLORS[k % len(ARROW_COLORS)]}"')
         # arrows up to 1e-12 long are omitted, and heads of arrows up to
         # 1e-12 px long (their direction u is then not needed)
         drawn = ~(np.linalg.norm(vec, axis=1) <= 1e-12)
+        if not drawn.any():
+            out.append(group + " />")
+            continue
         tail, tip = node_px[drawn], tip_px[drawn]
         length = np.linalg.norm(tip - tail, axis=1)
         headed = ~(length <= 1e-12)
@@ -164,22 +172,61 @@ def render_svg(scene: Scene) -> str:
         back = tip - ARROW_HEAD * u
         side = ARROW_HEAD * 0.5 * np.column_stack([-u[:, 1], u[:, 0]])
         rows = np.column_stack([tail, tip, back + side, tip, back - side])
-        for row, head in zip(rows.tolist(), headed.tolist()):
-            # "M tail L tip " and the head "M left L tip L right", as _fmt writes
-            cmds = "M {:.3f} {:.3f} L {:.3f} {:.3f} ".format(*row[:4])
-            if head:
-                cmds += "M {:.3f} {:.3f} L {:.3f} {:.3f} L {:.3f} {:.3f}".format(*row[4:])
-            ET.SubElement(group, "path", {
-                "class": "arrow", "fill": "none", "stroke-width": "1.5", "d": cmds,
-            })
+        out.append(group + ">")
+        out.extend((arrow if head else shaft).format(*row)
+                   for row, head in zip(rows.tolist(), headed.tolist()))
+        out.append("</g>")
 
-    for x, y in node_xy:
-        ET.SubElement(root, "circle", {
-            "class": "node", "cx": _fmt(x), "cy": _fmt(y),
-            "r": _fmt(NODE_RADIUS), "fill": "#000000",
-        })
+    out.extend(f'<circle class="node" cx="{x:.3f}" cy="{y:.3f}" '
+               f'r="{_fmt(NODE_RADIUS)}" fill="#000000" />' for x, y in node_xy)
+    out.append("</svg>")
+    return "".join(out)
 
-    return ET.tostring(root, encoding="unicode")
+
+def report_json(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, with
+    `indent` the newline and indentation of its own level.
+
+    Dicts need str keys.  A list of finite floats, most of a report's bytes,
+    is one join; anything json.dumps refuses (a numpy integer or bool, a
+    set) raises TypeError here too.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        # every NaN writes as 'nan'; no finite float's repr has an 'n'
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            text = sep.join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            text = "n"
+        if "n" in text:  # not all floats, or not all finite
+            text = sep.join([report_json(v, inner) for v in value])
+        return "[" + inner + text + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        return "{" + inner + sep.join(
+            [encode_basestring_ascii(key) + ": " + report_json(value[key], inner)
+             for key in sorted(value)]) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +518,7 @@ def run_command(argv) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / f"{out.stem}_{args.command}.json"
-    report_path.write_text(
-        json.dumps(out.payload, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(report_json(out.payload) + "\n")
     print(f"wrote {report_path}")
     if out.svg is not None:
         svg_path = out_dir / f"{out.stem}_{args.command}.svg"

@@ -16,6 +16,7 @@ import json
 import operator
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -38,10 +39,11 @@ class FrameworkError(ValueError):
 class FrameworkGraph:
     """Combinatorial part of a framework: node count, dimension, members.
 
-    Members are (i, j, kind) triples with integer 1 <= i < j <= n, no
-    duplicates.  Node indices are 1-based, matching the input format;
-    validation sets (m,) arrays, not fields, of the 0-based ends `heads`
-    (i - 1) and `tails` (j - 1) and of the `signs` KIND_SIGN[kind].
+    n and d are positive integers.  Members are (i, j, kind) triples with
+    integer 1 <= i < j <= n, no duplicates.  Node indices are 1-based,
+    matching the input format; validation sets (m,) arrays, not fields, of
+    the 0-based ends `heads` (i - 1) and `tails` (j - 1) and of the `signs`
+    KIND_SIGN[kind].
     """
 
     n: int
@@ -49,9 +51,9 @@ class FrameworkGraph:
     members: tuple[tuple[int, int, str], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if _integer(self.n, "node count") < 1:
             raise FrameworkError(f"node count must be positive, got {self.n}")
-        if self.d < 1:
+        if _integer(self.d, "dimension") < 1:
             raise FrameworkError(f"dimension must be positive, got {self.d}")
         seen = set()
         for i, j, kind in self.members:
@@ -205,8 +207,11 @@ def _parse_document(doc: dict):
         raise FrameworkError("'nodes' must be a nonempty list of coordinate rows")
     if not all(isinstance(row, list) for row in nodes):
         raise FrameworkError("each node must be a list of coordinates")
-    rows = [[_number(v, f"coordinate of node {k}") for v in row]
-            for k, row in enumerate(nodes, 1)]
+    if {int, float}.issuperset(map(type, chain.from_iterable(nodes))):
+        rows = [list(map(float, row)) for row in nodes]
+    else:  # the checks below name the first bad coordinate
+        rows = [[_number(v, f"coordinate of node {k}") for v in row]
+                for k, row in enumerate(nodes, 1)]
     try:
         coords = np.array(rows, dtype=float)
     except ValueError as exc:
@@ -217,21 +222,28 @@ def _parse_document(doc: dict):
     if not isinstance(members, list) or not members:
         raise FrameworkError("'members' must be a nonempty list")
 
+    allowed = ("i", "j", "kind", "rest_sq_length")
+    known = set(allowed)
     triples = []
     rest = []
     explicit = False
     for entry in members:
-        try:
-            i, j = (_integer(entry[key], f"{key!r} of member {entry!r}") for key in "ij")
-        except (KeyError, TypeError) as exc:
-            raise FrameworkError(f"bad member entry {entry!r}") from exc
-        _known_keys(entry, ("i", "j", "kind", "rest_sq_length"), f"member {entry!r}")
+        if (type(entry) is dict and type(entry.get("i")) is int
+                and type(entry.get("j")) is int and known.issuperset(entry)):
+            i, j = entry["i"], entry["j"]
+        else:  # checks that word the error; they format the entry, so only here
+            try:
+                i, j = (_integer(entry[key], f"{key!r} of member {entry!r}") for key in "ij")
+            except (KeyError, TypeError) as exc:
+                raise FrameworkError(f"bad member entry {entry!r}") from exc
+            _known_keys(entry, allowed, f"member {entry!r}")
         kind = entry.get("kind", "bar")
         triples.append((i, j, kind))
         if "rest_sq_length" in entry:
             explicit = True
-            rest.append(_number(entry["rest_sq_length"],
-                                f"rest_sq_length of member {entry!r}"))
+            value = entry["rest_sq_length"]
+            rest.append(float(value) if type(value) in (int, float) else
+                        _number(value, f"rest_sq_length of member {entry!r}"))
         else:
             rest.append(None)
     if explicit and any(r is None for r in rest):

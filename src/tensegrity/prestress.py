@@ -88,14 +88,18 @@ def self_stress_basis(decomp: NullspaceDecomposition) -> list:
     return out
 
 
-def stress_matrix(graph: FrameworkGraph, w) -> np.ndarray:
-    """Omega_w: the w-weighted graph Laplacian Kronecker-spread by I_d."""
+def _weighted_laplacian(graph: FrameworkGraph, w) -> np.ndarray:
+    """The n x n w-weighted graph Laplacian L, so that Omega_w = L (x) I_d."""
     w = np.asarray(w, dtype=float)
     if w.shape != (graph.m,):
         raise FrameworkError(f"expected {graph.m} stress entries, got shape {w.shape}")
     inc = incidence_matrix(graph)
-    lap = inc.T @ (w[:, None] * inc)
-    return np.kron(lap, np.eye(graph.d))
+    return inc.T @ (w[:, None] * inc)
+
+
+def stress_matrix(graph: FrameworkGraph, w) -> np.ndarray:
+    """Omega_w: the w-weighted graph Laplacian Kronecker-spread by I_d."""
+    return np.kron(_weighted_laplacian(graph, w), np.eye(graph.d))
 
 
 def stiffness_and_energy(sys: MemberConstraintSystem, p: Configuration,
@@ -213,11 +217,13 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     stress = sum(ai * w for ai, w in zip(a, basis))
     # independent re-verification: rebuild the reduced matrix from the
     # combined stress rather than reusing the solve's running value
-    omega = stress_matrix(graph, stress)
+    lap = _weighted_laplacian(graph, stress)
+    omega = np.kron(lap, np.eye(graph.d))
     reduced = F.T @ omega @ F
     eigenvalues = np.linalg.eigvalsh(reduced)
     min_eig = float(eigenvalues[0])
-    definite = min_eig > tol_rel * np.linalg.norm(omega, 2)
+    # Omega = L (x) I_d with L symmetric, so ||Omega||_2 = max |eigenvalue of L|
+    definite = min_eig > tol_rel * np.max(np.abs(np.linalg.eigvalsh(lap)))
 
     signs = graph.signs
     signed = np.multiply(signs, stress, out=np.full(graph.m, np.inf), where=signs != 0)

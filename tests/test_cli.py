@@ -1,17 +1,19 @@
 """Exit codes, report stability, and SVG structure of the batch CLI."""
 
 import json
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tensegrity import rigidity
+from tensegrity import cli, rigidity
 from tensegrity.cli import (ARROW_COLORS, ARROW_HEAD, HEIGHT, ISOMETRIC, MARGIN,
                             MEMBER_COLORS, NODE_RADIUS, WIDTH, Scene, _fmt,
-                            _projection, render_svg, run_command)
+                            _projection, render_svg, report_json, run_command)
 from tensegrity.framework import FIXTURE_NAMES, load_fixture
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -323,6 +325,90 @@ def test_render_svg_matches_the_reference(name):
         assert paths[1].count("L") == 3
     if name.startswith("d"):
         assert "a&quot;&lt;b" in svg and 'data-vector="5"' in svg
+
+
+def test_render_svg_escapes_member_kinds_as_elementtree_does():
+    kinds = ("a&b", "<strut>", 'say "hi"', "cr\rlf\ntab\t", "&amp;", "caf\u00e9")
+    nodes = np.random.default_rng(3).normal(size=(len(kinds) + 1, 2))
+    scene = Scene(nodes=nodes, members=tuple((1, k + 2, kind) for k, kind in enumerate(kinds)))
+    svg = render_svg(scene)
+    assert svg == _reference_svg(scene)
+    assert 'class="member cr&#13;lf&#10;tab&#09;"' in svg and "member &amp;amp;" in svg
+    assert [e.get("class") for e in ET.fromstring(svg).iter(f"{SVG}line")] == [
+        f"member {kind}" for kind in kinds]
+
+
+def test_the_package_does_not_load_elementtree():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, tensegrity.cli; print(sorted(m for m in sys.modules if m.startswith('xml')))"
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+#: square with member (1, 2)'s rest squared length 4: its deform report
+#: carries a NaN member residual
+STRAINED_SQUARE = {"dimension": 2,
+                   "nodes": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                   "members": [{"i": i, "j": j, "rest_sq_length": rest} for i, j, rest
+                               in [(1, 2, 4.0), (1, 4, 1.0), (2, 3, 1.0), (3, 4, 1.0)]]}
+
+
+def test_report_json_is_json_dumps_on_cli_reports(tmp_path, monkeypatch):
+    payloads = []
+
+    class Recorded(cli.CommandOutput):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            payloads.append(self.payload)
+
+    monkeypatch.setattr(cli, "CommandOutput", Recorded)
+    (tmp_path / "strained.json").write_text(json.dumps(STRAINED_SQUARE))
+    (tmp_path / "cubic.json").write_text(json.dumps(
+        {"variables": ["x", "y"], "equations": ["x^3 - 7*x^2 + 17*x - 15", "y^2 - 1/3"]}))
+    argvs = [[sub, fx] for fx in FIXTURE_NAMES
+             for sub in ("analyze", "flexes", "prestress", "plot")]
+    argvs += [["solve", str(tmp_path / "cubic.json")],
+              ["deform", "square", "--steps", "2"],
+              ["deform", str(tmp_path / "strained.json"), "--steps", "2"],
+              ["epscheck", "hinge"], ["verify-ideals"]]
+    for argv in argvs:
+        assert run_command(argv + ["--out", str(tmp_path / "out")]) == 0, argv
+    assert len(payloads) == len(argvs)
+    texts = [report_json(payload) for payload in payloads]
+    assert texts == [json.dumps(payload, indent=2, sort_keys=True) for payload in payloads]
+    assert "NaN" in texts[-3]
+    written = (tmp_path / "out" / "strained_deform.json").read_text()
+    assert written == texts[-3] + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1, 0, -7,
+    2 ** 70, True, False, None, [], {}, [[]], [{}], {"a": {}}, {"a": [], "": [[], {}]},
+    "", "caf\u00e9 \u2603 \U0001f600", "tab\tnl\n\x00\x1f\x7f \"q\" \\",
+    [1.0, 2, 3.5], [0.5, True], [0.5, None], [None, 0.5], [1.5, float("nan")],
+    [-float("inf"), 1e300], [0.5, "x"], [0.5, [0.25]], (1.0, -2.0), (), ((0.5,), [1]),
+    [np.float64(0.1), 0.2], np.float64(-0.0), {"b": 1, "a": 2.5, "B": [3.0], "\u00e9": 0}])
+def test_report_json_is_json_dumps_on_edge_values(value):
+    for doc in (value, [value, value], {"k": value, "a": [value, 1.0], "z": {"y": value}}):
+        assert report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, np.float32(0.5),
+                                   np.zeros(2)])
+def test_report_json_refuses_what_json_dumps_refuses(value):
+    for doc in (value, [0.5, value], [value, 0.5], {"k": value}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            report_json(doc)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+def test_report_json_refuses_a_key_that_is_not_a_string(key):
+    for doc in ({key: 0.5}, {"a": 1, "b": [{key: "x"}]}):
+        with pytest.raises(TypeError):
+            report_json(doc)
 
 
 def test_flags_are_accepted_only_where_they_act(tmp_path):

@@ -34,6 +34,13 @@ def test_member_validation():
         FrameworkGraph(n=3, d=2, members=((1, np.True_, "bar"),))
     with pytest.raises(FrameworkError, match="must be an integer"):
         FrameworkGraph(n=3, d=2, members=(("1", 2, "bar"),))
+    with pytest.raises(FrameworkError, match="dimension must be an integer"):
+        FrameworkGraph(n=3, d=2.0, members=((1, 2, "bar"),))
+    with pytest.raises(FrameworkError, match="dimension must be an integer"):
+        FrameworkGraph(n=3, d=True, members=((1, 2, "bar"),))
+    with pytest.raises(FrameworkError, match="node count must be an integer"):
+        FrameworkGraph(n=2.5, d=2, members=((1, 2, "bar"),))
+    assert FrameworkGraph(n=np.int64(3), d=2, members=((1, 2, "bar"),)).n == 3
 
 
 def test_rest_lengths_must_be_positive():
@@ -65,7 +72,8 @@ def test_rest_lengths_must_be_finite():
 
 @pytest.mark.parametrize("key, value", [("dimension", 2.7), ("dimension", 2.0),
                                         ("dimension", True), ("i", 1.9),
-                                        ("i", True), ("i", "1"), ("j", 2.0)])
+                                        ("i", True), ("i", "1"), ("j", 2.0),
+                                        ("j", False)])
 def test_document_numbers_must_be_json_integers(key, value):
     doc = json.loads(json.dumps(TRIANGLE_DOC))
     if key == "dimension":
@@ -77,7 +85,7 @@ def test_document_numbers_must_be_json_integers(key, value):
 
 
 @pytest.mark.parametrize("key, value", [("coordinate", "0"), ("coordinate", True),
-                                        ("rest_sq_length", "1"),
+                                        ("coordinate", None), ("rest_sq_length", "1"),
                                         ("rest_sq_length", True)])
 def test_coordinates_and_rest_lengths_must_be_json_numbers(key, value):
     doc = json.loads(json.dumps(TRIANGLE_DOC))
@@ -89,6 +97,48 @@ def test_coordinates_and_rest_lengths_must_be_json_numbers(key, value):
         doc["members"][2]["rest_sq_length"] = value
     with pytest.raises(FrameworkError, match="must be a number"):
         load_framework(doc)
+
+
+def _spoilt_triangle(key, value):
+    """TRIANGLE_DOC with node 2's y or member (1, 3)'s `key` set to value,
+    or that key deleted when value is KeyError."""
+    doc = json.loads(json.dumps(TRIANGLE_DOC))
+    if key == "coordinate":
+        doc["nodes"][1][1] = value
+    elif value is KeyError:
+        del doc["members"][1][key]
+    else:
+        doc["members"][1][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("coordinate", True, "coordinate of node 2 must be a number, got True"),
+    ("coordinate", "0", "coordinate of node 2 must be a number, got '0'"),
+    ("coordinate", None, "coordinate of node 2 must be a number, got None"),
+    ("i", 1.5, "'i' of member {'i': 1.5, 'j': 3} must be an integer, got 1.5"),
+    ("j", True, "'j' of member {'i': 1, 'j': True} must be an integer, got True"),
+    ("Kind", "cable", "unknown key 'Kind' in member {'i': 1, 'j': 3, 'Kind': 'cable'}; "
+                      "allowed keys are 'i', 'j', 'kind', 'rest_sq_length'"),
+    ("j", KeyError, "bad member entry {'i': 1}")])
+def test_rejections_keep_their_messages(key, value, message):
+    # well-formed documents skip the per-entry checks, which alone word these
+    with pytest.raises(FrameworkError) as info:
+        load_framework(_spoilt_triangle(key, value))
+    assert str(info.value) == message
+
+
+def test_numpy_numbers_in_a_dict_document_still_load():
+    doc = json.loads(json.dumps(TRIANGLE_DOC))
+    doc["nodes"] = [[np.float64(v) for v in row] for row in doc["nodes"]]
+    for member in doc["members"]:
+        member["i"], member["j"] = np.int64(member["i"]), np.int64(member["j"])
+        member["rest_sq_length"] = np.float64(1.0)
+    graph, p, sys_ = load_framework(doc)
+    plain, p0, _ = load_framework(TRIANGLE_DOC)
+    assert graph == plain and graph.members == ((1, 2, "bar"), (1, 3, "bar"), (2, 3, "bar"))
+    assert p.coords.tobytes() == p0.coords.tobytes()
+    assert sys_.rest_sq_lengths.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_configuration_rejects_bad_shapes():

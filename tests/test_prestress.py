@@ -59,6 +59,20 @@ def test_stress_matrix_annihilates_translations():
             assert np.max(np.abs(omega @ t.reshape(-1))) <= 1e-10
 
 
+def test_stress_norm_is_the_largest_laplacian_eigenvalue():
+    # prestress_certificate takes ||Omega_w||_2 from the n x n Laplacian
+    rng = np.random.default_rng(53)
+    for d in (1, 2, 3):
+        for _ in range(10):
+            graph, _, _ = random_framework(rng, d=d)
+            w = rng.normal(size=graph.m)
+            lap = prestress._weighted_laplacian(graph, w)
+            omega = stress_matrix(graph, w)
+            assert np.array_equal(np.kron(lap, np.eye(d)), omega)
+            norm = np.max(np.abs(np.linalg.eigvalsh(lap)))
+            assert norm == pytest.approx(np.linalg.norm(omega, 2), rel=1e-12, abs=0.0)
+
+
 def test_stress_matrix_is_linear_in_the_stress():
     rng = np.random.default_rng(47)
     graph, _, _ = random_framework(rng, n=5, d=2)
