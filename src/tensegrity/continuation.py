@@ -18,9 +18,10 @@ from math import prod
 
 import numpy as np
 
-from .framework import Configuration, FrameworkError, MemberConstraintSystem
+from .framework import (Configuration, FrameworkError, MemberConstraintSystem,
+                        member_polynomials)
 from .rigidity import free_coordinate_mask, numerical_nullspace, pin_moving_frame
-from .symbolic import SparsePoly
+from .symbolic import SparsePoly, _natural
 
 #: endpoints are flagged real when no coordinate has |Im| above this
 TAU_IMAG = 1e-6
@@ -85,7 +86,7 @@ class MultiPoly(SparsePoly):
     _width = staticmethod(int)
 
     def __init__(self, nvars: int, terms=None):
-        super().__init__(int(nvars), terms)
+        super().__init__(_natural(nvars, ContinuationError, "nvars"), terms)
 
     @property
     def nvars(self) -> int:
@@ -533,8 +534,8 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
     m, n = len(h.target), h.target.nvars
     results = []  # per start, filled in as chunks of ended paths finish
     trajs = [] if record else None  # per start
-    # (start, point, status, steps, Newton updates, rejected steps) of paths
-    # awaiting the endgame
+    # (start, point, whether it reached T_CUTOFF undiverged, steps, Newton
+    # updates, rejected steps) of paths awaiting the endgame
     ended = []
 
     # the live paths, compacted together as paths end: start index, point,
@@ -617,15 +618,14 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
         dt = np.where(grow, np.minimum(dt * 2.0, DT_MAX),
                       np.where(ok, dt, dt * 0.5))
         diverged = ok & (np.linalg.norm(x, axis=1) > DIVERGENCE)
-        # a path short of T_CUTOFF ends step_underflow at the step cap or on
-        # a rejection below DT_MIN; one past it goes on to the endgame ("")
+        # a path ends at T_CUTOFF, diverged, at the step cap or on a
+        # rejection below DT_MIN; _finish labels it
         keep = ((t > T_CUTOFF) & (steps < MAX_STEPS) & (ok | (dt >= DT_MIN))
                 & ~diverged)
         if not keep.all():
             out = ~keep
-            status = np.where(diverged[out], "diverged",
-                              np.where(t[out] > T_CUTOFF, "step_underflow", ""))
-            ended += zip(idx[out].tolist(), x[out], status.tolist(),
+            reached = (t[out] <= T_CUTOFF) & ~diverged[out]
+            ended += zip(idx[out].tolist(), x[out], reached.tolist(),
                          steps[out].tolist(), updates[out].tolist(),
                          rejected[out].tolist())
             idx, x, hdot, jac, t, dt, accepts, steps, updates, rejected = (
@@ -647,18 +647,19 @@ def track_path(h: Homotopy, x0, record: bool = False) -> TrackResult:
 def _finish(h: Homotopy, deg: int, ended: list, results: list, trajs) -> None:
     """Endgame and final residuals of a chunk of ended paths: a Newton
     polish directly on the target rows of h's stacked system for the paths
-    that reached T_CUTOFF, then each path's TrackResult into results.  trajs
-    is None unless the trajectories are recorded."""
+    that reached T_CUTOFF, then each path's TrackResult into results: far
+    or not finite is diverged, reached with a good residual converged, and
+    any other step_underflow.  trajs is None unless trajectories are kept."""
     ids = [path[0] for path in ended]
     X = np.array([path[1] for path in ended])
-    status = np.array([path[2] for path in ended], dtype=object)
+    reached = np.array([path[2] for path in ended], dtype=bool)
     updates = np.array([path[4] for path in ended])
 
     def tol_end(points):
         with np.errstate(over="ignore"):
             return TOL_END_REL * (1.0 + np.linalg.norm(points, axis=1) ** deg)
 
-    end = np.flatnonzero(status == "")
+    end = np.flatnonzero(reached)
     if end.size:
         X[end], _, polish = _newton_on(h, 0, X[end], 1e-4 * tol_end(X[end]),
                                        POLISH_STEPS)
@@ -674,8 +675,8 @@ def _finish(h: Homotopy, deg: int, ended: list, results: list, trajs) -> None:
             h._both.evaluate(X[finite])[:, :len(h.target)], axis=1)
     far = ~finite | (np.linalg.norm(X, axis=1) > DIVERGENCE)
     good = residual <= tol_end(X)
-    status[end] = np.where(far[end], "diverged",
-                           np.where(good[end], "converged", "step_underflow"))
+    status = np.where(far, "diverged", np.where(reached & good, "converged",
+                                                "step_underflow")).tolist()
     max_imag = np.max(np.abs(X.imag), axis=1, initial=0.0)
     for k, (i, _, _, n_steps, _, n_rejected) in enumerate(ended):
         results[i] = TrackResult(endpoint=X[k].copy(), status=status[k],
@@ -738,26 +739,14 @@ def pinned_member_system(sys: MemberConstraintSystem, p: Configuration):
     """Member constraint polynomials of a pinned framework, in the free
     coordinates only.  Returns (PolySystem, free positions, free values)."""
     _require_pinned(p)
-    graph = sys.graph
-    n, d = graph.n, graph.d
+    n, d = sys.graph.n, sys.graph.d
     free = free_coordinate_positions(n, d)
-    nvars = len(free)
-    index = {pos: v for v, pos in enumerate(free)}
-
-    def coord(i, k):
-        v = index.get((i, k))
-        if v is None:
-            return MultiPoly.constant(nvars, 0.0)  # pinned entries are exact zeros
-        return MultiPoly.variable(nvars, v)
-
-    polys = []
-    for (i, j, _), rest in zip(graph.members, sys.rest_sq_lengths):
-        g = MultiPoly.constant(nvars, -rest)
-        for k in range(d):
-            diff = coord(i - 1, k) - coord(j - 1, k)
-            g = g + diff * diff
-        polys.append(g)
-    return PolySystem(polys), free, p.coords[free_coordinate_mask(n, d)]
+    zero = MultiPoly.constant(len(free), 0.0)  # pinned entries are exact zeros
+    coords = [[zero] * d for _ in range(n)]
+    for v, (i, k) in enumerate(free):
+        coords[i][k] = MultiPoly.variable(len(free), v)
+    return (PolySystem(member_polynomials(sys, coords)), free,
+            p.coords[free_coordinate_mask(n, d)])
 
 
 def _restore_full(x, n, d) -> np.ndarray:

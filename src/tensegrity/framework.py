@@ -139,6 +139,29 @@ def squared_lengths(graph: FrameworkGraph, x: Configuration) -> np.ndarray:
     return np.einsum("ij,ij->i", diffs, diffs)
 
 
+def _member_differences(graph: FrameworkGraph, coords) -> list:
+    """x_i - x_j per axis for each member (i, j) of a coordinate matrix."""
+    if not (isinstance(coords, (list, tuple)) and len(coords) == graph.n and all(
+            isinstance(row, (list, tuple)) and len(row) == graph.d for row in coords)):
+        raise FrameworkError(f"coordinate matrix must be {graph.n} rows of {graph.d} entries")
+    return [[a - b for a, b in zip(coords[i], coords[j])]
+            for i, j in zip(graph.heads.tolist(), graph.tails.tolist())]
+
+
+def member_polynomials(sys: MemberConstraintSystem, coords) -> list:
+    """g_ij for each member in order over a coordinate matrix, n rows of d
+    polynomials in one ring (a free coordinate is a variable, a pinned one
+    the ring's zero): the constant -l_ij^2, then (x_ik - x_jk)^2 per axis,
+    in that order, which a complex evaluator's sums follow to the last bit."""
+    polys = []
+    for diffs, rest in zip(_member_differences(sys.graph, coords), sys.rest_sq_lengths):
+        g = coords[0][0].constant(coords[0][0].ring, -rest)
+        for diff in diffs:
+            g = g + diff * diff
+        polys.append(g)
+    return polys
+
+
 def build_constraints(graph: FrameworkGraph, p: Configuration,
                       rest_sq_lengths=None) -> MemberConstraintSystem:
     """Constraint system with rest lengths taken from the embedding p

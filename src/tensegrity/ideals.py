@@ -4,14 +4,14 @@ Two catalogs live here: the adjacent 2x2 minors of a generic 2x5 matrix
 with the five primes their variety decomposes into, and the slingshot
 framework (5 nodes, 7 bars, pinned to a moving frame) with its symbolic
 rigidity matrix, member constraints, and eight component primes.  The
-slingshot matrix is stored as displayed and independently re-derived from
-the member constraints; the two must agree exactly.
+slingshot matrix is stored as displayed and derived from the fixture; the
+two must agree exactly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .framework import load_fixture, member_polynomials
+from .rigidity import symbolic_rigidity_matrix
 from .symbolic import RationalPoly, SymbolicError, ring_variables, symbolic_minors
 
 # -- adjacent minors of the generic 2 x 5 matrix ---------------------------
@@ -52,50 +52,32 @@ def adjacent_minor_primes() -> tuple:
 
 # -- slingshot --------------------------------------------------------------
 
-#: 1-based bars and squared rest lengths of the slingshot graph
-SLINGSHOT_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5))
-SLINGSHOT_REST_SQ = (1, 5, 5, 2, 2, 1, 1)
-
-#: full coordinate ring, node-major; pinning sends the first three to zero
-SLINGSHOT_FULL_VARIABLES = ("x11", "x12", "x21", "x22", "x31",
-                            "x32", "x41", "x42", "x51", "x52")
+#: coordinates that pinning to the moving frame sends to zero
 SLINGSHOT_PINNED = {"x11": 0, "x12": 0, "x22": 0}
 
 #: coordinates that stay free after pinning
 SLINGSHOT_VARIABLES = ("x21", "x31", "x32", "x41", "x42", "x51", "x52")
 
 
-def _full_members() -> list:
-    gens = dict(zip(SLINGSHOT_FULL_VARIABLES,
-                    ring_variables(SLINGSHOT_FULL_VARIABLES)))
-    polys = []
-    for (i, j), rest in zip(SLINGSHOT_EDGES, SLINGSHOT_REST_SQ):
-        g = RationalPoly.constant(SLINGSHOT_FULL_VARIABLES, -rest)
-        for k in (1, 2):
-            diff = gens[f"x{i}{k}"] - gens[f"x{j}{k}"]
-            g = g + diff * diff
-        polys.append(g)
-    return polys
+def _slingshot():
+    """The slingshot's constraint system and coordinate matrix: x_ik, or 0 if pinned."""
+    graph, _, sys = load_fixture("slingshot")
+    gens = dict(zip(SLINGSHOT_VARIABLES, ring_variables(SLINGSHOT_VARIABLES)))
+    zero = RationalPoly.zero(SLINGSHOT_VARIABLES)
+    return sys, [[gens.get(f"x{i}{k}", zero) for k in range(1, graph.d + 1)]
+                 for i in range(1, graph.n + 1)]
 
 
 def slingshot_member_constraints() -> list:
     """The seven bar constraints in the pinned coordinates."""
-    return [g.substitute(SLINGSHOT_PINNED).project(SLINGSHOT_VARIABLES)
-            for g in _full_members()]
+    return member_polynomials(*_slingshot())
 
 
 def slingshot_matrix_derived() -> list:
     """Half the member-constraint Jacobian, pinned coordinates set to zero:
     7 rows (bars) by 10 columns (all node coordinates, pinned included)."""
-    half = Fraction(1, 2)
-    matrix = []
-    for g in _full_members():
-        row = []
-        for name in SLINGSHOT_FULL_VARIABLES:
-            entry = g.diff(name).substitute(SLINGSHOT_PINNED) * half
-            row.append(entry.project(SLINGSHOT_VARIABLES))
-        matrix.append(row)
-    return matrix
+    sys, coords = _slingshot()
+    return symbolic_rigidity_matrix(sys.graph, coords)
 
 
 _MATRIX_ROWS = (

@@ -1,8 +1,8 @@
 """Numerical linear algebra of frameworks.
 
-Jacobians of the member constraints, rigidity and incidence matrices,
-nullspace bases split into rigid motions and flexes, infinitesimal-rigidity
-verdicts, moving-frame pinning, and weighted graph Laplacians.
+Jacobians of the member constraints, numeric and symbolic rigidity and
+incidence matrices, nullspace bases split into rigid motions and flexes,
+infinitesimal-rigidity verdicts, moving-frame pinning, graph Laplacians.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .framework import (
     FrameworkGraph,
     MemberConstraintSystem,
     _check_shape,
+    _member_differences,
     squared_lengths,
 )
 
@@ -106,6 +107,20 @@ def jacobian_at(sys: MemberConstraintSystem, x: Configuration) -> np.ndarray:
     dg[rows, graph.heads] = diff
     dg[rows, graph.tails] = -diff
     return dg.reshape(graph.m, -1)
+
+
+def symbolic_rigidity_matrix(graph: FrameworkGraph, coords) -> list:
+    """Half the Jacobian of member_polynomials over a coordinate matrix, like
+    jacobian_at / 2: x_i - x_j in member (i, j)'s node-i block, x_j - x_i in j's."""
+    members = _member_differences(graph, coords)
+    zero, d = coords[0][0] * 0, graph.d
+    matrix = []
+    for i, j, diffs in zip(graph.heads.tolist(), graph.tails.tolist(), members):
+        row = [zero] * (graph.n * d)
+        row[i * d:(i + 1) * d] = diffs
+        row[j * d:(j + 1) * d] = [-e for e in diffs]
+        matrix.append(row)
+    return matrix
 
 
 def incidence_matrix(graph: FrameworkGraph) -> np.ndarray:

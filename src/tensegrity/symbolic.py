@@ -32,6 +32,20 @@ class PairBudgetError(SymbolicError):
     """Raised when Buchberger exceeds its S-pair budget."""
 
 
+def _natural(value, error, what: str, stop=None) -> int:
+    """value as an int in [0, stop), or >= 0 when stop is None, if it is an
+    integer, numpy ones included, and not a bool: a -1 or a 1.7 is an
+    `error`, not wrapped or truncated."""
+    if not isinstance(value, bool):
+        try:
+            if (k := operator.index(value)) >= 0 and (stop is None or k < stop):
+                return k
+        except TypeError:
+            pass
+    bound = "a nonnegative integer" if stop is None else f"an integer in [0, {stop})"
+    raise error(f"{what} must be {bound}, got {value!r}")
+
+
 def _order_key(order: str):
     """Heap key of a monomial order: the larger monomial has the smaller key.
 
@@ -109,7 +123,7 @@ class SparsePoly:
     @classmethod
     def variable(cls, ring, index: int):
         exps = [0] * cls._width(ring)
-        exps[index] = 1
+        exps[_natural(index, cls.error, "a variable index", len(exps))] = 1
         return cls(ring, {tuple(exps): 1})
 
     def is_zero(self) -> bool:
@@ -170,8 +184,7 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise self.error("negative power")
+        n = _natural(n, self.error, "a power")
         out = self.constant(self.ring, 1)
         base = self
         while n:
@@ -183,6 +196,7 @@ class SparsePoly:
 
     def diff(self, index: int):
         """Partial derivative with respect to the variable at `index`."""
+        index = _natural(index, self.error, "a variable index", self._width(self.ring))
         terms = {}
         for exps, coeff in self.terms.items():
             e = exps[index]
@@ -215,7 +229,7 @@ class RationalPoly(SparsePoly):
 
     A coefficient is an int when it is integral and a Fraction otherwise:
     the constructor, `parse` and scalar operands go through `_exact`, so
-    integral input stays on ints through +, -, *, `substitute` and
+    integral input stays on ints through +, -, *, `diff`, `project` and
     `symbolic_minors`.  Arithmetic on Fractions may leave an integral
     Fraction, which compares, hashes and prints like its int.
     """
@@ -278,38 +292,17 @@ class RationalPoly(SparsePoly):
 
     def diff(self, variable) -> "RationalPoly":
         """Partial derivative with respect to a variable (name or index)."""
-        return super().diff(self.variables.index(variable)
-                            if isinstance(variable, str) else int(variable))
-
-    def substitute(self, assignment: dict) -> "RationalPoly":
-        """Plug exact values into some variables; stays in the same ring."""
-        pos = {self.variables.index(name): _exact(value)
-               for name, value in assignment.items()}
-        terms = {}
-        for exps, coeff in self.terms.items():
-            value = coeff
-            shrunk = list(exps)
-            for idx, val in pos.items():
-                if exps[idx]:
-                    value *= val ** exps[idx]
-                    shrunk[idx] = 0
-            if value == 0:
-                continue
-            shrunk = tuple(shrunk)
-            merged = terms.get(shrunk, 0) + value
-            if merged == 0:
-                terms.pop(shrunk, None)
-            else:
-                terms[shrunk] = merged
-        return RationalPoly._make(self.variables, terms)
+        if isinstance(variable, str):
+            if variable not in self.variables:
+                raise SymbolicError(f"unknown variable {variable!r}")
+            variable = self.variables.index(variable)
+        return super().diff(variable)
 
     def project(self, variables) -> "RationalPoly":
         """Rewrite in a subring; fails if an eliminated variable survives."""
         variables = tuple(str(v) for v in variables)
-        where = {}
-        for i, name in enumerate(self.variables):
-            if name in variables:
-                where[i] = variables.index(name)
+        where = {i: variables.index(name)
+                 for i, name in enumerate(self.variables) if name in variables}
         terms = {}
         for exps, coeff in self.terms.items():
             shrunk = [0] * len(variables)
@@ -597,10 +590,7 @@ def buchberger(gens, order: str = "degrevlex",
     joins the basis.
     """
     key = _order_key(order)  # rejects an unknown order
-    if (not isinstance(pair_budget, int) or isinstance(pair_budget, bool)
-            or pair_budget < 0):
-        raise SymbolicError(
-            f"pair_budget must be a nonnegative integer, got {pair_budget!r}")
+    _natural(pair_budget, SymbolicError, "pair_budget")
     basis = [g.monic(order) for g in gens if not g.is_zero()]
     if not basis:
         return GroebnerBasis((), order)

@@ -564,6 +564,10 @@ def test_step_cap_ends_every_path_as_step_underflow(monkeypatch):
     monkeypatch.setattr(continuation, "MAX_STEPS", 3)
     batch = _solve_matching_single_paths(LOCKSTEP_SYSTEMS["cubic"], monkeypatch)
     assert [(r.status, r.steps) for r in batch] == [("step_underflow", 3)] * 3
+    # short of T_CUTOFF a path is step_underflow even where it solves the target
+    g = _univariate([1, 0, -1])
+    res = track_path(Homotopy(target=g, start=g, gamma=1.0), np.array([1.0 + 0j]))
+    assert (res.status, res.steps, res.residual) == ("step_underflow", 3, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,17 @@ def test_stored_matrix_equals_derived():
         assert list(row_s) == list(row_d)
 
 
+def test_member_constraints_are_the_fixtures_bars():
+    """The slingshot's graph and rest lengths come from its fixture, so an
+    edit there shows here."""
+    texts = ("x21^2 - 1", "x31^2 + x32^2 - 5", "x41^2 + x42^2 - 5",
+             "x21^2 - 2*x21*x31 + x31^2 + x32^2 - 2",
+             "x21^2 - 2*x21*x41 + x41^2 + x42^2 - 2",
+             "x31^2 + x32^2 - 2*x31*x51 + x51^2 - 2*x32*x52 + x52^2 - 1",
+             "x41^2 + x42^2 - 2*x41*x51 + x51^2 - 2*x42*x52 + x52^2 - 1")
+    assert [str(g) for g in slingshot_member_constraints()] == list(texts)
+
+
 def test_pinned_entries_are_dropped():
     for poly in slingshot_member_constraints():
         for name in SLINGSHOT_PINNED:

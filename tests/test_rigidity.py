@@ -10,11 +10,12 @@ from tensegrity import (Configuration, FrameworkError, build_constraints,
                         nullspace_decomposition, pin_moving_frame,
                         rigid_motion_basis, rigidity_and_incidence,
                         rigidity_report)
-from tensegrity.framework import FIXTURE_NAMES
-from tensegrity.continuation import free_coordinate_positions
+from tensegrity.framework import FIXTURE_NAMES, member_polynomials, squared_lengths
+from tensegrity.continuation import MultiPoly, PolySystem, free_coordinate_positions
 from tensegrity.ideals import SLINGSHOT_PINNED, SLINGSHOT_VARIABLES
 from tensegrity.rigidity import (GENERIC_TRIALS, RANK_REL_TOL, free_coordinate_mask,
-                                 random_configuration)
+                                 random_configuration, symbolic_rigidity_matrix)
+from tensegrity.symbolic import RationalPoly
 
 from conftest import random_framework
 
@@ -31,6 +32,58 @@ def test_length_scaling_relates_rigidity_matrix_to_jacobian(prism):
         m, _ = rigidity_and_incidence(s, q)
         gap = m.edge_lengths @ m.rigidity - 0.5 * m.jacobian
         assert np.max(np.abs(gap)) <= 1e-12
+
+
+def _coordinate_matrix(graph, variable):
+    """Every coordinate free: node i's axis k is variable number i * d + k."""
+    return [[variable(i * graph.d + k) for k in range(graph.d)] for i in range(graph.n)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_symbolic_rigidity_matrix_is_half_the_member_jacobian(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(8):
+        graph, _, sys_ = random_framework(rng, d=d)
+        names = [f"x{i}_{k}" for i in range(graph.n) for k in range(d)]
+        coords = _coordinate_matrix(graph, lambda v: RationalPoly.variable(names, v))
+        matrix = symbolic_rigidity_matrix(graph, coords)
+        members = member_polynomials(sys_, coords)
+        assert len(matrix) == len(members) == graph.m
+        for g, row in zip(members, matrix):
+            assert len(row) == graph.n * d
+            for c, entry in enumerate(row):
+                assert g.diff(c) == entry * 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_builders_agree_with_the_numeric_members_at_points(d):
+    rng = np.random.default_rng(50 + d)
+    for _ in range(8):
+        graph, _, sys_ = random_framework(rng, d=d)
+        nvars = graph.n * d
+        coords = _coordinate_matrix(graph, lambda v: MultiPoly.variable(nvars, v))
+        members = PolySystem(member_polynomials(sys_, coords))
+        entries = PolySystem([e for row in symbolic_rigidity_matrix(graph, coords)
+                              for e in row])
+        for _ in range(3):
+            x = random_configuration(graph, rng)
+            point = x.coords.reshape(-1).astype(complex)
+            gap = members.evaluate(point) - (squared_lengths(graph, x) - sys_.rest_sq_lengths)
+            assert np.max(np.abs(gap)) <= 1e-12
+            half = entries.evaluate(point).reshape(graph.m, nvars)
+            assert np.max(np.abs(half - jacobian_at(sys_, x) / 2)) <= 1e-15
+
+
+def test_the_builders_reject_a_coordinate_matrix_of_the_wrong_shape(prism):
+    graph, _, sys_ = prism
+    x = MultiPoly.variable(1, 0)
+    good = [[x] * graph.d for _ in range(graph.n)]
+    for bad in (good[1:], good + [[x] * graph.d], [row[1:] for row in good],
+                good[:-1] + [[x] * (graph.d + 1)], [x] * graph.n, None):
+        with pytest.raises(FrameworkError, match="coordinate matrix"):
+            member_polynomials(sys_, bad)
+        with pytest.raises(FrameworkError, match="coordinate matrix"):
+            symbolic_rigidity_matrix(graph, bad)
 
 
 def test_rigidity_matrix_and_jacobian_share_nullspace():

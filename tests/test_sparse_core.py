@@ -66,9 +66,30 @@ def test_each_type_is_immutable_and_raises_its_own_error(poly, error):
         with pytest.raises(error):
             type(poly)(poly.ring, {exps: 1})
     assert type(poly)(poly.ring, {tuple(np.arange(3)): 1}).terms == {(0, 1, 2): 1}
-    with pytest.raises(error):
-        poly ** -1
+    for power in (-1, 1.5, True):
+        with pytest.raises(error):
+            poly ** power
+    assert (poly ** np.int64(2)).terms == (poly * poly).terms
     other = RationalPoly(("u",), {(1,): 1}) if error is SymbolicError \
         else MultiPoly(1, {(1,): 1})
     with pytest.raises(error):
         poly + other
+    # a variable index is an integer in [0, 3), never wrapped or truncated,
+    # and a name must be one of the ring's
+    for index in (-1, 3, 1.7, True, "1", "w", None):
+        with pytest.raises(error):
+            type(poly).variable(poly.ring, index)
+        with pytest.raises(error):
+            poly.diff(index)
+    assert poly.diff(np.int64(1)).terms == poly.diff(1).terms == {(1, 0, 0): 1}
+    assert type(poly).variable(poly.ring, np.int32(2)).terms == {(0, 0, 1): 1}
+    # the size of a ring of complex polynomials is a nonnegative integer
+    bad_rings = [("x", "x")] if error is SymbolicError else [2.7, True, -1, "3", None]
+    for ring in bad_rings:
+        with pytest.raises(error):
+            type(poly)(ring)
+    if error is ContinuationError:
+        assert MultiPoly(np.int64(3)).nvars == 3
+        assert type(MultiPoly(np.int64(3)).nvars) is int
+        with pytest.raises(error):
+            MultiPoly.variable(2.7, 0)
