@@ -21,15 +21,15 @@ import numpy as np
 from .continuation import (DEFAULT_PATH_BUDGET, ContinuationError, MultiPoly,
                            PolySystem, deform_framework,
                            epsilon_rigidity_check, solve_total_degree)
-from .framework import (FIXTURE_NAMES, FrameworkError, evaluate_members, load_fixture,
-                        load_framework)
+from .framework import (FIXTURE_NAMES, FrameworkError, _known_keys, evaluate_members,
+                        load_fixture, load_framework)
 from .ideals import (adjacent_minors, adjacent_minor_primes,
                      slingshot_displayed_minor, slingshot_member_constraints,
                      slingshot_minors, slingshot_primes)
 from .prestress import prestress_certificate
 from .rigidity import (RANK_REL_TOL, nullspace_decomposition, pin_moving_frame,
                        rigidity_report)
-from .symbolic import RationalPoly, verify_containment
+from .symbolic import RationalPoly, _natural, verify_containment
 
 #: member stroke colors by kind
 MEMBER_COLORS = {"bar": "#333333", "cable": "#1f77b4", "strut": "#d62728"}
@@ -304,14 +304,10 @@ def _cmd_prestress(args) -> CommandOutput:
 def _read_system(path: Path):
     doc = json.loads(path.read_text())
     if isinstance(doc, dict):
-        for key in doc:
-            if key not in ("variables", "equations"):
-                raise ContinuationError(f"unknown key {key!r} in the system document; "
-                                        "allowed keys are 'variables', 'equations'")
+        _known_keys(doc, ("variables", "equations"), "the system document")
     for key in ("variables", "equations"):
         value = doc.get(key) if isinstance(doc, dict) else None
-        if not (isinstance(value, list)
-                and all(isinstance(v, str) for v in value)):
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
             raise ContinuationError(f"system needs '{key}': a list of strings")
     names = tuple(doc["variables"])
     polys = [MultiPoly(len(names), RationalPoly.parse(text, names).terms)
@@ -508,8 +504,7 @@ def run_command(argv) -> int:
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
 
     try:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
+        _natural(args.seed, ValueError, "--seed")
         out = args.func(args)
     except (ValueError, OSError, KeyError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

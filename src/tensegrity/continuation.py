@@ -77,11 +77,17 @@ class PathBudgetError(ContinuationError):
     """Raised when a solve would track more paths than the configured budget."""
 
 
+def _finite_complex(value) -> complex:
+    if math.isfinite((c := complex(value)).real) and math.isfinite(c.imag):
+        return c
+    raise ValueError(f"{value!r} is not finite")
+
+
 class MultiPoly(SparsePoly):
-    """Sparse multivariate polynomial with complex coefficients."""
+    """Sparse multivariate polynomial with finite complex coefficients."""
 
     __slots__ = ()
-    coefficient = complex
+    coefficient = staticmethod(_finite_complex)
     error = ContinuationError
     _width = staticmethod(int)
 
@@ -692,7 +698,8 @@ def solve_total_degree(f, seed=None, budget: int | None = None,
     """Solve a square system by tracking all product-of-degrees start roots.
 
     The start system is {x_i^{d_i} = 1}, whose solutions are products of
-    roots of unity; gamma is drawn once per solve from the unit circle.
+    roots of unity; gamma is drawn once per solve from the unit circle.  A
+    `budget` is None or a nonnegative integer that the paths must not exceed.
     """
     f = _as_system(f)
     n = f.nvars
@@ -703,7 +710,7 @@ def solve_total_degree(f, seed=None, budget: int | None = None,
     if any(d < 1 for d in degrees):
         raise ContinuationError("every equation must have positive degree")
     total = prod(degrees)
-    if budget is not None and total > budget:
+    if budget is not None and total > _natural(budget, ContinuationError, "budget"):
         raise PathBudgetError(
             f"total-degree start system needs {total} paths, budget is {budget}")
 
@@ -774,19 +781,19 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
 
     Adjoins l(x) = v^T x - v^T anchor - eps to the member system and tracks
     the single path from the anchor as the offset grows from 0 to eps,
-    re-anchoring at each accepted endpoint `steps` times; v is the first
-    flex at p for direction="flex", else a vector over the free or all n*d
-    coordinates.  The rectangular system is squared by a seeded random
-    complex matrix; the homotopy is a real parameter homotopy (gamma = 1).
+    re-anchoring at each accepted endpoint `steps` times (an integer >= 1,
+    not a bool); v is the first flex at p for direction="flex", else a
+    vector over the free or all n*d coordinates.  The rectangular system is
+    squared by a seeded random complex matrix; the homotopy is a real
+    parameter homotopy (gamma = 1).
     An anchor that does not settle ends the walk with a settle_failed step.
     """
     # an endpoint of the push has norm at least |eps| - |anchor|, so a push
     # much further than DIVERGENCE could only diverge (and overflows first)
-    if not abs(epsilon) <= DIVERGENCE:
+    if isinstance(epsilon, (bool, np.bool_)) or not abs(epsilon) <= DIVERGENCE:
         raise FrameworkError(f"epsilon must be a number of size at most {DIVERGENCE:g}, "
                              f"got {epsilon}")
-    if steps < 1:
-        raise FrameworkError(f"steps must be at least 1, got {steps}")
+    steps = _natural(steps, FrameworkError, "steps", start=1)
     members, _, p_free = pinned_member_system(sys, p)
     n, d = sys.graph.n, sys.graph.d
     N = p_free.size
@@ -966,7 +973,7 @@ def epsilon_rigidity_check(sys: MemberConstraintSystem, p: Configuration,
     endpoints.  Candidates are harvested from all endpoints, polished
     against the real system, and accepted as witnesses at residual 1e-10.
     """
-    if not 0.0 < epsilon < math.inf:
+    if isinstance(epsilon, (bool, np.bool_)) or not 0.0 < epsilon < math.inf:
         raise FrameworkError(f"epsilon must be a positive finite number, got {epsilon}")
     try:
         square = float(epsilon ** 2)

@@ -13,12 +13,13 @@ strut (s = -1).
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
 
 import numpy as np
+
+from .symbolic import _natural
 
 #: sign of each member kind: a cable shortens and carries tension, a strut
 #: is the reverse, a bar keeps its length and may carry either
@@ -51,13 +52,12 @@ class FrameworkGraph:
     members: tuple[tuple[int, int, str], ...]
 
     def __post_init__(self):
-        if _integer(self.n, "node count") < 1:
-            raise FrameworkError(f"node count must be positive, got {self.n}")
-        if _integer(self.d, "dimension") < 1:
-            raise FrameworkError(f"dimension must be positive, got {self.d}")
+        _natural(self.n, FrameworkError, "node count", start=1)
+        _natural(self.d, FrameworkError, "dimension", start=1)
         seen = set()
         for i, j, kind in self.members:
-            if not (1 <= _integer(i, "node index i") < _integer(j, "node index j") <= self.n):
+            if not (1 <= _natural(i, FrameworkError, "node index i", start=None)
+                    < _natural(j, FrameworkError, "node index j", start=None) <= self.n):
                 raise FrameworkError(f"member ({i}, {j}) must have 1 <= i < j <= n "
                                      f"with n={self.n}")
             if (i, j) in seen:
@@ -83,12 +83,11 @@ class Configuration:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
+        coords = np.array(self.coords, dtype=float)
         if coords.ndim != 2:
             raise FrameworkError(f"coordinates must be an n x d array, got shape {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise FrameworkError("non-finite coordinate in configuration")
-        coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -109,19 +108,26 @@ class MemberConstraintSystem:
     rest_sq_lengths: np.ndarray
 
     def __post_init__(self):
-        rest = np.asarray(self.rest_sq_lengths, dtype=float)
-        if rest.shape != (self.graph.m,):
-            raise FrameworkError(
-                f"expected {self.graph.m} rest lengths, got shape {rest.shape}")
-        if not np.all(np.isfinite(rest) & (rest > 0.0)):
-            raise FrameworkError("all rest squared lengths must be positive and finite")
-        rest = rest.copy()
+        rest = _member_values(self.graph, self.rest_sq_lengths, "rest squared lengths").copy()
+        if not np.all(rest > 0.0):
+            raise FrameworkError("all rest squared lengths must be positive")
         rest.setflags(write=False)
         object.__setattr__(self, "rest_sq_lengths", rest)
 
     @property
     def m(self) -> int:
         return self.graph.m
+
+
+def _member_values(graph: FrameworkGraph, values, what: str) -> np.ndarray:
+    """values as a float array of one finite value per member of graph: the
+    one check of rest lengths, stresses, conductances and material constants."""
+    out = np.asarray(values, dtype=float)
+    if out.shape != (graph.m,):
+        raise FrameworkError(f"expected {graph.m} {what}, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise FrameworkError(f"{what} must be finite")
+    return out
 
 
 def _check_shape(graph: FrameworkGraph, x: Configuration) -> np.ndarray:
@@ -185,23 +191,15 @@ def evaluate_members(sys: MemberConstraintSystem, x: Configuration):
     return residuals, signed <= FEASIBILITY_TOL
 
 
-def _integer(value, what: str) -> int:
-    """value as an int if it is an integer, numpy ones included, and not a
-    bool: JSON's true would load as 1."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise FrameworkError(f"{what} must be an integer, got {value!r}")
-
-
 def _number(value, what: str) -> float:
     """value as a float if it is a JSON number: an int or a float that is
-    not a bool."""
+    not a bool, and not an int too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FrameworkError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FrameworkError(f"{what} is too large for a float") from None
 
 
 def _known_keys(doc: dict, allowed: tuple, what: str) -> None:
@@ -221,7 +219,7 @@ def _parse_document(doc: dict):
                              "member its 'kind' (bar, cable or strut) instead")
     _known_keys(doc, ("name", "dimension", "nodes", "members"), "the framework document")
     try:
-        d = _integer(doc["dimension"], "'dimension'")
+        d = _natural(doc["dimension"], FrameworkError, "'dimension'", start=None)
         nodes = doc["nodes"]
         members = doc["members"]
     except (KeyError, TypeError) as exc:
@@ -230,9 +228,11 @@ def _parse_document(doc: dict):
         raise FrameworkError("'nodes' must be a nonempty list of coordinate rows")
     if not all(isinstance(row, list) for row in nodes):
         raise FrameworkError("each node must be a list of coordinates")
-    if {int, float}.issuperset(map(type, chain.from_iterable(nodes))):
+    try:
+        if not {int, float}.issuperset(map(type, chain.from_iterable(nodes))):
+            raise TypeError
         rows = [list(map(float, row)) for row in nodes]
-    else:  # the checks below name the first bad coordinate
+    except (TypeError, OverflowError):  # the checks below name the first bad coordinate
         rows = [[_number(v, f"coordinate of node {k}") for v in row]
                 for k, row in enumerate(nodes, 1)]
     try:
@@ -256,7 +256,8 @@ def _parse_document(doc: dict):
             i, j = entry["i"], entry["j"]
         else:  # checks that word the error; they format the entry, so only here
             try:
-                i, j = (_integer(entry[key], f"{key!r} of member {entry!r}") for key in "ij")
+                i, j = (_natural(entry[key], FrameworkError, f"{key!r} of member {entry!r}",
+                                 start=None) for key in "ij")
             except (KeyError, TypeError) as exc:
                 raise FrameworkError(f"bad member entry {entry!r}") from exc
             _known_keys(entry, allowed, f"member {entry!r}")
@@ -265,7 +266,7 @@ def _parse_document(doc: dict):
         if "rest_sq_length" in entry:
             explicit = True
             value = entry["rest_sq_length"]
-            rest.append(float(value) if type(value) in (int, float) else
+            rest.append(value if type(value) is float else
                         _number(value, f"rest_sq_length of member {entry!r}"))
         else:
             rest.append(None)

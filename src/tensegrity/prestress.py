@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framework import Configuration, FrameworkError, FrameworkGraph, MemberConstraintSystem
+from .framework import (Configuration, FrameworkError, FrameworkGraph, MemberConstraintSystem,
+                        _member_values)
 from .rigidity import (
     RANK_REL_TOL,
     NullspaceDecomposition,
@@ -90,24 +91,22 @@ def self_stress_basis(decomp: NullspaceDecomposition) -> list:
 
 def _weighted_laplacian(graph: FrameworkGraph, w) -> np.ndarray:
     """The n x n w-weighted graph Laplacian L, so that Omega_w = L (x) I_d."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (graph.m,):
-        raise FrameworkError(f"expected {graph.m} stress entries, got shape {w.shape}")
+    w = _member_values(graph, w, "stress entries")
     inc = incidence_matrix(graph)
     return inc.T @ (w[:, None] * inc)
 
 
 def stress_matrix(graph: FrameworkGraph, w) -> np.ndarray:
-    """Omega_w: the w-weighted graph Laplacian Kronecker-spread by I_d."""
+    """Omega_w: the w-weighted graph Laplacian Kronecker-spread by I_d; w
+    is one finite stress per member."""
     return np.kron(_weighted_laplacian(graph, w), np.eye(graph.d))
 
 
 def stiffness_and_energy(sys: MemberConstraintSystem, p: Configuration,
                          c, w) -> tuple:
-    """K_c = dg^T diag(c) dg and the energy Hessian H = Omega_w + K_c."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (sys.m,):
-        raise FrameworkError(f"expected {sys.m} material constants, got shape {c.shape}")
+    """K_c = dg^T diag(c) dg and the energy Hessian H = Omega_w + K_c; c
+    and w are one finite number per member, c nonnegative."""
+    c = _member_values(sys.graph, c, "material constants")
     if np.any(c < 0.0):
         raise FrameworkError("material constants must be nonnegative")
     dg = jacobian_at(sys, p)

@@ -19,6 +19,7 @@ from .framework import (
     MemberConstraintSystem,
     _check_shape,
     _member_differences,
+    _member_values,
     squared_lengths,
 )
 
@@ -302,12 +303,10 @@ def free_coordinate_mask(n: int, d: int) -> np.ndarray:
 def laplacian_eigenpairs(graph: FrameworkGraph, conductances) -> tuple:
     """Eigendecomposition of the weighted graph Laplacian, ascending.
 
-    Returns (eigenvalues, eigenvectors) of incidence^T diag(c) incidence,
-    eigenvectors as columns.  The all-ones vector always has eigenvalue 0.
-    """
-    c = np.asarray(conductances, dtype=float)
-    if c.shape != (graph.m,):
-        raise FrameworkError(f"expected {graph.m} conductances, got shape {c.shape}")
+    Returns (eigenvalues, eigenvectors) of incidence^T diag(c) incidence for
+    one positive finite conductance c per member, eigenvectors as columns.
+    The all-ones vector always has eigenvalue 0."""
+    c = _member_values(graph, conductances, "conductances")
     if not np.all(c > 0.0):
         raise FrameworkError("conductances must be positive")
     inc = incidence_matrix(graph)

@@ -32,17 +32,18 @@ class PairBudgetError(SymbolicError):
     """Raised when Buchberger exceeds its S-pair budget."""
 
 
-def _natural(value, error, what: str, stop=None) -> int:
-    """value as an int in [0, stop), or >= 0 when stop is None, if it is an
-    integer, numpy ones included, and not a bool: a -1 or a 1.7 is an
-    `error`, not wrapped or truncated."""
-    if not isinstance(value, bool):
-        try:
-            if (k := operator.index(value)) >= 0 and (stop is None or k < stop):
-                return k
-        except TypeError:
-            pass
-    bound = "a nonnegative integer" if stop is None else f"an integer in [0, {stop})"
+def _natural(value, error, what: str, stop=None, start=0) -> int:
+    """The package's one integer check: value as an int in [start, stop), a
+    None bound being none, if it is an integer (numpy ones too) and not a
+    bool; a 1.7, "2", True or out-of-range value is an `error`."""
+    try:
+        k = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        k = None
+    if k is not None and (start is None or k >= start) and (stop is None or k < stop):
+        return k
+    bound = ("an integer" if k is None else f"an integer >= {start}" if stop is None
+             else f"an integer in [{start}, {stop})")
     raise error(f"{what} must be {bound}, got {value!r}")
 
 
@@ -84,19 +85,16 @@ class SparsePoly:
     def __init__(self, ring, terms=None):
         width = self._width(ring)
         clean = {}
-        if terms:
-            for exps, coeff in terms.items():
+        for exps, coeff in (terms or {}).items():
+            try:  # a "x", a NaN, or an int too large for a float
                 coeff = self.coefficient(coeff)
-                if coeff == 0:
-                    continue
-                try:
-                    # index, not int: an exponent of 1.5 or "2" is an error
-                    exps = tuple(map(operator.index, exps))
-                except TypeError:
-                    raise self.error(f"bad exponent vector {exps!r}") from None
-                if len(exps) != width or any(e < 0 for e in exps):
-                    raise self.error(f"bad exponent vector {exps}")
-                clean[exps] = coeff
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise self.error(f"bad coefficient of {exps!r}: {exc}") from None
+            if coeff == 0:
+                continue
+            if not (isinstance(exps, tuple) and len(exps) == width):
+                raise self.error(f"bad exponent vector {exps!r}")
+            clean[tuple(_natural(e, self.error, "an exponent") for e in exps)] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
 
@@ -661,8 +659,9 @@ def _reduce_basis(basis, divisors, order) -> tuple:
 def symbolic_minors(matrix, r: int) -> list:
     """All r x r minors, row and column subsets in ascending index order.
 
-    Zero minors are included (callers can flag them with is_zero).  The
-    expansion is memoized across column subsets, which share most of their
+    r is an integer in [1, min(rows, cols)], not a bool.  Zero minors are
+    included (callers can flag them with is_zero).  The expansion is
+    memoized across column subsets, which share most of their
     subdeterminants; each row subset is independent work.
     """
     nrows = len(matrix)
@@ -674,8 +673,7 @@ def symbolic_minors(matrix, r: int) -> list:
                 raise SymbolicError(
                     f"matrix entry ({i}, {j}) is not a RationalPoly: {entry!r}")
     ncols = len(matrix[0])
-    if not (0 < r <= min(nrows, ncols)):
-        raise SymbolicError(f"invalid minor size {r}")
+    r = _natural(r, SymbolicError, "minor size", min(nrows, ncols) + 1, start=1)
     variables = matrix[0][0].variables
     if any(entry.variables != variables for row in matrix for entry in row):
         raise SymbolicError("matrix entries live in different rings")

@@ -537,6 +537,21 @@ def test_one_jacobian_per_command(tmp_path, monkeypatch, command, calls):
         assert len(seen) == calls, fixture
 
 
+@pytest.mark.parametrize("command, document", [
+    ("solve", {"variables": ["x"], "equations": [f"x^2 - {10 ** 400}"]}),
+    ("analyze", {"dimension": 2, "nodes": [[0, 0], [10 ** 400, 0]],
+                 "members": [{"i": 1, "j": 2}]}),
+    ("analyze", {"dimension": 2, "nodes": [[0, 0], [1, 0]],
+                 "members": [{"i": 1, "j": 2, "rest_sq_length": 10 ** 400}]})])
+def test_a_number_too_large_for_a_float_exits_1(tmp_path, capsys, command, document):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(document))
+    assert run_command([command, str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("big_*"))
+
+
 def test_solve_rejects_a_zero_denominator(tmp_path, capsys):
     system = tmp_path / "system.json"
     system.write_text(json.dumps({"variables": ["x"],

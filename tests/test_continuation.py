@@ -148,6 +148,33 @@ def test_path_budget_is_enforced():
     assert len(solve_total_degree(f, seed=0, budget=4)) == 4
 
 
+@pytest.mark.parametrize("budget", [2.5, True, "5", -1])
+def test_a_path_budget_is_a_nonnegative_integer(budget):
+    f = PolySystem([MultiPoly(1, {(2,): 1.0, (0,): -1.0})])
+    with pytest.raises(ContinuationError, match="budget must be an integer"):
+        solve_total_degree(f, seed=0, budget=budget)
+
+
+@pytest.mark.parametrize("check, kwargs, error", [
+    (deform_framework, {"steps": 1.5}, FrameworkError),
+    (deform_framework, {"steps": True}, FrameworkError),
+    (deform_framework, {"steps": 0}, FrameworkError),
+    (deform_framework, {"epsilon": True}, FrameworkError),
+    (deform_framework, {"epsilon": np.True_}, FrameworkError),
+    (epsilon_rigidity_check, {"epsilon": True}, FrameworkError),
+    (epsilon_rigidity_check, {"epsilon": np.True_}, FrameworkError),
+    (epsilon_rigidity_check, {"epsilon": 0.1, "budget": 1e6}, ContinuationError),
+    (epsilon_rigidity_check, {"epsilon": 0.1, "budget": True}, ContinuationError)])
+def test_a_bool_or_a_fraction_is_not_taken_for_a_count_or_an_epsilon(check, kwargs, error):
+    """True would run one push, or search at epsilon = 1, and a float budget
+    would pass as a bound."""
+    graph, p, sys_ = load_fixture("hinge")
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    with pytest.raises(error, match="must be"):
+        check(sysp, pp, seed=0, **kwargs)
+
+
 def test_homotopy_validates_inputs():
     f = _univariate([1, 0, -2])
     g = _univariate([1, 0, -1])

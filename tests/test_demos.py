@@ -23,6 +23,7 @@ def test_demo_exits_cleanly(name):
     # tier 1's warning policy: the demos run as subprocesses, which the
     # pytest filters do not reach
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::RuntimeWarning",
-                           "-W", "error::ResourceWarning", str(ROOT / "demos" / name)],
+                           "-W", "error::ResourceWarning", "-W", "error::DeprecationWarning",
+                           "-W", "error::PendingDeprecationWarning", str(ROOT / "demos" / name)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -120,7 +120,13 @@ def _spoilt_triangle(key, value):
     ("j", True, "'j' of member {'i': 1, 'j': True} must be an integer, got True"),
     ("Kind", "cable", "unknown key 'Kind' in member {'i': 1, 'j': 3, 'Kind': 'cable'}; "
                       "allowed keys are 'i', 'j', 'kind', 'rest_sq_length'"),
-    ("j", KeyError, "bad member entry {'i': 1}")])
+    ("j", KeyError, "bad member entry {'i': 1}"),
+    # a JSON integer too large for a float, which float() would raise on
+    pytest.param("coordinate", 10 ** 400, "coordinate of node 2 is too large for a float",
+                 id="coordinate-10**400"),
+    pytest.param("rest_sq_length", 10 ** 400,
+                 f"rest_sq_length of member {{'i': 1, 'j': 3, 'rest_sq_length': {10 ** 400}}}"
+                 " is too large for a float", id="rest_sq_length-10**400")])
 def test_rejections_keep_their_messages(key, value, message):
     # well-formed documents skip the per-entry checks, which alone word these
     with pytest.raises(FrameworkError) as info:

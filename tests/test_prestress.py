@@ -96,6 +96,21 @@ def test_stiffness_identity_and_psd(prism):
         stiffness_and_energy(sys_, p, -c - 0.1, w)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", ["stress_matrix", "material constants", "stresses"])
+def test_each_member_value_is_finite(call, bad):
+    graph, p, sys_ = load_fixture("hinge")
+    spoilt = np.ones(graph.m)
+    spoilt[0] = bad
+    with pytest.raises(FrameworkError, match="must be finite"):
+        if call == "stress_matrix":
+            stress_matrix(graph, spoilt)
+        elif call == "material constants":
+            stiffness_and_energy(sys_, p, spoilt, np.ones(graph.m))
+        else:
+            stiffness_and_energy(sys_, p, np.ones(graph.m), spoilt)
+
+
 def test_prism_certificate_found_with_margin(prism):
     graph, p, sys_ = prism
     cert = prestress_certificate(sys_, p)

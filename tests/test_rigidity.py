@@ -270,6 +270,17 @@ def test_laplacian_is_psd_with_ones_kernel():
         assert np.max(np.abs(lap @ ones)) <= 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_conductances_are_positive_and_finite(bad):
+    graph, _, _ = load_fixture("hinge")
+    c = np.ones(graph.m)
+    c[1] = bad
+    with pytest.raises(FrameworkError, match="finite|positive"):
+        laplacian_eigenpairs(graph, c)
+    with pytest.raises(FrameworkError, match=f"expected {graph.m} conductances"):
+        laplacian_eigenpairs(graph, np.ones(graph.m + 1))
+
+
 def test_incidence_sign_convention(prism):
     graph, _, _ = prism
     inc = incidence_matrix(graph)

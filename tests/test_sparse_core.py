@@ -61,10 +61,17 @@ def test_each_type_is_immutable_and_raises_its_own_error(poly, error):
         type(poly)(poly.ring, {(1, -1, 0): 1})
     with pytest.raises(error):
         type(poly)(poly.ring, {(1, 0): 1})
-    # exponents are integers, never truncated
-    for exps in ((1.5, 0, 0), (2.0, 0, 0), ("a", 0, 0), ("2", 0, 0)):
+    # exponents are integers, never truncated, and not bools
+    for exps in ((1.5, 0, 0), (2.0, 0, 0), ("a", 0, 0), ("2", 0, 0), (True, 0, 0),
+                 (0, np.True_, 0), "100"):
         with pytest.raises(error):
             type(poly)(poly.ring, {exps: 1})
+    # a coefficient is a finite number; an int too large for a float is one
+    # only when the coefficients are exact
+    bad = ["x", None, float("nan"), float("inf"), -float("inf"), complex(1, float("nan"))]
+    for coeff in bad + ([10 ** 400] if error is ContinuationError else []):
+        with pytest.raises(error, match="bad coefficient"):
+            type(poly)(poly.ring, {(1, 0, 0): coeff})
     assert type(poly)(poly.ring, {tuple(np.arange(3)): 1}).terms == {(0, 1, 2): 1}
     for power in (-1, 1.5, True):
         with pytest.raises(error):

@@ -421,6 +421,13 @@ def test_a_zero_denominator_is_a_symbolic_error():
     assert x / 2 == x * Fraction(1, 2)
 
 
+@pytest.mark.parametrize("r", [True, 1.5, "1", 0, 3])
+def test_a_minor_size_is_an_integer_from_1_to_the_smaller_side(r):
+    x, y = ring_variables(("x", "y"))
+    with pytest.raises(SymbolicError, match="minor size must be an integer"):
+        symbolic_minors([[x, y, x], [y, x, y]], r)
+
+
 def test_minors_name_an_entry_that_is_not_a_polynomial():
     x, = ring_variables(("x",))
     with pytest.raises(SymbolicError, match=r"entry \(0, 0\).*: 1$"):
