@@ -428,69 +428,55 @@ def _cmd_plot(args) -> CommandOutput:
                          summary=f"{graph.n} nodes, {graph.m} members")
 
 
+#: every subcommand once, in the order of --help: its help, runner, input (a
+#: framework, a system file or none) and its flags after --seed in order, a
+#: "--epsilon=0.05" giving a flag this subcommand's default
+_SUBCOMMANDS = {
+    "analyze": ("ranks, coranks, rigidity verdict", _cmd_analyze, "framework",
+                "--tol --out --svg"),
+    "flexes": ("rigid motions and flex basis", _cmd_flexes, "framework",
+               "--tol --out --svg"),
+    "prestress": ("prestress rigidity certificate", _cmd_prestress, "framework",
+                  "--tol --out"),
+    "solve": ("solve a polynomial system", _cmd_solve, "system", "--budget --out --svg"),
+    "deform": ("hyperplane deformation walk", _cmd_deform, "framework",
+               "--epsilon=0.05 --steps --out --svg"),
+    "epscheck": ("epsilon-local rigidity search", _cmd_epscheck, "framework",
+                 "--epsilon=0.1 --budget --out"),
+    "verify-ideals": ("check the reference ideal containments", _cmd_verify_ideals,
+                      None, "--out"),
+    "plot": ("render a framework to SVG", _cmd_plot, "framework", "--tol --out --svg"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensegrity",
         description="rigidity analysis of bar and tensegrity frameworks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, framework=True, tol=False, svg=False, epsilon=None,
-               budget=False, steps=False):
-        if framework:
-            sp.add_argument("framework",
-                            help="framework JSON file or fixture name")
+    inputs = {"framework": "framework JSON file or fixture name",
+              "system": "JSON file with variables and equations"}
+    flags = {
+        "--tol": dict(type=float, default=RANK_REL_TOL, help="relative rank tolerance"),
+        "--epsilon": dict(type=float, help="offset / ball radius"),
+        "--steps": dict(type=int, default=3, help="number of hyperplane pushes"),
+        "--budget": dict(type=int, default=DEFAULT_PATH_BUDGET,
+                         help="maximum number of tracked paths"),
+        "--out": dict(default=".", help="output directory"),
+        "--svg": dict(action="store_true", help="also write an SVG rendering"),
+    }
+    for name, (help_text, run, source, names) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if source:
+            sp.add_argument(source, help=inputs[source])
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        if tol:
-            sp.add_argument("--tol", type=float, default=RANK_REL_TOL,
-                            help="relative rank tolerance")
-        if epsilon is not None:
-            sp.add_argument("--epsilon", type=float, default=epsilon,
-                            help="offset / ball radius")
-        if steps:
-            sp.add_argument("--steps", type=int, default=3,
-                            help="number of hyperplane pushes")
-        if budget:
-            sp.add_argument("--budget", type=int, default=DEFAULT_PATH_BUDGET,
-                            help="maximum number of tracked paths")
-        sp.add_argument("--out", default=".", help="output directory")
-        if svg:
-            sp.add_argument("--svg", action="store_true",
-                            help="also write an SVG rendering")
-
-    sp = sub.add_parser("analyze", help="ranks, coranks, rigidity verdict")
-    common(sp, tol=True, svg=True)
-    sp.set_defaults(func=_cmd_analyze)
-
-    sp = sub.add_parser("flexes", help="rigid motions and flex basis")
-    common(sp, tol=True, svg=True)
-    sp.set_defaults(func=_cmd_flexes)
-
-    sp = sub.add_parser("prestress", help="prestress rigidity certificate")
-    common(sp, tol=True)
-    sp.set_defaults(func=_cmd_prestress)
-
-    sp = sub.add_parser("solve", help="solve a polynomial system")
-    sp.add_argument("system", help="JSON file with variables and equations")
-    common(sp, framework=False, svg=True, budget=True)
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("deform", help="hyperplane deformation walk")
-    common(sp, svg=True, epsilon=0.05, steps=True)
-    sp.set_defaults(func=_cmd_deform)
-
-    sp = sub.add_parser("epscheck", help="epsilon-local rigidity search")
-    common(sp, epsilon=0.1, budget=True)
-    sp.set_defaults(func=_cmd_epscheck)
-
-    sp = sub.add_parser("verify-ideals",
-                        help="check the reference ideal containments")
-    common(sp, framework=False)
-    sp.set_defaults(func=_cmd_verify_ideals)
-
-    sp = sub.add_parser("plot", help="render a framework to SVG")
-    common(sp, tol=True, svg=True)
-    sp.set_defaults(func=_cmd_plot)
+        for flag, _, default in (item.partition("=") for item in names.split()):
+            options = flags[flag]
+            if default:
+                options = {**options, "default": options["type"](default)}
+            sp.add_argument(flag, **options)
+        sp.set_defaults(func=run)
     return parser
 
 

@@ -350,6 +350,14 @@ class Homotopy:
         dh_dx = (1.0 - t) * jac[..., :m, :] + self.gamma * t * jac[..., m:, :]
         return h, dh_dx, self.gamma * g - f
 
+    def end(self, which: int):
+        """_newton's system for the target (which = 0) or start (1) rows of
+        the one stacked evaluation: at a (P, n) batch, the (P, m) values and
+        (P, m, n) Jacobians of that system alone, bit for bit."""
+        rows = slice(which * len(self.target), (which + 1) * len(self.target))
+        both = self._both.evaluate_and_jacobian
+        return lambda z, _=None: tuple(a[:, rows] for a in both(z))
+
 
 @dataclass(frozen=True)
 class TrackResult:
@@ -419,13 +427,6 @@ def _newton(system, x, tol, max_iter):
     ok[rows] = np.linalg.norm(system(z, rows)[0], axis=1) <= tol
     x[rows] = z
     return x, ok, updates
-
-
-def _newton_on(h: Homotopy, end: int, x, tol, max_iter):
-    """_newton on the target (end 0) or start (end 1) rows of h's stacked system."""
-    rows = slice(end * len(h.target), (end + 1) * len(h.target))
-    both = h._both.evaluate_and_jacobian
-    return _newton(lambda z, _: tuple(a[:, rows] for a in both(z)), x, tol, max_iter)
 
 
 def track_paths(h: Homotopy, starts, record: bool = False) -> list:
@@ -591,12 +592,7 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
         dxdt, singular = _solve(jac, -hdot)
         # a row whose predictor failed is corrected too, and then rejected
         x_pred = x - step[:, None] * dxdt
-        # scale the tolerance with the local value magnitude: far from the
-        # origin the residual floor is ~eps * |x|^deg and an absolute
-        # threshold below it would stall the path; inf where |x|^deg
-        # overflows
-        with np.errstate(over="ignore"):
-            corr_tol = NEWTON_TOL * (1.0 + np.linalg.norm(x_pred, axis=1) ** deg_h)
+        corr_tol = NEWTON_TOL * _scale(x_pred, deg_h)
         hdot_new, jac_new = np.empty_like(hdot), np.empty_like(jac)
 
         def system(z, rows):
@@ -650,6 +646,14 @@ def track_path(h: Homotopy, x0, record: bool = False) -> TrackResult:
     return track_paths(h, [x0], record)[0]
 
 
+def _scale(points: np.ndarray, deg: int) -> np.ndarray:
+    """1 + |x|^deg, inf where it overflows, for each row x of points: the one
+    scale of the tracker's residual tolerances, since far from the origin
+    the residual floor is about eps * |x|^deg."""
+    with np.errstate(over="ignore"):
+        return 1.0 + np.linalg.norm(points, axis=1) ** deg
+
+
 def _finish(h: Homotopy, deg: int, ended: list, results: list, trajs) -> None:
     """Endgame and final residuals of a chunk of ended paths: a Newton
     polish directly on the target rows of h's stacked system for the paths
@@ -660,15 +664,11 @@ def _finish(h: Homotopy, deg: int, ended: list, results: list, trajs) -> None:
     X = np.array([path[1] for path in ended])
     reached = np.array([path[2] for path in ended], dtype=bool)
     updates = np.array([path[4] for path in ended])
-
-    def tol_end(points):
-        with np.errstate(over="ignore"):
-            return TOL_END_REL * (1.0 + np.linalg.norm(points, axis=1) ** deg)
-
+    target = h.end(0)
     end = np.flatnonzero(reached)
     if end.size:
-        X[end], _, polish = _newton_on(h, 0, X[end], 1e-4 * tol_end(X[end]),
-                                       POLISH_STEPS)
+        X[end], _, polish = _newton(target, X[end],
+                                    1e-4 * (TOL_END_REL * _scale(X[end], deg)), POLISH_STEPS)
         updates[end] += polish
         if trajs is not None:
             for i in end:
@@ -677,10 +677,9 @@ def _finish(h: Homotopy, deg: int, ended: list, results: list, trajs) -> None:
     residual = np.full(len(X), np.inf)
     finite = np.all(np.isfinite(X), axis=1)
     if finite.any():
-        residual[finite] = np.linalg.norm(
-            h._both.evaluate(X[finite])[:, :len(h.target)], axis=1)
+        residual[finite] = np.linalg.norm(target(X[finite])[0], axis=1)
     far = ~finite | (np.linalg.norm(X, axis=1) > DIVERGENCE)
-    good = residual <= tol_end(X)
+    good = residual <= TOL_END_REL * _scale(X, deg)
     status = np.where(far, "diverged", np.where(reached & good, "converged",
                                                 "step_underflow")).tolist()
     max_imag = np.max(np.abs(X.imag), axis=1, initial=0.0)
@@ -824,10 +823,8 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
     m = len(members)
     M = (rng.normal(size=(N, m + 1)) + 1j * rng.normal(size=(N, m + 1)))
 
-    vpoly = [MultiPoly.variable(N, i) * v[i] for i in range(N)]
-    linear = vpoly[0]
-    for term in vpoly[1:]:
-        linear = linear + term
+    # v.x: the coefficient v[i] on x_i, and no term where v[i] is zero
+    linear = MultiPoly(N, dict(zip(map(tuple, np.eye(N, dtype=int).tolist()), v)))
 
     # M [g; v.x - c] is affine in the plane offset c, so the members and
     # v.x are squared up once and each push only adds its constant -c M[:, m]
@@ -850,7 +847,8 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
         h = Homotopy(target=squared(shift + epsilon), start=squared(shift), gamma=1.0)
         # settle the anchor exactly onto the start system before tracking;
         # after the first push it is complex and only approximately on it
-        settled, ok, _ = _newton_on(h, 1, anchor[None], np.array([1e-12]), 10)
+        start = h.end(1)
+        settled, ok, _ = _newton(start, anchor[None], np.array([1e-12]), 10)
         anchor = settled[0]
         if ok[0]:
             res = track_path(h, anchor)
@@ -858,7 +856,7 @@ def deform_framework(sys: MemberConstraintSystem, p: Configuration,
                 members.evaluate(res.endpoint.real.astype(complex)).real)))
         else:
             res = TrackResult(endpoint=anchor, status="settle_failed",
-                              residual=float(np.linalg.norm(h._both.evaluate(anchor)[N:])),
+                              residual=float(np.linalg.norm(start(anchor[None])[0][0])),
                               steps=0, max_imag=float(np.max(np.abs(anchor.imag))))
             member_res = float("nan")
         real = res.max_imag <= TAU_IMAG

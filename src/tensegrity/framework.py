@@ -120,13 +120,17 @@ class MemberConstraintSystem:
 
 
 def _member_values(graph: FrameworkGraph, values, what: str) -> np.ndarray:
-    """values as a float array of one finite value per member of graph: the
-    one check of rest lengths, stresses, conductances and material constants."""
-    out = np.asarray(values, dtype=float)
+    """values as a float array of one finite number per member of graph (a
+    string or an int too large for a float is none): the one check of rest
+    lengths, stresses, conductances and material constants."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise FrameworkError(f"{what} must be finite numbers") from None
     if out.shape != (graph.m,):
         raise FrameworkError(f"expected {graph.m} {what}, got shape {out.shape}")
     if not np.isfinite(out).all():
-        raise FrameworkError(f"{what} must be finite")
+        raise FrameworkError(f"{what} must be finite numbers")
     return out
 
 
@@ -174,7 +178,7 @@ def build_constraints(graph: FrameworkGraph, p: Configuration,
     unless given explicitly."""
     if rest_sq_lengths is None:
         rest_sq_lengths = squared_lengths(graph, p)
-    return MemberConstraintSystem(graph, np.asarray(rest_sq_lengths, dtype=float))
+    return MemberConstraintSystem(graph, rest_sq_lengths)
 
 
 def evaluate_members(sys: MemberConstraintSystem, x: Configuration):

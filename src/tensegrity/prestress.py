@@ -19,6 +19,7 @@ from .framework import (Configuration, FrameworkError, FrameworkGraph, MemberCon
 from .rigidity import (
     RANK_REL_TOL,
     NullspaceDecomposition,
+    _weighted_laplacian,
     incidence_matrix,
     jacobian_at,
     nullspace_decomposition,
@@ -89,17 +90,11 @@ def self_stress_basis(decomp: NullspaceDecomposition) -> list:
     return out
 
 
-def _weighted_laplacian(graph: FrameworkGraph, w) -> np.ndarray:
-    """The n x n w-weighted graph Laplacian L, so that Omega_w = L (x) I_d."""
-    w = _member_values(graph, w, "stress entries")
-    inc = incidence_matrix(graph)
-    return inc.T @ (w[:, None] * inc)
-
-
 def stress_matrix(graph: FrameworkGraph, w) -> np.ndarray:
-    """Omega_w: the w-weighted graph Laplacian Kronecker-spread by I_d; w
-    is one finite stress per member."""
-    return np.kron(_weighted_laplacian(graph, w), np.eye(graph.d))
+    """Omega_w = L (x) I_d: the w-weighted graph Laplacian L of
+    rigidity._weighted_laplacian, the one that laplacian_eigenpairs
+    decomposes, Kronecker-spread by I_d; w is one finite stress per member."""
+    return np.kron(_weighted_laplacian(graph, w, "stress entries"), np.eye(graph.d))
 
 
 def stiffness_and_energy(sys: MemberConstraintSystem, p: Configuration,
@@ -216,7 +211,7 @@ def prestress_certificate(sys: MemberConstraintSystem, p: Configuration,
     stress = sum(ai * w for ai, w in zip(a, basis))
     # independent re-verification: rebuild the reduced matrix from the
     # combined stress rather than reusing the solve's running value
-    lap = _weighted_laplacian(graph, stress)
+    lap = _weighted_laplacian(graph, stress, "stress entries")
     omega = np.kron(lap, np.eye(graph.d))
     reduced = F.T @ omega @ F
     eigenvalues = np.linalg.eigvalsh(reduced)

@@ -300,16 +300,23 @@ def free_coordinate_mask(n: int, d: int) -> np.ndarray:
     return np.arange(d) < np.arange(n)[:, None]
 
 
+def _weighted_laplacian(graph: FrameworkGraph, w, what: str) -> np.ndarray:
+    """The n x n w-weighted graph Laplacian incidence^T diag(w) incidence,
+    the one builder of it (conductances and stresses alike); w is one
+    finite number per member, the `what` of its errors."""
+    w = _member_values(graph, w, what)
+    inc = incidence_matrix(graph)
+    return inc.T @ (w[:, None] * inc)
+
+
 def laplacian_eigenpairs(graph: FrameworkGraph, conductances) -> tuple:
     """Eigendecomposition of the weighted graph Laplacian, ascending.
 
-    Returns (eigenvalues, eigenvectors) of incidence^T diag(c) incidence for
-    one positive finite conductance c per member, eigenvectors as columns.
+    Returns (eigenvalues, eigenvectors) of _weighted_laplacian for one
+    positive finite conductance c per member, eigenvectors as columns.
     The all-ones vector always has eigenvalue 0."""
     c = _member_values(graph, conductances, "conductances")
     if not np.all(c > 0.0):
         raise FrameworkError("conductances must be positive")
-    inc = incidence_matrix(graph)
-    lap = inc.T @ (c[:, None] * inc)
-    values, vectors = np.linalg.eigh(lap)
+    values, vectors = np.linalg.eigh(_weighted_laplacian(graph, c, "conductances"))
     return values, vectors

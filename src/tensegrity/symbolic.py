@@ -86,10 +86,7 @@ class SparsePoly:
         width = self._width(ring)
         clean = {}
         for exps, coeff in (terms or {}).items():
-            try:  # a "x", a NaN, or an int too large for a float
-                coeff = self.coefficient(coeff)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise self.error(f"bad coefficient of {exps!r}: {exc}") from None
+            coeff = self._checked(coeff, exps)
             if coeff == 0:
                 continue
             if not (isinstance(exps, tuple) and len(exps) == width):
@@ -106,6 +103,17 @@ class SparsePoly:
         object.__setattr__(poly, "ring", ring)
         object.__setattr__(poly, "terms", terms)
         return poly
+
+    @classmethod
+    def _checked(cls, value, exps=None):
+        """value as a coefficient (of the term exps) or a scalar operand (exps
+        None); a "x", a NaN, an inf or an int too large for a float type is
+        the ring's error naming it."""
+        try:
+            return cls.coefficient(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            what = f"scalar {value!r}" if exps is None else f"coefficient of {exps!r}"
+            raise cls.error(f"bad {what}: {exc}") from None
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -163,7 +171,7 @@ class SparsePoly:
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            scalar = self.coefficient(other)
+            scalar = self._checked(other)
             # a product of nonzero floats can still underflow to zero
             return self._make(self.ring, {e: v for e, c in self.terms.items()
                                           if (v := c * scalar) != 0})
@@ -273,7 +281,7 @@ class RationalPoly(SparsePoly):
     # -- arithmetic ---------------------------------------------------
 
     def __truediv__(self, scalar):
-        scalar = _exact(scalar)
+        scalar = self._checked(scalar)
         if scalar == 0:
             raise SymbolicError("division of a polynomial by zero")
         return self * Fraction(1, scalar)

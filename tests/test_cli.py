@@ -1,6 +1,8 @@
 """Exit codes, report stability, and SVG structure of the batch CLI."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -344,6 +346,27 @@ def test_the_package_does_not_load_elementtree():
     out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_the_readme_command_line_section_matches_the_subcommand_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([\w-]+)` ", section, flags=re.M) == list(cli._SUBCOMMANDS)
+    parsers, = [action.choices for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    assert list(parsers) == list(cli._SUBCOMMANDS)
+    takes = {name: {flag for action in parser._actions for flag in action.option_strings}
+             for name, parser in parsers.items()}
+    assert all({"--seed", "--out"} <= flags for flags in takes.values())
+    bullets = re.findall(r"^- `(--[\w-]+)[^`]*`(.*?)(?=\n- |\n\n)", section,
+                         flags=re.M | re.S)
+    assert [flag for flag, _ in bullets] == ["--tol", "--svg", "--epsilon", "--steps",
+                                             "--budget"]
+    for flag, text in bullets:
+        named = [word for word in re.findall(r"`([\w-]+)`", text) if word in parsers]
+        assert named == [name for name, flags in takes.items() if flag in flags], flag
+    other = set().union(*takes.values()) - {"-h", "--help", "--seed", "--out"}
+    assert other == {flag for flag, _ in bullets}
 
 
 #: square with member (1, 2)'s rest squared length 4: its deform report

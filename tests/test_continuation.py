@@ -496,11 +496,56 @@ def test_newton_on_an_end_is_newton_on_that_system_alone(end):
     rng = np.random.default_rng(24)
     X = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
     tol = np.full(8, 1e-10)
-    got = continuation._newton_on(h, end, X, tol, 6)
+    got = continuation._newton(h.end(end), X, tol, 6)
     want = continuation._newton(lambda z, _: alone.evaluate_and_jacobian(z), X, tol, 6)
     assert want[1].any()  # some rows converge
     for a, b in zip(got, want):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_results_do_not_depend_on_the_memory_layout_of_a_batch():
+    # np.linalg.norm(axis=1) sums a row that is not C-ordered in another
+    # order, so a Fortran-ordered batch or a transposed view of the same
+    # points must still get the bits of the C-ordered batch
+    graph, p, sys_ = load_fixture("hinge")
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    members, _, p_free = pinned_member_system(sysp, pp)
+    n = p_free.size
+    sphere = MultiPoly.constant(n, -0.01)
+    for i in range(n):
+        diff = MultiPoly.variable(n, i) - MultiPoly.constant(n, p_free[i])
+        sphere = sphere + diff * diff
+    square = PolySystem(list(members.polys) + [sphere])  # hinge: 3 x 3
+    rng = np.random.default_rng(29)
+    X = p_free + 0.1 * (rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n)))
+    start = PolySystem([MultiPoly.variable(n, i) ** 2 - MultiPoly.constant(n, 1.0)
+                        for i in range(n)])
+    h = Homotopy(target=square, start=start, gamma=complex(np.exp(0.9j)))
+    starts = np.array(list(itertools.product((1.0, -1.0), repeat=n)) * 5, dtype=complex)
+
+    def run(points, starts):
+        return (continuation._newton(lambda z, _: square.evaluate_and_jacobian(z),
+                                     points, np.full(len(points), 1e-12), 6),
+                continuation._polish_real(square, points.real),
+                track_paths(h, starts))
+
+    (x, ok, updates), (polished, worst), tracked = run(X, starts)
+    assert X.flags.c_contiguous and ok.any() and (worst <= 1e-12).any()
+    assert [r.status for r in tracked].count("converged") > 0
+    for layout in (np.asfortranarray, lambda a: a.T.copy().T):
+        laid_out = layout(X)
+        assert not laid_out.flags.c_contiguous
+        (x2, ok2, updates2), (polished2, worst2), tracked2 = run(laid_out, layout(starts))
+        assert x2.tobytes() == x.tobytes()
+        assert np.array_equal(ok2, ok) and np.array_equal(updates2, updates)
+        assert np.ascontiguousarray(polished2).tobytes() == polished.tobytes()
+        assert worst2.tobytes() == worst.tobytes()
+        for a, b in zip(tracked2, tracked, strict=True):
+            assert a.endpoint.tobytes() == b.endpoint.tobytes()
+            assert (a.status, repr(a.residual), a.steps, a.newton_updates,
+                    a.rejected_steps) == (b.status, repr(b.residual), b.steps,
+                                          b.newton_updates, b.rejected_steps)
 
 
 def _record_evaluators(monkeypatch):

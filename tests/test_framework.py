@@ -59,9 +59,11 @@ TRIANGLE_DOC = {"dimension": 2,
 
 def test_rest_lengths_must_be_finite():
     graph = FrameworkGraph(n=2, d=2, members=((1, 2, "bar"),))
-    for bad in (np.inf, np.nan):
+    for bad in (np.inf, np.nan, 10 ** 400, "a"):
         with pytest.raises(FrameworkError, match="finite"):
-            MemberConstraintSystem(graph, np.array([bad]))
+            MemberConstraintSystem(graph, [bad])
+        with pytest.raises(FrameworkError, match="finite"):
+            build_constraints(graph, Configuration([[0.0, 0.0], [1.0, 0.0]]), [bad])
     doc = json.loads(json.dumps(TRIANGLE_DOC))
     for member in doc["members"]:
         member["rest_sq_length"] = 1.0

@@ -9,7 +9,7 @@ from tensegrity import (Configuration, FrameworkError, build_constraints,
                         jacobian_at, load_fixture, load_framework,
                         nullspace_decomposition, prestress_certificate,
                         self_stress_basis, stiffness_and_energy, stress_matrix)
-from tensegrity import prestress
+from tensegrity import prestress, rigidity
 from tensegrity.framework import FIXTURE_NAMES
 from tensegrity.rigidity import RANK_REL_TOL
 
@@ -66,7 +66,7 @@ def test_stress_norm_is_the_largest_laplacian_eigenvalue():
         for _ in range(10):
             graph, _, _ = random_framework(rng, d=d)
             w = rng.normal(size=graph.m)
-            lap = prestress._weighted_laplacian(graph, w)
+            lap = rigidity._weighted_laplacian(graph, w, "stress entries")
             omega = stress_matrix(graph, w)
             assert np.array_equal(np.kron(lap, np.eye(d)), omega)
             norm = np.max(np.abs(np.linalg.eigvalsh(lap)))
@@ -96,11 +96,12 @@ def test_stiffness_identity_and_psd(prism):
         stiffness_and_energy(sys_, p, -c - 0.1, w)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 pytest.param(10 ** 400, id="10**400"), "a"])
 @pytest.mark.parametrize("call", ["stress_matrix", "material constants", "stresses"])
 def test_each_member_value_is_finite(call, bad):
     graph, p, sys_ = load_fixture("hinge")
-    spoilt = np.ones(graph.m)
+    spoilt = [1.0] * graph.m
     spoilt[0] = bad
     with pytest.raises(FrameworkError, match="must be finite"):
         if call == "stress_matrix":

@@ -270,10 +270,11 @@ def test_laplacian_is_psd_with_ones_kernel():
         assert np.max(np.abs(lap @ ones)) <= 1e-10
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0,
+                                 pytest.param(10 ** 400, id="10**400"), "a"])
 def test_conductances_are_positive_and_finite(bad):
     graph, _, _ = load_fixture("hinge")
-    c = np.ones(graph.m)
+    c = [1.0] * graph.m
     c[1] = bad
     with pytest.raises(FrameworkError, match="finite|positive"):
         laplacian_eigenpairs(graph, c)

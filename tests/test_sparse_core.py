@@ -72,6 +72,14 @@ def test_each_type_is_immutable_and_raises_its_own_error(poly, error):
     for coeff in bad + ([10 ** 400] if error is ContinuationError else []):
         with pytest.raises(error, match="bad coefficient"):
             type(poly)(poly.ring, {(1, 0, 0): coeff})
+        # a scalar operand goes through the same conversion
+        with pytest.raises(error, match="bad scalar"):
+            poly * coeff
+        with pytest.raises(error, match="bad scalar"):
+            coeff * poly
+        if error is SymbolicError:
+            with pytest.raises(error, match="bad scalar"):
+                poly / coeff
     assert type(poly)(poly.ring, {tuple(np.arange(3)): 1}).terms == {(0, 1, 2): 1}
     for power in (-1, 1.5, True):
         with pytest.raises(error):
