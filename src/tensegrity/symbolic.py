@@ -10,15 +10,16 @@ ideal-containment checking by normal forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from itertools import repeat
+from operator import and_, mul, rshift
 
 #: Buchberger aborts after processing this many S-pairs
 PAIR_BUDGET = 10_000
@@ -47,27 +48,62 @@ def _natural(value, error, what: str, stop=None, start=0) -> int:
     raise error(f"{what} must be {bound}, got {value!r}")
 
 
-def _order_key(order: str):
-    """Heap key of a monomial order: the larger monomial has the smaller key.
+class _Packing:
+    """Heap keys of a monomial order on n variables: one Python int each.
 
-    Both keys are linear in the exponent vector, so the key of a product of
-    monomials is the sum of their keys, and each key determines its
-    exponent vector (see `_key_exponents`).
+    Each exponent gets a field of `width` bits, B = 2**width, whose top bit
+    is a guard.  The key of the exponent vector e is its dot product with
+    `weights`, so it is linear in e: the key of a product of monomials is
+    the sum of their keys.  The larger monomial has the smaller key:
+
+    - degrevlex: -deg(e)*B**n + e_n*B**(n-1) + ... + e_1, which sorts like
+      the tuple (-deg, e_n, ..., e_1): graded, ties broken by the smallest
+      power of the last variable;
+    - lex: -(e_1*B**(n-1) + ... + e_n), which sorts like (-e_1, ..., -e_n).
+
+    A key keeps its order, and `exponents` inverts it, while every exponent
+    is below B.  `packed(k)` (k for degrevlex, -k for lex) holds e in its
+    low n fields, so with every exponent below the guard the monomial a
+    divides b iff `(packed(b) - packed(a)) & guard == 0`: the lowest field
+    where b's exponent is the smaller one borrows, which sets its guard bit.
     """
-    if order == "degrevlex":
-        # graded, ties broken by *smallest* power of the *last* variable
-        return lambda e: (-sum(e),) + e[::-1]
-    if order == "lex":
-        return lambda e: tuple(map(neg, e))
-    raise SymbolicError(
-        f"unknown monomial order {order!r}: order must be 'degrevlex' or 'lex'")
+
+    __slots__ = ("width", "weights", "shifts", "mask", "guard", "flip")
+
+    def __init__(self, order: str, n: int, width: int):
+        top = n * width
+        if order == "degrevlex":
+            self.shifts = tuple(range(0, top, width))
+            self.weights = tuple((1 << s) - (1 << top) for s in self.shifts)
+        else:
+            self.shifts = tuple(range(top - width, -1, -width))
+            self.weights = tuple(-(1 << s) for s in self.shifts)
+        self.flip = order == "lex"
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+
+    def key(self, exps) -> int:
+        return sum(map(mul, exps, self.weights))
+
+    def exponents(self, key: int) -> tuple:
+        packed = -key if self.flip else key
+        return tuple(map(and_, map(rshift, repeat(packed), self.shifts),
+                         repeat(self.mask)))
 
 
-def _key_exponents(order: str):
-    """Inverse of `_order_key(order)`: heap key -> exponent vector."""
-    if order == "degrevlex":
-        return lambda k: k[:0:-1]
-    return lambda k: tuple(map(neg, k))
+@functools.lru_cache(maxsize=128)
+def _packing(order: str, n: int, width: int) -> _Packing:
+    return _Packing(order, n, width)
+
+
+def _order_key(order: str, n: int, bound: int = 0) -> _Packing:
+    """The heap keys of a monomial order on n variables whose fields hold
+    every exponent up to `bound` below their guard bits."""
+    if order not in ("degrevlex", "lex"):
+        raise SymbolicError(
+            f"unknown monomial order {order!r}: order must be 'degrevlex' or 'lex'")
+    return _packing(order, n, bound.bit_length() + 1)
 
 
 class SparsePoly:
@@ -136,7 +172,7 @@ class SparsePoly:
         return not self.terms
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -240,7 +276,7 @@ class RationalPoly(SparsePoly):
     Fraction, which compares, hashes and prints like its int.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     coefficient = staticmethod(_exact)
     error = SymbolicError
     _width = staticmethod(len)
@@ -271,7 +307,8 @@ class RationalPoly(SparsePoly):
         """(exponent tuple, coefficient) of the leading term."""
         if not self.terms:
             raise SymbolicError("zero polynomial has no leading term")
-        exps = min(self.terms, key=_order_key(order))
+        key = _order_key(order, len(self.variables), self.total_degree()).key
+        exps = min(self.terms, key=key)
         return exps, self.terms[exps]
 
     def monic(self, order: str = "degrevlex") -> "RationalPoly":
@@ -294,7 +331,20 @@ class RationalPoly(SparsePoly):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        # computed once: a polynomial never changes
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        terms = self.terms
+        if not terms:
+            value = hash(0)
+        elif len(terms) == 1 and not any(exps := next(iter(terms))):
+            value = hash(terms[exps])  # a constant equals its coefficient
+        else:
+            value = hash((self.variables, frozenset(terms.items())))
+        object.__setattr__(self, "_hash", value)
+        return value
 
     def diff(self, variable) -> "RationalPoly":
         """Partial derivative with respect to a variable (name or index)."""
@@ -342,7 +392,8 @@ class RationalPoly(SparsePoly):
         if not self.terms:
             return "0"
         pieces = []
-        for exps in sorted(self.terms, key=_order_key("degrevlex")):
+        key = _order_key("degrevlex", len(self.variables), self.total_degree()).key
+        for exps in sorted(self.terms, key=key):
             coeff = self.terms[exps]
             mono = "*".join(
                 f"{name}^{e}" if e > 1 else name
@@ -370,7 +421,8 @@ def ring_variables(names) -> tuple:
     return tuple(RationalPoly.variable(names, i) for i in range(len(names)))
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)"
+_TOKEN = re.compile(r"\s*(?:(?P<ratio>\d+\s*/\s*\d+)"
+                    r"|(?P<num>\d+)"
                     r"|(?P<name>[A-Za-z_]\w*)"
                     r"|(?P<op>[\^*+\-]))")
 
@@ -384,12 +436,13 @@ def _tokenize(text: str):
                 raise SymbolicError(f"cannot parse {text[pos:]!r}")
             break
         pos = m.end()
-        if m.lastgroup == "num":
-            out.append(("num", _exact(m.group("num").replace(" ", ""))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
+        kind = m.lastgroup
+        if kind == "num":
+            out.append((kind, int(m.group(kind))))
+        elif kind == "ratio":
+            out.append((kind, _exact(m.group(kind).replace(" ", ""))))
         else:
-            out.append(("op", m.group("op")))
+            out.append((kind, m.group(kind)))
     return out
 
 
@@ -425,7 +478,7 @@ def _parse(text: str, variables) -> RationalPoly:
                 continue
             if not expect_factor:
                 raise SymbolicError(f"missing operator before {value!r}")
-            if kind == "num":
+            if kind in ("num", "ratio"):
                 coeff *= value
                 i += 1
             elif kind == "name":
@@ -434,11 +487,15 @@ def _parse(text: str, variables) -> RationalPoly:
                 power = 1
                 i += 1
                 if i + 1 < len(tokens) and tokens[i] == ("op", "^"):
-                    nkind, nvalue = tokens[i + 1]
-                    if nkind != "num" or nvalue.denominator != 1:
+                    nkind, power = tokens[i + 1]
+                    if nkind == "ratio":
+                        # x^4/2 would read as x^2
+                        raise SymbolicError(
+                            "exponent must be a nonnegative integer; a "
+                            "fraction goes in front, as in 1/2*x^4")
+                    if nkind != "num":
                         raise SymbolicError(
                             "exponent must be a nonnegative integer")
-                    power = int(nvalue)
                     i += 2
                 exps[index[value]] += power
             else:
@@ -455,45 +512,95 @@ def _parse(text: str, variables) -> RationalPoly:
 # division and Groebner bases
 
 
-def _divides(ea, eb) -> bool:
-    return all(a <= b for a, b in zip(ea, eb))
-
-
-def _divisor(g: RationalPoly, key):
-    """A nonzero g prepared for `_divide`: its leading key, the support of
-    its leading monomial, and its tail divided by the leading coefficient
-    and negated (through Fraction, so that an int lead never gives a float).
+class _Divisor:
+    """A nonzero g prepared for `_divide`: its leading exponents, the
+    variables they hold as bits of `support`, its total degree, and its tail
+    divided by the leading coefficient and negated (through Fraction, so
+    that an int lead never gives a float).
     """
-    elead = min(g.terms, key=key)
-    scale = _exact(Fraction(-1, g.terms[elead]))
-    support = tuple((i, a) for i, a in enumerate(elead) if a)
-    tail = [(key(e), _exact(c * scale))
-            for e, c in g.terms.items() if e != elead]
-    return key(elead), support, tail
+
+    __slots__ = ("lead", "support", "degree", "tail", "_packed")
+
+    def __init__(self, g: RationalPoly, order: str):
+        self.degree = g.total_degree()
+        self.lead, lc = g.leading(order)
+        scale = _exact(Fraction(-1, lc))
+        self.support = sum(1 << i for i, a in enumerate(self.lead) if a)
+        self.tail = [(e, _exact(c * scale)) for e, c in g.terms.items() if e != self.lead]
+        self._packed = {}
+
+    def packed(self, packing: _Packing):
+        """(leading key, packed leading key, tail as (key, coefficient)
+        pairs), computed once per field width."""
+        got = self._packed.get(packing.width)
+        if got is None:
+            key = packing.key
+            klead = key(self.lead)
+            got = self._packed[packing.width] = (
+                klead, -klead if packing.flip else klead,
+                [(key(e), c) for e, c in self.tail])
+        return got
 
 
-def _prepare(G, order: str):
-    """The ring of the nonzero members of G, and each of them as a divisor."""
-    key = _order_key(order)
-    ring, divisors = None, []
-    for g in G:
-        if g.is_zero():
-            continue
-        if ring is None:
-            ring = g.variables
-        elif g.variables != ring:
-            raise SymbolicError("polynomials live in different rings")
-        divisors.append(_divisor(g, key))
-    return ring, divisors
+class _Divisors:
+    """Divisors in the order they are tried, with their ring (None if there
+    are none), the monomial order they are prepared for and their largest
+    degree.  Their keys are packed once for each field width asked for.
+    """
+
+    __slots__ = ("order", "ring", "members", "degree", "_packed")
+
+    def __init__(self, order: str, ring, members):
+        self.order, self.ring, self.members = order, ring, list(members)
+        self.degree = max((d.degree for d in self.members), default=0)
+        self._packed = {}
+
+    def append(self, divisor: _Divisor):
+        self.members.append(divisor)
+        self.degree = max(self.degree, divisor.degree)
+        self._packed.clear()
+
+    def at(self, packing: _Packing) -> list:
+        got = self._packed.get(packing.width)
+        if got is None:
+            got = self._packed[packing.width] = [d.packed(packing) for d in self.members]
+        return got
+
+    def reduce(self, dividend, bound: int, n: int):
+        """(packing, `_remainder`) of the dividend that `dividend(packing)`
+        builds on n variables, at the narrowest packing whose fields hold
+        `bound` and every divisor's degree below their guard bits.  A guard
+        bit reached (an exponent that grew, as lex division can) widens the
+        fields and divides again, so exponents stay unbounded; a graded
+        order never grows an exponent past the dividend's degree.
+        """
+        bound = max(bound, self.degree)
+        while True:
+            packing = _order_key(self.order, n, bound)
+            remainder = _remainder(dividend(packing), packing, self.at(packing))
+            if remainder is not None:
+                return packing, remainder
+            bound = 1 << 2 * packing.width
 
 
-def _divide(f: RationalPoly, ring, divisors, order: str) -> RationalPoly:
-    """Remainder of f under division by divisors prepared by `_prepare`."""
-    if divisors and f.variables != ring:
+def _prepare(G, order: str) -> _Divisors:
+    """The nonzero members of G as divisors."""
+    nonzero = [g for g in G if not g.is_zero()]
+    ring = nonzero[0].variables if nonzero else None
+    if any(g.variables != ring for g in nonzero):
         raise SymbolicError("polynomials live in different rings")
-    key = _order_key(order)
-    exponents = _key_exponents(order)
-    p = {key(e): _exact(c) for e, c in f.terms.items()}
+    return _Divisors(order, ring, [_Divisor(g, order) for g in nonzero])
+
+
+def _remainder(p: dict, packing: _Packing, divisors: list) -> dict | None:
+    """Remainder of the dividend p (key -> coefficient, changed in place)
+    under the divisors packed by `packing`, keyed by it in decreasing
+    monomial order; None if an exponent reaches its guard bit.
+
+    Every key built here has its fields below 2**width: a popped exponent
+    is below the guard, and so is every exponent of a divisor.
+    """
+    guard, flip = packing.guard, packing.flip
     heap = list(p)
     heapify(heap)
     remainder = {}
@@ -502,15 +609,14 @@ def _divide(f: RationalPoly, ring, divisors, order: str) -> RationalPoly:
         cp = p.pop(kp, None)
         if cp is None:
             continue  # cancelled after its key was pushed
-        ep = exponents(kp)
-        for klead, support, tail in divisors:
-            for i, a in support:
-                if ep[i] < a:
-                    break
-            else:
-                shift = tuple(map(sub, kp, klead))
+        pp = -kp if flip else kp
+        if pp & guard:
+            return None
+        for klead, plead, tail in divisors:
+            if not (pp - plead) & guard:
+                shift = kp - klead
                 for kt, ct in tail:
-                    k = tuple(map(add, shift, kt))
+                    k = shift + kt
                     c = p.get(k)
                     if c is None:
                         p[k] = cp * ct
@@ -523,8 +629,22 @@ def _divide(f: RationalPoly, ring, divisors, order: str) -> RationalPoly:
                             del p[k]
                 break
         else:
-            remainder[ep] = Fraction(cp)
-    return RationalPoly._make(f.variables, remainder)
+            remainder[kp] = cp
+    return remainder
+
+
+def _divide(f: RationalPoly, divisors: _Divisors, coefficient=Fraction) -> RationalPoly:
+    """Remainder of f under division by the divisors, each coefficient
+    converted by `coefficient`."""
+    if divisors.members and f.variables != divisors.ring:
+        raise SymbolicError("polynomials live in different rings")
+    terms = f.terms
+    packing, remainder = divisors.reduce(
+        lambda packing: dict(zip(map(packing.key, terms), map(_exact, terms.values()))),
+        f.total_degree(), len(f.variables))
+    exponents = packing.exponents
+    return RationalPoly._make(
+        f.variables, {exponents(k): coefficient(c) for k, c in remainder.items()})
 
 
 def normal_form_reduce(f: RationalPoly, G, order: str = "degrevlex") -> RationalPoly:
@@ -543,7 +663,7 @@ def normal_form_reduce(f: RationalPoly, G, order: str = "degrevlex") -> Rational
     G is prepared for division on every call; `GroebnerBasis.reduce`
     prepares its generators once.
     """
-    return _divide(f, *_prepare(G, order), order)
+    return _divide(f, _prepare(G, order))
 
 
 def s_polynomial(f: RationalPoly, g: RationalPoly, order: str = "degrevlex"):
@@ -574,12 +694,12 @@ class GroebnerBasis:
     pairs_skipped: int = field(default=0, compare=False)
     peak_basis_size: int = field(default=0, compare=False)
 
-    @cached_property
+    @functools.cached_property
     def _divisors(self):
         return _prepare(self.generators, self.order)
 
     def reduce(self, f: RationalPoly) -> RationalPoly:
-        return _divide(f, *self._divisors, self.order)
+        return _divide(f, self._divisors)
 
     def contains(self, f: RationalPoly) -> bool:
         return self.reduce(f).is_zero()
@@ -593,9 +713,10 @@ def buchberger(gens, order: str = "degrevlex",
     than `pair_budget` pairs aborts with PairBudgetError.  An unknown
     `order`, or a `pair_budget` that is not a nonnegative integer, raises
     SymbolicError.  Each generator is prepared for division once, when it
-    joins the basis.
+    joins the basis, and each S-polynomial is built from the two prepared
+    divisors, in packed keys.
     """
-    key = _order_key(order)  # rejects an unknown order
+    _order_key(order, 0)  # rejects an unknown order
     _natural(pair_budget, SymbolicError, "pair_budget")
     basis = [g.monic(order) for g in gens if not g.is_zero()]
     if not basis:
@@ -603,7 +724,7 @@ def buchberger(gens, order: str = "degrevlex",
     variables = basis[0].variables
     if any(g.variables != variables for g in basis):
         raise SymbolicError("generators live in different rings")
-    divisors = [_divisor(g, key) for g in basis]
+    divisors = _Divisors(order, variables, [_Divisor(g, order) for g in basis])
 
     pairs = deque(itertools.combinations(range(len(basis)), 2))
     processed = skipped = 0
@@ -613,17 +734,21 @@ def buchberger(gens, order: str = "degrevlex",
         if processed > pair_budget:
             raise PairBudgetError(
                 f"Buchberger exceeded the budget of {pair_budget} S-pairs")
-        ei, _ = basis[i].leading(order)
-        ej, _ = basis[j].leading(order)
-        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+        di, dj = divisors.members[i], divisors.members[j]
+        if not di.support & dj.support:
             skipped += 1
             continue  # coprime leading monomials reduce to zero
-        rem = _divide(s_polynomial(basis[i], basis[j], order),
-                      variables, divisors, order)
-        if not rem.is_zero():
-            g = rem.monic(order)
+        lcm = tuple(map(max, di.lead, dj.lead))
+        packing, rem = divisors.reduce(
+            functools.partial(_s_polynomial, divisors, i, j, lcm),
+            sum(lcm), len(variables))
+        if rem:
+            exponents = packing.exponents
+            lc = Fraction(next(iter(rem.values())))  # of the leading term
+            g = RationalPoly._make(
+                variables, {exponents(k): c / lc for k, c in rem.items()})
             basis.append(g)
-            divisors.append(_divisor(g, key))
+            divisors.append(_Divisor(g, order))
             new = len(basis) - 1
             pairs.extend((k, new) for k in range(new))
 
@@ -632,32 +757,49 @@ def buchberger(gens, order: str = "degrevlex",
                          peak_basis_size=len(basis))
 
 
+def _s_polynomial(divisors: _Divisors, i: int, j: int, lcm, packing: _Packing) -> dict:
+    """S-polynomial of divisors i and j, keyed by packing: the leading terms
+    cancel, so with m = lcm / lead and the tails negated as prepared it is
+    m_j * tail_j - m_i * tail_i."""
+    packed = divisors.at(packing)
+    ki, _, ti = packed[i]
+    kj, _, tj = packed[j]
+    kl = packing.key(lcm)
+    shift = kl - kj
+    s = {shift + kt: ct for kt, ct in tj}
+    shift = kl - ki
+    for kt, ct in ti:
+        k = shift + kt
+        c = s.get(k, 0) - ct
+        if c:
+            s[k] = c
+        else:
+            del s[k]
+    return s
+
+
 def _reduce_basis(basis, divisors, order) -> tuple:
     """Canonical reduced form: minimal leading monomials, tails reduced.
 
-    `divisors` are the members of `basis` prepared for division.  The
-    remainders come back with Fraction coefficients, so each generator's
-    coefficients go through `_exact`: an int when integral.
+    `divisors` are the members of `basis`, all monic, prepared for
+    division.  A member goes when another one's leading monomial divides
+    its own (of equal ones, the first stays).  Each kept member keeps its
+    leading term, which no other kept one divides, so it stays monic; the
+    kept ones are sorted by it, smallest first, and each coefficient goes
+    through `_exact`: an int when integral.
     """
-    key = _order_key(order)
     variables = basis[0].variables
-    leads = [g.leading(order)[0] for g in basis]
-    keep = []
-    for i, e in enumerate(leads):
-        if any(j != i and _divides(leads[j], e)
-               and (leads[j] != e or j < i) for j in range(len(basis))):
-            continue
-        keep.append(i)
-    reduced = []
-    for i in keep:
-        others = [divisors[j] for j in keep if j != i]
-        r = _divide(basis[i], variables, others, order)
-        if not r.is_zero():
-            r = r.monic(order)
-            reduced.append(RationalPoly._make(
-                variables, {e: _exact(c) for e, c in r.terms.items()}))
-    reduced.sort(key=lambda g: key(g.leading(order)[0]), reverse=True)
-    return tuple(reduced)
+    packing = _order_key(order, len(variables), divisors.degree)
+    guard = packing.guard
+    leads = [d.packed(packing)[:2] for d in divisors.members]  # (key, packed)
+    keep = [i for i, (_, a) in enumerate(leads)
+            if not any(j != i and not (a - b) & guard and (b != a or j < i)
+                       for j, (_, b) in enumerate(leads))]
+    reduced = {i: _divide(basis[i], _Divisors(
+        order, variables, [divisors.members[j] for j in keep if j != i]), _exact)
+        for i in keep}
+    return tuple(reduced[i] for i in sorted(keep, key=lambda i: leads[i][0],
+                                              reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -686,19 +828,27 @@ def symbolic_minors(matrix, r: int) -> list:
     if any(entry.variables != variables for row in matrix for entry in row):
         raise SymbolicError("matrix entries live in different rings")
 
-    terms = [[entry.terms for entry in row] for row in matrix]
+    # no exponent of a minor exceeds the sum of its rows' degrees
+    packing = _order_key("lex", len(variables),
+                         sum(max(entry.total_degree() for entry in row) for row in matrix))
+    # the minors share most of their monomials: decode each key once
+    key, exponents = packing.key, functools.cache(packing.exponents)
+    terms = [[dict(zip(map(key, entry.terms), entry.terms.values())) for entry in row]
+             for row in matrix]
     out = []
     for rows in itertools.combinations(range(nrows), r):
         memo = {}
         for cols in itertools.combinations(range(ncols), r):
+            det = _expand(terms, rows, cols, memo)
             out.append(RationalPoly._make(
-                variables, _expand(terms, rows, cols, memo)))
+                variables, dict(zip(map(exponents, det), det.values()))))
     return out
 
 
 def _expand(terms, rows, cols, memo) -> dict:
     """Term map of the minor on rows x cols, by cofactor expansion along
-    its first row; every cofactor product is summed into one dict."""
+    its first row; every cofactor product is summed into one dict.  The
+    keys are packed: a product of monomials is the sum of their keys."""
     if len(rows) == 1:
         return terms[rows[0]][cols[0]]
     key = (rows, cols)
@@ -716,7 +866,7 @@ def _expand(terms, rows, cols, memo) -> dict:
             if k % 2:
                 c1 = -c1
             for e2, c2 in minor.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 v = det.get(e, 0) + c1 * c2
                 if v:
                     det[e] = v

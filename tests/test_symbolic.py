@@ -13,7 +13,7 @@ from tensegrity import (GroebnerBasis, PairBudgetError, RationalPoly,
 from tensegrity.ideals import (adjacent_minor_primes, adjacent_minors,
                                slingshot_equations, slingshot_member_constraints,
                                slingshot_primes)
-from tensegrity.symbolic import s_polynomial
+from tensegrity.symbolic import _order_key, s_polynomial
 
 
 def _random_poly(rng, variables, max_terms=4, max_deg=3):
@@ -561,3 +561,94 @@ def test_a_stray_star_is_refused_and_powers_are_caret(text):
     with pytest.raises(SymbolicError, match=r"'\*' does not follow a factor; "
                                             r"powers are written '\^'"):
         RationalPoly.parse(text, ("x", "y"))
+
+
+@pytest.mark.parametrize("text", ["x^4/2", "3*x^4/2", "x^6/3 + y"])
+def test_a_fraction_after_a_caret_is_refused(text):
+    # 4/2 was read as the exponent 2, so x^4/2 became x^2
+    with pytest.raises(SymbolicError, match=r"exponent must be a nonnegative "
+                                            r"integer; a fraction goes in front, "
+                                            r"as in 1/2\*x\^4"):
+        RationalPoly.parse(text, ("x", "y"))
+    assert RationalPoly.parse("3/2*x^4 + 1/3*x^6", ("x", "y")) == \
+        RationalPoly(("x", "y"), {(4, 0): Fraction(3, 2), (6, 0): Fraction(1, 3)})
+
+
+def test_a_constant_polynomial_hashes_as_its_coefficient():
+    variables = ("x", "y")
+    x, _ = ring_variables(variables)
+    for value in (0, 2, -3, Fraction(1, 2), Fraction(4, 2)):
+        for c in (RationalPoly.constant(variables, value), x - x + value):
+            assert c == value and hash(c) == hash(value)
+            assert len({c, value}) == 1 and value in {c} and c in {value}
+    assert hash(RationalPoly.zero(variables)) == hash(0)
+    p = x * x + 1
+    assert hash(p) == hash(p) == hash(RationalPoly.parse("x^2 + 1", variables))
+
+
+# -- packed monomial keys -----------------------------------------------------
+
+
+def _tuple_key(order, exps):
+    """The tuple heap key that the packed int keys replace."""
+    if order == "degrevlex":
+        return (-sum(exps),) + exps[::-1]
+    return tuple(-e for e in exps)
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_packed_keys_sort_add_and_divide_like_exponent_tuples(order):
+    rng = random.Random(263 if order == "lex" else 269)
+    n = 4
+    vectors = [(0,) * n, (0,) * n]
+    # small exponents, exponents past a 16-bit field and past a 64-bit word
+    for top in (3, 1 << 17, 1 << 70):
+        vectors += [tuple(rng.choice((0, rng.randint(0, top))) for _ in range(n))
+                    for _ in range(30)]
+    packing = _order_key(order, n, 2 * max(map(sum, vectors)))
+    key = packing.key
+
+    def packed(exps):
+        return -key(exps) if order == "lex" else key(exps)
+
+    for a in vectors:
+        assert packing.exponents(key(a)) == a
+        for b in vectors:
+            assert (key(a) < key(b)) == (_tuple_key(order, a) < _tuple_key(order, b))
+            assert (key(a) == key(b)) == (a == b)
+            total = tuple(u + v for u, v in zip(a, b))
+            assert key(a) + key(b) == key(total)
+            divides = all(u <= v for u, v in zip(a, b))
+            assert ((packed(b) - packed(a)) & packing.guard == 0) == divides
+            assert (packed(total) - packed(a)) & packing.guard == 0
+
+
+def test_division_widens_the_fields_for_exponents_that_grow():
+    x, y = ring_variables(("x", "y"))
+    assert normal_form_reduce(x ** 70000, [x - y]) == y ** 70000
+    # lex reduction raises the power of y past the field its inputs need
+    assert normal_form_reduce(x ** 3, [x - y ** 40000], "lex") == y ** 120000
+    assert normal_form_reduce(x ** 5 * y, [x - y ** 3], "lex") == y ** 16
+    # and so can an S-polynomial's: x*y^3 - 1 reduces to y^6 - 1
+    gens = [x - y ** 3, x ** 2 - 1]
+    symbols = sympy.symbols(("x", "y"))
+    want = sympy.groebner([_to_sympy(g, symbols) for g in gens], *symbols, order="lex")
+    basis = buchberger(gens, "lex")
+    assert [_to_sympy(g, symbols) for g in reversed(basis.generators)] == list(want.exprs)
+
+
+def test_minors_with_exponents_past_one_field_match_sympy():
+    variables = ("a", "b", "c")
+    symbols = sympy.symbols(variables)
+    a, b, c = ring_variables(variables)
+    matrix = [[a ** 70000 + b, c ** (1 << 33), a * b - 2],
+              [b ** 3, a ** 65536 - c, c ** 5 + 1],
+              [a + b + c, b ** (1 << 40), a ** 2 * c - b],
+              [c - 1, a ** 3, b ** 65535]]
+    minors = symbolic_minors(matrix, 3)
+    assert len(minors) == 4
+    for minor, rows in zip(minors, combinations(range(4), 3)):
+        numeric = sympy.Matrix(
+            3, 3, lambda i, j: _to_sympy(matrix[rows[i]][j], symbols))
+        det = numeric.det(method="berkowitz")
+        assert sympy.expand(det - _to_sympy(minor, symbols)) == 0

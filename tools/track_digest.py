@@ -22,9 +22,19 @@ tracked in forked processes come back over their pipes, so this covers
 those too.  A change to the numerics of the tracker moves the last bits of
 most paths; compare its reports with `tools/compare_reports.py` instead.
 
+The exact layer is digested too, after the paths.  Every Groebner basis
+that `symbolic.buchberger` returns gets a line with its order, its three
+counters (pairs processed, pairs skipped, peak basis size) and the text of
+its generators, and every `verify_containment` that the CLI runs gets a
+line with the text of its remainders, in order.  Exact arithmetic has no
+last bits to move, so any change there shows as a difference.
+
 - `epscheck` on triangle and hinge, at seeds 0 and 5;
 - `deform --steps 3` on 3prism, square and hinge;
-- `solve` on the three systems of `tools/write_reports.py`.
+- `solve` on the three systems of `tools/write_reports.py`;
+- `verify-ideals`;
+- `buchberger` on the slingshot's seven member constraints in lex order,
+  called directly (496 S-pairs, 15 generators).
 """
 
 from __future__ import annotations
@@ -41,8 +51,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tensegrity import cli, continuation  # noqa: E402
+from tensegrity import cli, continuation, symbolic  # noqa: E402
 from tensegrity.cli import run_command  # noqa: E402
+from tensegrity.ideals import slingshot_member_constraints  # noqa: E402
 from write_reports import SEED, SYSTEMS  # noqa: E402
 
 
@@ -53,7 +64,14 @@ def commands(input_dir: Path) -> list:
             for fx in ("3prism", "square", "hinge")]
     out += [["solve", str(input_dir / f"{name}.json"), "--seed", SEED]
             for name in SYSTEMS]
+    out.append(["verify-ideals"])
     return out
+
+
+def basis_line(basis) -> str:
+    return (f"  basis {basis.order} {basis.pairs_processed} "
+            f"{basis.pairs_skipped} {basis.peak_basis_size}: "
+            + "; ".join(map(str, basis.generators)))
 
 
 def digest(result) -> str:
@@ -70,9 +88,13 @@ def main(argv) -> int:
     captured = []
     harvest = []  # per polish call: endpoints polished, residuals at most 1e-10
     checks = []  # per ε-check: its witnesses
+    bases = []  # every Groebner basis, in the order they are computed
+    containments = []  # every containment report of the CLI
     real = continuation.track_paths
     real_polish = continuation._polish_real
     real_check = cli.epsilon_rigidity_check
+    real_buchberger = symbolic.buchberger
+    real_containment = cli.verify_containment
 
     def capture(*args, **kwargs):
         results = real(*args, **kwargs)
@@ -91,10 +113,22 @@ def main(argv) -> int:
         checks.append(result.witnesses)
         return result
 
+    def buchberger(*args, **kwargs):
+        basis = real_buchberger(*args, **kwargs)
+        bases.append(basis)
+        return basis
+
+    def containment(*args, **kwargs):
+        report = real_containment(*args, **kwargs)
+        containments.append(report)
+        return report
+
     lines = []
     continuation.track_paths = capture
     continuation._polish_real = polish
     cli.epsilon_rigidity_check = check
+    symbolic.buchberger = buchberger
+    cli.verify_containment = containment
     try:
         with tempfile.TemporaryDirectory() as tmp:
             input_dir = Path(tmp)
@@ -104,6 +138,8 @@ def main(argv) -> int:
                 captured.clear()
                 harvest.clear()
                 checks.clear()
+                bases.clear()
+                containments.clear()
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = run_command(cmd + ["--out", str(input_dir / "out")])
                 # the input directory changes from run to run
@@ -117,10 +153,17 @@ def main(argv) -> int:
                         f"{sum(h[1] for h in harvest)} accepted, "
                         f"{len(witnesses)} witnesses "
                         f"{hashlib.sha256(coords.tobytes()).hexdigest()}")
+                lines += map(basis_line, bases)
+                lines += ["  remainders: " + " | ".join(map(str, report.remainders))
+                          for report in containments]
     finally:
         continuation.track_paths = real
         continuation._polish_real = real_polish
         cli.epsilon_rigidity_check = real_check
+        symbolic.buchberger = real_buchberger
+        cli.verify_containment = real_containment
+    lines.append("buchberger on the slingshot member constraints, lex:")
+    lines.append(basis_line(symbolic.buchberger(slingshot_member_constraints(), "lex")))
     Path(argv[0]).write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} lines to {argv[0]}")
     return 0
