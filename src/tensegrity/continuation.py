@@ -20,7 +20,8 @@ import numpy as np
 
 from .framework import (Configuration, FrameworkError, MemberConstraintSystem,
                         member_polynomials)
-from .rigidity import free_coordinate_mask, numerical_nullspace, pin_moving_frame
+from .rigidity import (_pinned_coordinates, free_coordinate_mask, numerical_nullspace,
+                       pin_moving_frame)
 from .symbolic import SparsePoly, _natural
 
 #: endpoints are flagged real when no coordinate has |Im| above this
@@ -60,8 +61,8 @@ TOL_END_REL = 1e-8
 #: of a solve over forked processes (see track_paths)
 BLOCK_PATHS = 64
 
-#: rows x terms of the evaluator's product buffer that one lockstep batch
-#: may fill: a batch of a homotopy whose stacked evaluator has T terms
+#: rows x terms of a PolySystem's product buffer that one lockstep batch
+#: may fill: a batch of a homotopy whose stacked system has T terms
 #: holds max(BLOCK_PATHS, BATCH_TERMS // T) paths (see _batch_rows)
 BATCH_TERMS = 2 ** 16
 
@@ -105,8 +106,6 @@ class MultiPoly(SparsePoly):
         deg = len(coeffs) - 1
         return cls(1, {(deg - k,): c for k, c in enumerate(coeffs)})
 
-    degree = SparsePoly.total_degree
-
     def lift(self, nvars: int) -> "MultiPoly":
         """Re-embed into a larger ring, as its leading variables."""
         if self.nvars > nvars:
@@ -114,45 +113,103 @@ class MultiPoly(SparsePoly):
         pad = (0,) * (nvars - self.nvars)
         return MultiPoly(nvars, {e + pad: c for e, c in self.terms.items()})
 
-    def evaluate(self, x) -> complex:
-        return complex(PolySystem([self]).evaluate(x)[0])
-
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.terms!r})"
 
 
-class _Batched:
-    """Shared-monomial evaluator of one set of terms, each a coefficient
-    times a monomial summed into its output row, at one point or at each
-    row of a (P, nvars) batch of points.
+class PolySystem:
+    """A list of MultiPoly over a shared list of at least one variable,
+    whose values (rows [0, m)) and Jacobian (rows m + i * n + j) are the
+    row sums of one set of terms, each a coefficient times a monomial summed
+    into its output row, at one point or at each row of a (P, n) batch of
+    points.
 
-    Each distinct monomial is a column of one (P, W) table, which the terms
-    read.  The first (max_exp + 1) * nvars columns are the
-    powers x_j^k (column k * nvars + j), which are every monomial in at most
-    one variable; the constant 1 is x_0^0 in column 0.  A monomial in L >= 2
-    variables is its prefix, the same monomial without its last variable,
-    times that variable's power, so it is built with one product; prefixes
-    that no polynomial uses are added.  The columns after the powers hold
-    these monomials level by level, L = 2, 3, ..., and each level is one
-    two-factor product over (prefix, power) column pairs.  The products run
-    left to right over the variables, like a product over all of them with
-    the x^0 = 1 factors left out.  At finite points those factors are exact,
-    so leaving them out can change only the sign of a zero, which the
-    scatter sum drops.  A monomial's column depends on its exponents alone,
-    so it has the same bits in any table that holds it.
+    The term set is built on the first evaluation.  Each distinct monomial
+    is a column of one (P, W) table, which the terms read.  The first
+    (max_exp + 1) * n columns are the powers x_j^k (column k * n + j),
+    which are every monomial in at most one variable; the constant 1 is
+    x_0^0 in column 0.  A monomial in L >= 2 variables is its prefix, the
+    same monomial without its last variable, times that variable's power,
+    so it is built with one product; prefixes that no polynomial uses are
+    added.  The columns after the powers hold these monomials level by
+    level, L = 2, 3, ..., and each level is one two-factor product over
+    (prefix, power) column pairs.  The products run left to right over the
+    variables, like a product over all of them with the x^0 = 1 factors
+    left out.  At finite points those factors are exact, so leaving them out
+    can change only the sign of a zero, which the scatter sum drops.  A
+    monomial's column depends on its exponents alone, so it has the same
+    bits in any table that holds it.
 
-    The terms' products go to a buffer kept on the evaluator that, like the
+    The terms' products go to a buffer kept on the system that, like the
     terms' output rows, holds one point until a batch comes and then
     max(P, BLOCK_PATHS) points, so a tracker's batch of _batch_rows points
     fills it from its first call: repeated calls allocate neither, and two
     threads may not share it.
     """
 
-    def __init__(self, exponents, coeffs, rows, monomial, nrows):
-        """The distinct monomials, as rows of `exponents`, and per term its
-        coefficient, output row and monomial (a row of `exponents`)."""
-        E, nvars = exponents, exponents.shape[1]
-        self.nvars, self.nrows = nvars, nrows
+    def __init__(self, polys):
+        polys = list(polys)
+        if not polys:
+            raise ContinuationError("empty polynomial system")
+        if not all(isinstance(p, MultiPoly) for p in polys):
+            raise ContinuationError("every polynomial of a system must be a MultiPoly")
+        nvars = polys[0].nvars
+        if any(p.nvars != nvars for p in polys):
+            raise ContinuationError("variable count mismatch in system")
+        if not nvars:
+            raise ContinuationError("a polynomial system needs at least one variable")
+        self.polys = polys
+        self.nvars = nvars
+        self.coeffs = None  # set, last, by _build
+
+    def __len__(self):
+        return len(self.polys)
+
+    @property
+    def degrees(self):
+        return [p.total_degree() for p in self.polys]
+
+    @property
+    def terms(self) -> int:
+        """The number of terms of the values and the Jacobian together."""
+        if self.coeffs is None:
+            self._build()
+        return self.coeffs.shape[1]
+
+    def _build(self) -> None:
+        """The term set of the polynomials and their partial derivatives."""
+        polys, nvars = self.polys, self.nvars
+        sizes = [len(p.terms) for p in polys]
+        coeffs = np.fromiter(
+            itertools.chain.from_iterable(p.terms.values() for p in polys),
+            dtype=complex, count=sum(sizes))
+        m = len(polys)
+        rows = np.repeat(np.arange(m), sizes)
+        # polynomials in a system share most monomials, so evaluate each
+        # distinct exponent tuple once and scatter
+        unique = {}
+        monomial = np.array([unique.setdefault(e, len(unique))
+                             for p in polys for e in p.terms], dtype=np.int64)
+        # a term c x^e gives the terms c e_j x^(e - 1_j), in the order and
+        # with the coefficients of MultiPoly.diff (a complex times a small
+        # integer rounds once either way), but without building the
+        # derivative polynomials; the lowered monomials join the table
+        E = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
+        u, j = np.nonzero(E)
+        lowered = E[u]
+        lowered[np.arange(len(u)), j] -= 1
+        index = np.zeros_like(E)
+        index[u, j] = [unique.setdefault(e, len(unique))
+                       for e in map(tuple, lowered.tolist())]
+        exps = E[monomial]
+        t, j = np.nonzero(exps)
+        # each row's terms keep their order, so its scatter sum keeps its bits
+        coeffs = np.concatenate([coeffs, coeffs[t] * exps[t, j]])
+        rows = np.concatenate([rows, m + rows[t] * nvars + j])
+        monomial = np.concatenate([monomial, index[monomial[t], j]])
+
+        E = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
+        self.nrows = m * (1 + nvars)
         self.max_exp = int(E.max(initial=0))
         power = E * nvars + np.arange(nvars)  # column of x_j^e
         level = np.count_nonzero(E, axis=1)
@@ -179,63 +236,40 @@ class _Batched:
             column[wide] = self.width + at
             self.width += len(slot)
         self.column = column[monomial]
-        # 2-D, so that it multiplies a (P, T) batch as a 1-D T at one point
-        self.coeffs = coeffs[None]
         # the terms' output rows at one point and, once a batch comes, at
         # each point of the product buffer
         self.rows = self.wide_rows = rows
         self.products = np.empty((1, len(coeffs)), dtype=complex)
-
-    @property
-    def terms(self) -> int:
-        return self.coeffs.shape[1]
-
-    @classmethod
-    def of(cls, polys, nvars) -> "_Batched":
-        """The evaluator of m polynomials and their partial derivatives: row
-        i is polys[i] and row m + i * nvars + j is d polys[i] / d x_j."""
-        sizes = [len(p.terms) for p in polys]
-        coeffs = np.fromiter(
-            itertools.chain.from_iterable(p.terms.values() for p in polys),
-            dtype=complex, count=sum(sizes))
-        m = len(polys)
-        rows = np.repeat(np.arange(m), sizes)
-        # polynomials in a system share most monomials, so evaluate each
-        # distinct exponent tuple once and scatter
-        unique = {}
-        monomial = np.array([unique.setdefault(e, len(unique))
-                             for p in polys for e in p.terms], dtype=np.int64)
-        # a term c x^e gives the terms c e_j x^(e - 1_j), in the order and
-        # with the coefficients of MultiPoly.diff (a complex times a small
-        # integer rounds once either way), but without building the
-        # derivative polynomials; the lowered monomials join the table
-        E = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
-        u, j = np.nonzero(E)
-        lowered = E[u]
-        lowered[np.arange(len(u)), j] -= 1
-        index = np.zeros_like(E)
-        index[u, j] = [unique.setdefault(e, len(unique))
-                       for e in map(tuple, lowered.tolist())]
-        exps = E[monomial]
-        t, j = np.nonzero(exps)
-        # each row's terms keep their order, so its scatter sum keeps its bits
-        exponents = np.array(list(unique), dtype=np.int64).reshape(-1, nvars)
-        return cls(exponents, np.concatenate([coeffs, coeffs[t] * exps[t, j]]),
-                   np.concatenate([rows, m + rows[t] * nvars + j]),
-                   np.concatenate([monomial, index[monomial[t], j]]), m * (1 + nvars))
+        # 2-D, so that it multiplies a (P, T) batch as a 1-D T at one point
+        self.coeffs = coeffs[None]
 
     def evaluate(self, x) -> np.ndarray:
+        """Values at a point (m,), or at each row of a (P, n) batch (P, m)."""
+        return self.evaluate_and_jacobian(x)[0]
+
+    def jacobian(self, x) -> np.ndarray:
+        """Jacobian at a point (m, n), or at each row of a batch (P, m, n)."""
+        return self.evaluate_and_jacobian(x)[1]
+
+    def evaluate_and_jacobian(self, x) -> tuple:
+        """evaluate(x) and jacobian(x), views of one evaluation's sums."""
+        sums = self._sums(x)
+        m = len(self.polys)
+        return sums[..., :m], sums[..., m:].reshape(sums.shape[:-1] + (m, self.nvars))
+
+    def _sums(self, x) -> np.ndarray:
         """The row sums at a point (nrows,) or a batch (P, nrows), in a new array."""
         x = np.asarray(x, dtype=complex)
         if x.shape[-1:] != (self.nvars,):
             raise ContinuationError(
                 f"a point needs {self.nvars} coordinates, got an array of shape {x.shape}")
+        terms = self.terms
         X = x.reshape(-1, self.nvars)
         P = len(X)
         if len(self.products) < P:
             points = np.arange(max(P, BLOCK_PATHS))[:, None]
             self.wide_rows = (self.rows + self.nrows * points).ravel()
-            self.products = np.empty((len(points), self.terms), dtype=complex)
+            self.products = np.empty((len(points), terms), dtype=complex)
         # the indices are in range, and mode="raise" would buffer the take
         vals = np.take(self._table(X), self.column, axis=1, out=self.products[:P],
                        mode="clip")
@@ -246,7 +280,7 @@ class _Batched:
         # part: never -0.0, and an infinite or NaN imaginary sum leaves the
         # real sum as it is
         sums = np.zeros(P * self.nrows, dtype=complex)
-        np.add.at(sums, self.wide_rows[:P * self.terms], vals.ravel())
+        np.add.at(sums, self.wide_rows[:P * terms], vals.ravel())
         return sums.reshape(x.shape[:-1] + (self.nrows,))
 
     def _table(self, X: np.ndarray) -> np.ndarray:
@@ -263,53 +297,6 @@ class _Batched:
             np.multiply(mono.take(pairs[:, 0], axis=1), mono.take(pairs[:, 1], axis=1),
                         out=mono[:, columns])
         return mono
-
-
-class PolySystem:
-    """A list of MultiPoly over a shared variable list, whose values (rows
-    [0, m)) and Jacobian (rows m + i * n + j) are one _Batched evaluation."""
-
-    def __init__(self, polys):
-        polys = list(polys)
-        if not polys:
-            raise ContinuationError("empty polynomial system")
-        if not all(isinstance(p, MultiPoly) for p in polys):
-            raise ContinuationError("every polynomial of a system must be a MultiPoly")
-        nvars = polys[0].nvars
-        if any(p.nvars != nvars for p in polys):
-            raise ContinuationError("variable count mismatch in system")
-        self.polys = polys
-        self.nvars = nvars
-        self._batched = None
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    @property
-    def degrees(self):
-        return [p.degree() for p in self.polys]
-
-    def _evaluator(self) -> _Batched:
-        if self._batched is None:
-            self._batched = _Batched.of(self.polys, self.nvars)
-        return self._batched
-
-    def evaluate(self, x) -> np.ndarray:
-        """Values at a point (m,), or at each row of a (P, n) batch (P, m)."""
-        return self.evaluate_and_jacobian(x)[0]
-
-    def jacobian(self, x) -> np.ndarray:
-        """Jacobian at a point (m, n), or at each row of a batch (P, m, n)."""
-        return self.evaluate_and_jacobian(x)[1]
-
-    def evaluate_and_jacobian(self, x) -> tuple:
-        """evaluate(x) and jacobian(x), views of one evaluation's sums."""
-        sums = self._evaluator().evaluate(x)
-        m = len(self.polys)
-        return sums[..., :m], sums[..., m:].reshape(sums.shape[:-1] + (m, self.nvars))
 
 
 def _as_system(f) -> PolySystem:
@@ -333,7 +320,7 @@ class Homotopy:
             raise ContinuationError("target and start systems must match in shape")
         if not abs(abs(self.gamma) - 1.0) <= 1e-12:  # NaN too
             raise ContinuationError("gamma must lie on the unit circle")
-        # one stacked evaluator: rows [0, m) are the target, [m, 2m) the start
+        # one stacked system: rows [0, m) are the target, [m, 2m) the start
         object.__setattr__(self, "_both",
                            PolySystem(list(target.polys) + list(start.polys)))
 
@@ -436,8 +423,8 @@ def track_paths(h: Homotopy, starts, record: bool = False) -> list:
     accepted t, adaptive halving/doubling of the step, then a final Newton
     polish on the target at t = 0.  The paths advance in lockstep, so each
     step evaluates and solves them as one batch of up to _batch_rows(h)
-    rows: max(BLOCK_PATHS, BATCH_TERMS // T) for a stacked evaluator of T
-    terms, so that the evaluator's (rows, T) products stay within
+    rows: max(BLOCK_PATHS, BATCH_TERMS // T) for a stacked system of T
+    terms, so that its (rows, T) products stay within
     BATCH_TERMS whenever T >= BATCH_TERMS / BLOCK_PATHS.  Each Newton
     iterate evaluates h, dh/dx and dh/dt from one monomial table, and the
     predictor solves with the dh/dx and dh/dt kept from the accepted
@@ -530,7 +517,7 @@ def _track_share(sender, h: Homotopy, starts, record: bool) -> None:
 
 def _batch_rows(h: Homotopy) -> int:
     """The rows of one lockstep batch of h; see track_paths."""
-    return max(BLOCK_PATHS, BATCH_TERMS // h._both._evaluator().terms)
+    return max(BLOCK_PATHS, BATCH_TERMS // h._both.terms)
 
 
 def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
@@ -747,10 +734,7 @@ def pinned_member_system(sys: MemberConstraintSystem, p: Configuration):
     _require_pinned(p)
     n, d = sys.graph.n, sys.graph.d
     free = free_coordinate_positions(n, d)
-    zero = MultiPoly.constant(len(free), 0.0)  # pinned entries are exact zeros
-    coords = [[zero] * d for _ in range(n)]
-    for v, (i, k) in enumerate(free):
-        coords[i][k] = MultiPoly.variable(len(free), v)
+    coords = _pinned_coordinates(n, d, MultiPoly, len(free))
     return (PolySystem(member_polynomials(sys, coords)), free,
             p.coords[free_coordinate_mask(n, d)])
 

@@ -11,7 +11,7 @@ two must agree exactly.
 from __future__ import annotations
 
 from .framework import load_fixture, member_polynomials
-from .rigidity import symbolic_rigidity_matrix
+from .rigidity import _pinned_coordinates, symbolic_rigidity_matrix
 from .symbolic import RationalPoly, SymbolicError, ring_variables, symbolic_minors
 
 # -- adjacent minors of the generic 2 x 5 matrix ---------------------------
@@ -62,10 +62,7 @@ SLINGSHOT_VARIABLES = ("x21", "x31", "x32", "x41", "x42", "x51", "x52")
 def _slingshot():
     """The slingshot's constraint system and coordinate matrix: x_ik, or 0 if pinned."""
     graph, _, sys = load_fixture("slingshot")
-    gens = dict(zip(SLINGSHOT_VARIABLES, ring_variables(SLINGSHOT_VARIABLES)))
-    zero = RationalPoly.zero(SLINGSHOT_VARIABLES)
-    return sys, [[gens.get(f"x{i}{k}", zero) for k in range(1, graph.d + 1)]
-                 for i in range(1, graph.n + 1)]
+    return sys, _pinned_coordinates(graph.n, graph.d, RationalPoly, SLINGSHOT_VARIABLES)
 
 
 def slingshot_member_constraints() -> list:

@@ -7,6 +7,7 @@ infinitesimal-rigidity verdicts, moving-frame pinning, graph Laplacians.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -298,6 +299,16 @@ def free_coordinate_mask(n: int, d: int) -> np.ndarray:
     i (0-based) keeps its first min(i, d) coordinates, so entry (i, k) is
     k < i."""
     return np.arange(d) < np.arange(n)[:, None]
+
+
+def _pinned_coordinates(n: int, d: int, poly, ring) -> list:
+    """The n x d coordinate matrix of a framework pinned by pin_moving_frame,
+    over the ring of the polynomial class `poly`: the ring's generators at
+    the free coordinates, in free_coordinate_mask's row-major order, and its
+    zero at the pins."""
+    zero, free = poly.constant(ring, 0), itertools.count()
+    return [[poly.variable(ring, next(free)) if k else zero for k in row]
+            for row in free_coordinate_mask(n, d).tolist()]
 
 
 def _weighted_laplacian(graph: FrameworkGraph, w, what: str) -> np.ndarray:

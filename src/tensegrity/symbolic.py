@@ -440,7 +440,7 @@ def _tokenize(text: str):
         if kind == "num":
             out.append((kind, int(m.group(kind))))
         elif kind == "ratio":
-            out.append((kind, _exact(m.group(kind).replace(" ", ""))))
+            out.append((kind, _exact("".join(m.group(kind).split()))))
         else:
             out.append((kind, m.group(kind)))
     return out

@@ -47,11 +47,12 @@ def test_multipoly_arithmetic_matches_pointwise_evaluation():
             return MultiPoly(nvars, terms)
         a, b = rand_poly(), rand_poly()
         x = rng.normal(size=nvars) + 1j * rng.normal(size=nvars)
-        fa, fb = a.evaluate(x), b.evaluate(x)
-        assert (a + b).evaluate(x) == pytest.approx(fa + fb, rel=1e-12, abs=1e-12)
-        assert (a - b).evaluate(x) == pytest.approx(fa - fb, rel=1e-12, abs=1e-12)
-        assert (a * b).evaluate(x) == pytest.approx(fa * fb, rel=1e-11, abs=1e-11)
-        assert (a ** 2).evaluate(x) == pytest.approx(fa * fa, rel=1e-11, abs=1e-11)
+        value = lambda p: complex(PolySystem([p]).evaluate(x)[0])
+        fa, fb = value(a), value(b)
+        assert value(a + b) == pytest.approx(fa + fb, rel=1e-12, abs=1e-12)
+        assert value(a - b) == pytest.approx(fa - fb, rel=1e-12, abs=1e-12)
+        assert value(a * b) == pytest.approx(fa * fb, rel=1e-11, abs=1e-11)
+        assert value(a ** 2) == pytest.approx(fa * fa, rel=1e-11, abs=1e-11)
 
 
 def test_multipoly_derivative_of_monomial():
@@ -222,6 +223,14 @@ def test_non_square_system_rejected():
     f = PolySystem([MultiPoly(2, {(1, 0): 1.0})])
     with pytest.raises(ContinuationError):
         solve_total_degree(f, seed=0)
+
+
+def test_a_system_without_variables_is_refused():
+    for polys in ([MultiPoly(0, {})], [MultiPoly(0, {(): 2.0}), MultiPoly(0, {})]):
+        with pytest.raises(ContinuationError, match="at least one variable"):
+            PolySystem(polys)
+        with pytest.raises(ContinuationError, match="at least one variable"):
+            solve_total_degree(polys, seed=0)
 
 
 def test_pinned_member_system_prism(prism):
@@ -549,16 +558,16 @@ def test_results_do_not_depend_on_the_memory_layout_of_a_batch():
 
 
 def _record_evaluators(monkeypatch):
-    """Record every _Batched evaluator built, every one evaluated (once per
-    call) and every homotopy tracked, with the number of evaluations made
-    before it was tracked."""
+    """Record every system whose term set is built, every one evaluated
+    (once per call) and every homotopy tracked, with the number of
+    evaluations made before it was tracked."""
     built, evaluated, tracked = [], [], []
-    of, evaluate = continuation._Batched.of.__func__, continuation._Batched.evaluate
+    build_terms, evaluate = PolySystem._build, PolySystem._sums
     track = continuation.track_paths
 
-    def build(cls, polys, nvars):
-        built.append(of(cls, polys, nvars))
-        return built[-1]
+    def build(self):
+        built.append(self)
+        build_terms(self)
 
     def evaluate_recorded(self, x):
         evaluated.append(self)
@@ -568,8 +577,8 @@ def _record_evaluators(monkeypatch):
         tracked.append((h, len(evaluated)))
         return track(h, starts, record)
 
-    monkeypatch.setattr(continuation._Batched, "of", classmethod(build))
-    monkeypatch.setattr(continuation._Batched, "evaluate", evaluate_recorded)
+    monkeypatch.setattr(PolySystem, "_build", build)
+    monkeypatch.setattr(PolySystem, "_sums", evaluate_recorded)
     monkeypatch.setattr(continuation, "track_paths", track_recorded)
     return built, evaluated, tracked
 
@@ -583,8 +592,8 @@ def test_a_solve_evaluates_only_its_homotopy(monkeypatch):
     (h, _), = tracked
     # the step loop, the endgame polish and the final residuals read the
     # one stacked system; the target alone is never evaluated
-    assert built == [h._both._batched]
-    assert set(evaluated) == {h._both._batched}
+    assert built == [h._both]
+    assert set(evaluated) == {h._both}
 
 
 def test_a_deform_push_evaluates_only_its_homotopy(monkeypatch):
@@ -597,14 +606,14 @@ def test_a_deform_push_evaluates_only_its_homotopy(monkeypatch):
     # the member system, for the flex and the member residuals, and one
     # stacked system per push
     assert len(built) == 4
-    stacked = [h._both._batched for h, _ in tracked]
+    stacked = [h._both for h, _ in tracked]
     assert stacked == built[1:]
     # the flex, then per push its settle and tracking, then its member residual
     runs = [e for k, e in enumerate(evaluated) if k == 0 or e is not evaluated[k - 1]]
     members = built[0]
     assert runs == [members] + [e for b in stacked for e in (b, members)]
     for (h, before) in tracked:
-        assert evaluated[before - 1] is h._both._batched  # the settle
+        assert evaluated[before - 1] is h._both  # the settle
 
 
 def test_batch_with_a_start_point_off_the_start_system_raises():
@@ -660,7 +669,7 @@ def _count_batches(monkeypatch):
     the starts taken by then, and the rows of every evaluator call.  Returns
     the lists and a wrapper that counts the starts taken from an iterable."""
     taken, stepped, evaluated = [0], [], []
-    real_newton, real_evaluate = continuation._newton, continuation._Batched.evaluate
+    real_newton, real_evaluate = continuation._newton, PolySystem._sums
 
     def counted(starts):
         for x0 in starts:
@@ -678,7 +687,7 @@ def _count_batches(monkeypatch):
         return real_evaluate(self, x)
 
     monkeypatch.setattr(continuation, "_newton", newton)
-    monkeypatch.setattr(continuation._Batched, "evaluate", evaluate)
+    monkeypatch.setattr(PolySystem, "_sums", evaluate)
     return stepped, evaluated, counted
 
 
@@ -688,7 +697,7 @@ def test_refilled_batch_stays_full_and_bounds_the_evaluator(name, monkeypatch):
     # a term budget of 4 rows of the evaluator's terms makes batches of 4
     h, _ = _tracked(lambda: solve_total_degree(f, seed=3), monkeypatch)
     monkeypatch.setattr(continuation, "BLOCK_PATHS", 1)
-    monkeypatch.setattr(continuation, "BATCH_TERMS", 4 * h._both._evaluator().terms)
+    monkeypatch.setattr(continuation, "BATCH_TERMS", 4 * h._both.terms)
     assert continuation._batch_rows(h) == 4
     # one core, so that every path runs in this process, where it is counted
     monkeypatch.setattr(continuation, "_usable_cores", lambda: 1)
@@ -713,7 +722,7 @@ def test_no_evaluator_call_exceeds_the_batch_rule(name, monkeypatch):
     if name == "small_budget":
         # the quintic's batch is cut from all 75 paths to 10 by the budget
         h, starts = _tracked(lambda: solve_total_degree(_quintic(), seed=3), monkeypatch)
-        terms = h._both._evaluator().terms
+        terms = h._both.terms
         monkeypatch.setattr(continuation, "BLOCK_PATHS", 4)
         monkeypatch.setattr(continuation, "BATCH_TERMS", 11 * terms - 1)
         rows = 10
@@ -721,7 +730,7 @@ def test_no_evaluator_call_exceeds_the_batch_rule(name, monkeypatch):
         # past BATCH_TERMS / BLOCK_PATHS = 1,024 terms, batches keep BLOCK_PATHS rows
         h, starts = _tracked(lambda: solve_total_degree(_dense_system((5,) * 4, 5), seed=3),
                              monkeypatch)
-        terms = h._both._evaluator().terms
+        terms = h._both.terms
         assert terms > continuation.BATCH_TERMS // continuation.BLOCK_PATHS
         starts, rows = starts[:80], continuation.BLOCK_PATHS
     assert continuation._batch_rows(h) == rows
@@ -883,7 +892,7 @@ class _GatherReduce:
     """The evaluator before prefix products: a (P, U, n) gather of power
     table entries, one for every variable of every distinct monomial, and
     one product over the variables, left to right.  The reference for
-    _Batched."""
+    PolySystem's evaluation."""
 
     def __init__(self, polys, nvars, nrows, rows):
         self.nrows = nrows
@@ -1057,7 +1066,7 @@ def test_the_complex_scatter_gives_the_bincount_parts_bit_for_bit(name):
     f, X = SCATTER_CASES[name]()
     with np.errstate(over="ignore", invalid="ignore"):
         want = _scatter_reference(f, X.reshape(-1, f.nvars))
-        got = f._evaluator().evaluate(X)
+        got = f._sums(X)
     assert got.shape == X.shape[:-1] + (want.shape[1],)
     assert got.view(np.float64).tobytes() == want.tobytes()
     parts = got.view(np.float64)
@@ -1074,15 +1083,15 @@ def test_a_call_leaves_every_earlier_output_unchanged():
     f = _dense_system((3, 2, 2), 31)
     rng = np.random.default_rng(32)
     f.evaluate(rng.normal(size=3))
-    assert len(f._batched.products) == 1
+    assert len(f.products) == 1
     f.evaluate(rng.normal(size=(2, 3)))
-    assert len(f._batched.products) == continuation.BLOCK_PATHS
+    assert len(f.products) == continuation.BLOCK_PATHS
     outputs, copies = [], []
     for P in (65, 1, 64):
         X = rng.normal(size=(P, 3)) + 1j * rng.normal(size=(P, 3))
         out = (f.evaluate(X), f.jacobian(X)) + f.evaluate_and_jacobian(X)
         for a in out:
-            assert not np.shares_memory(a, f._batched.products)
+            assert not np.shares_memory(a, f.products)
         # a new evaluator, whose buffer no earlier call has filled
         out += PolySystem(f.polys).evaluate_and_jacobian(X)
         for a, b in zip(out[:2], out[2:4]):
@@ -1091,7 +1100,7 @@ def test_a_call_leaves_every_earlier_output_unchanged():
             assert np.array_equal(a, b)
         outputs.append(out)
         copies.append(tuple(a.copy() for a in out))
-    assert len(f._batched.products) == 65
+    assert len(f.products) == 65
     for out, kept in zip(outputs, copies):
         for a, b in zip(out, kept):
             assert np.array_equal(a, b)

@@ -5,7 +5,12 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from tensegrity import RationalPoly, buchberger, verify_containment
+import numpy as np
+import pytest
+import sympy
+
+from tensegrity import (RationalPoly, buchberger, load_fixture, normal_form_reduce,
+                        ring_variables, symbolic_minors, verify_containment)
 from tensegrity.ideals import (SLINGSHOT_PINNED, SLINGSHOT_VARIABLES,
                                adjacent_minor_primes,
                                adjacent_minors, column_minor,
@@ -13,6 +18,7 @@ from tensegrity.ideals import (SLINGSHOT_PINNED, SLINGSHOT_VARIABLES,
                                slingshot_matrix, slingshot_matrix_derived,
                                slingshot_member_constraints, slingshot_minors,
                                slingshot_primes)
+from tensegrity.rigidity import symbolic_rigidity_matrix
 
 
 def test_adjacent_minors_shape():
@@ -165,3 +171,78 @@ def test_groebner_generators_keep_integral_coefficients_as_ints():
     (g,) = buchberger([x]).generators
     assert g.terms == {(1,): 1, (0,): Fraction(-1, 2)}
     assert [type(c) for c in g.terms.values()] == [int, Fraction]
+
+
+# -- the 3-prism's singular locus ---------------------------------------------
+
+PRISM_VARIABLES = tuple(f"{axis}{i}" for i in (4, 5, 6) for axis in "xyz")
+
+
+def _prism_coordinates():
+    """The 3-prism's coordinate matrix with its bottom triangle fixed at
+    (0,0,0), (1,0,0), (0,1,0) and x4, ..., z6 free."""
+    fixed = [[RationalPoly.constant(PRISM_VARIABLES, c) for c in node]
+             for node in ((0, 0, 0), (1, 0, 0), (0, 1, 0))]
+    gens = iter(ring_variables(PRISM_VARIABLES))
+    return fixed + [[next(gens) for _ in range(3)] for _ in range(3)]
+
+
+def _prism_determinant():
+    """The 9x9 block of the symbolic rigidity matrix on the nine members
+    that are not bottom edges and the coordinates of nodes 4, 5, 6, and
+    its determinant."""
+    graph, p, _ = load_fixture("3prism")
+    matrix = symbolic_rigidity_matrix(graph, _prism_coordinates())
+    block = [row[9:] for row, i, j in zip(matrix, graph.heads.tolist(),
+                                          graph.tails.tolist()) if max(i, j) >= 3]
+    assert len(block) == 9
+    det, = symbolic_minors(block, 9)
+    return block, det, p
+
+
+def _face_concurrency(faces):
+    """The determinant of the four faces' plane coordinates, each the 3x3
+    minors of its nodes' homogeneous coordinates: zero when the four planes
+    meet in a point."""
+    coords = _prism_coordinates()
+    one = RationalPoly.constant(PRISM_VARIABLES, 1)
+    planes = [symbolic_minors([coords[int(v) - 1] + [one] for v in face], 3)
+              for face in faces]
+    det, = symbolic_minors(planes, 4)
+    return det
+
+
+def test_the_prism_determinant_is_one_irreducible_sextic():
+    block, det, _ = _prism_determinant()
+    assert (len(det.terms), det.total_degree()) == (37, 6)
+    symbols = sympy.symbols(PRISM_VARIABLES)
+    names = dict(zip(PRISM_VARIABLES, symbols))
+    want = sympy.Poly(sympy.Matrix([[sympy.sympify(str(e), locals=names) for e in row]
+                                    for row in block]).det(method="domain-ge"), *symbols)
+    assert want == sympy.Poly(sympy.sympify(str(det), locals=names), *symbols)
+    _, factors = want.factor_list()
+    assert [k for _, k in factors] == [1]
+
+
+@pytest.mark.parametrize("faces", [("123", "145", "256", "346"),
+                                   ("456", "125", "236", "314")])
+def test_the_prism_determinant_lies_in_each_face_concurrency_ideal(faces):
+    _, det, _ = _prism_determinant()
+    concurrency = _face_concurrency(faces)
+    assert (len(concurrency.terms), concurrency.total_degree()) == (37, 6)
+    assert normal_form_reduce(det, [concurrency]).is_zero()
+
+
+def test_the_prism_determinant_vanishes_at_the_fixture():
+    """At the affine image of the fixture that sends its bottom triangle to
+    the fixed one, and not after one node moves."""
+    _, det, p = _prism_determinant()
+    assert max(abs(c) for c in det.terms.values()) == 2
+    a, b, c = p.coords[:3]
+    u, v = b - a, c - a
+    image = (p.coords - a) @ np.linalg.inv(np.column_stack([u, v, np.cross(u, v)])).T
+    assert np.allclose(image[:3], [[0, 0, 0], [1, 0, 0], [0, 1, 0]], atol=1e-15)
+    top = image[3:].reshape(-1)
+    assert abs(det.evaluate([Fraction(t) for t in top])) <= 1e-14
+    top[0] += 0.1
+    assert abs(det.evaluate([Fraction(t) for t in top])) >= 1e-2

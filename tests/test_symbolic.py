@@ -40,6 +40,9 @@ def test_parse_handles_fractions_and_signs():
     p = RationalPoly.parse("-x^2*y + 3/4*x - 2", ("x", "y"))
     assert p == -(x ** 2) * y + x * Fraction(3, 4) - 2
     assert str(p) == "-x^2*y + 3/4*x - 2"
+    # any whitespace may stand around a fraction's slash
+    for text in ("1\t/2*x", "1/\n2*x"):
+        assert RationalPoly.parse(text, ("x", "y")) == x * Fraction(1, 2)
 
 
 def test_exact_arithmetic_matches_pointwise():
