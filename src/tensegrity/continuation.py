@@ -218,7 +218,7 @@ class PolySystem:
         # from 0 (the constant 1)
         column = np.zeros(len(E), dtype=np.int64)
         self.width = (self.max_exp + 1) * nvars
-        self.levels = []  # per level: (its columns, (u, 2) (prefix, power) pairs)
+        self.levels = []  # per level: its columns, their prefix and power columns
         for k in range(1, int(level.max(initial=0)) + 1):
             wide = np.flatnonzero(level >= k)
             kth = power[wide, np.argmax(count[wide] == k, axis=1)]
@@ -232,7 +232,7 @@ class PolySystem:
             at = np.array([slot.setdefault(pair, len(slot)) for pair in
                            zip(column[wide].tolist(), kth.tolist())], dtype=np.int64)
             self.levels.append((slice(self.width, self.width + len(slot)),
-                                np.array(list(slot), dtype=np.int64)))
+                                *np.array(list(zip(*slot)), dtype=np.int64)))
             column[wide] = self.width + at
             self.width += len(slot)
         self.column = column[monomial]
@@ -252,10 +252,12 @@ class PolySystem:
         return self.evaluate_and_jacobian(x)[1]
 
     def evaluate_and_jacobian(self, x) -> tuple:
-        """evaluate(x) and jacobian(x), views of one evaluation's sums."""
+        """evaluate(x) and jacobian(x) from one evaluation's sums, both
+        C-contiguous: at a batch of several points, copies of its columns."""
         sums = self._sums(x)
         m = len(self.polys)
-        return sums[..., :m], sums[..., m:].reshape(sums.shape[:-1] + (m, self.nvars))
+        return (np.ascontiguousarray(sums[..., :m]),
+                np.ascontiguousarray(sums[..., m:]).reshape(sums.shape[:-1] + (m, self.nvars)))
 
     def _sums(self, x) -> np.ndarray:
         """The row sums at a point (nrows,) or a batch (P, nrows), in a new array."""
@@ -271,8 +273,7 @@ class PolySystem:
             self.wide_rows = (self.rows + self.nrows * points).ravel()
             self.products = np.empty((len(points), terms), dtype=complex)
         # the indices are in range, and mode="raise" would buffer the take
-        vals = np.take(self._table(X), self.column, axis=1, out=self.products[:P],
-                       mode="clip")
+        vals = self._table(X).take(self.column, axis=1, out=self.products[:P], mode="clip")
         # this operand order keeps the bits of self.coeffs * vals
         np.multiply(self.coeffs, vals, out=vals)
         # ufunc.at adds in index order from 0 and complex addition is part
@@ -292,9 +293,9 @@ class PolySystem:
         for k in range(1, K):
             np.multiply(table[k - 1], X, out=table[k])
         mono = np.empty((P, self.width), dtype=complex)
-        mono[:, :K * n] = table.transpose(1, 0, 2).reshape(P, K * n)
-        for columns, pairs in self.levels:
-            np.multiply(mono.take(pairs[:, 0], axis=1), mono.take(pairs[:, 1], axis=1),
+        np.copyto(mono[:, :K * n].reshape(P, K, n), table.transpose(1, 0, 2))
+        for columns, prefix, power in self.levels:
+            np.multiply(mono.take(prefix, axis=1), mono.take(power, axis=1),
                         out=mono[:, columns])
         return mono
 
@@ -328,14 +329,20 @@ class Homotopy:
         """h, dh/dx and dh/dt at x, from one monomial table: (m,), (m, n)
         and (m,) at a point with a scalar t, or (P, m), (P, m, n) and (P, m)
         at a (P, n) batch with one t per row."""
-        values, jac = self._both.evaluate_and_jacobian(x)
-        m = len(self.target)
-        f, g = values[..., :m], values[..., m:]
+        sums = self._both._sums(x)
+        m, n = len(self.target), self.target.nvars
+        f, g = sums[..., :m], sums[..., m:2 * m]
+        jac = sums[..., 2 * m:].reshape(sums.shape[:-1] + (2 * m, n))
         t = np.asarray(t, dtype=float)[..., None]
-        h = (1.0 - t) * f + self.gamma * t * g
-        t = t[..., None]
-        dh_dx = (1.0 - t) * jac[..., :m, :] + self.gamma * t * jac[..., m:, :]
-        return h, dh_dx, self.gamma * g - f
+        # the products and sums of (1 - t) f + gamma t g, operand for operand
+        a, b = 1.0 - t, self.gamma * t
+        h = a * f
+        h += b * g
+        dh_dx = a[..., None] * jac[..., :m, :]
+        dh_dx += b[..., None] * jac[..., m:, :]
+        dh_dt = self.gamma * g
+        dh_dt -= f
+        return h, dh_dx, dh_dt
 
     def end(self, which: int):
         """_newton's system for the target (which = 0) or start (1) rows of
@@ -358,6 +365,11 @@ class TrackResult:
     #: endgame polish, and rejected steps
     newton_updates: int = field(default=0, compare=False)
     rejected_steps: int = field(default=0, compare=False)
+    #: in no report either: the 2-norm condition number of the target
+    #: Jacobian at the endpoint, inf where the endpoint or that Jacobian is
+    #: not finite or the Jacobian is singular; nan on a result that was not
+    #: tracked (a settle_failed deformation step)
+    condition: float = field(default=math.nan, compare=False)
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> tuple:
@@ -388,30 +400,31 @@ def _newton(system, x, tol, max_iter):
     last iterate of every row and its number of updates."""
     x = x.copy()
     ok = np.zeros(len(x), dtype=bool)
-    updates = np.zeros(len(x), dtype=int)
+    # a row that leaves the loop in iteration k has made k updates
+    updates = np.full(len(x), max_iter + 1)
     rows, z = np.arange(len(x)), x
-    for _ in range(max_iter + 1):
+    for made in range(max_iter + 1):
         r, J = system(z, rows)
-        done = np.linalg.norm(r, axis=1) <= tol
+        done = _row_norms(r) <= tol
         finished = np.count_nonzero(done)
         if finished:
-            x[rows[done]] = z[done]
-            ok[rows[done]] = True
+            ended = rows[done]
+            x[ended], ok[ended], updates[ended] = z[done], True, made
             if finished == len(rows):
                 return x, ok, updates
             keep = ~done
             rows, z, tol, r, J = rows[keep], z[keep], tol[keep], r[keep], J[keep]
         dz, singular = _solve(J, r)
         if singular:
-            x[rows[singular]] = z[singular]
+            ended = rows[singular]
+            x[ended], updates[ended] = z[singular], made
             if len(singular) == len(rows):
                 return x, ok, updates
             keep = np.ones(len(rows), dtype=bool)
             keep[singular] = False
             rows, z, tol, dz = rows[keep], z[keep], tol[keep], dz[keep]
         z = z - dz
-        updates[rows] += 1
-    ok[rows] = np.linalg.norm(system(z, rows)[0], axis=1) <= tol
+    ok[rows] = _row_norms(system(z, rows)[0]) <= tol
     x[rows] = z
     return x, ok, updates
 
@@ -555,7 +568,7 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
             if new:
                 X, k = np.array(new), len(new)
                 value, jac_new, hdot_new = h.evaluate(X, np.ones(k))
-                for res in np.linalg.norm(value, axis=1):
+                for res in _row_norms(value):
                     if not res <= TOL_START:  # NaN too
                         raise ContinuationError(
                             "start point is not on the start system "
@@ -580,33 +593,44 @@ def _track_lockstep(h: Homotopy, starts, record: bool) -> list:
         # a row whose predictor failed is corrected too, and then rejected
         x_pred = x - step[:, None] * dxdt
         corr_tol = NEWTON_TOL * _scale(x_pred, deg_h)
-        hdot_new, jac_new = np.empty_like(hdot), np.empty_like(jac)
 
         def system(z, rows):
+            # _newton's first call is on every row, and its dh/dx and dh/dt
+            # become the arrays that later calls store their rows into
+            nonlocal hdot_new, jac_new
+            if len(rows) == len(t_new):
+                value, jac_new, hdot_new = h.evaluate(z, t_new)
+                return value, jac_new
             value, dh_dx, dh_dt = h.evaluate(z, t_new[rows])
             jac_new[rows], hdot_new[rows] = dh_dx, dh_dt
             return value, dh_dx
 
         x_corr, ok, made = _newton(system, x_pred, corr_tol, MAX_NEWTON)
-        ok[singular] = False
+        if singular:
+            ok[singular] = False
+        steps += 1
+        updates += made
         # an accepted row's last evaluation was at its new point and t
-        x = np.where(ok[:, None], x_corr, x)
-        hdot = np.where(ok[:, None], hdot_new, hdot)
-        jac = np.where(ok[:, None, None], jac_new, jac)
-        t = np.where(ok, t_new, t)
+        if ok.all():
+            x, hdot, jac, t = x_corr, hdot_new, jac_new, t_new
+            accepts += 1
+        else:
+            x = np.where(ok[:, None], x_corr, x)
+            hdot = np.where(ok[:, None], hdot_new, hdot)
+            jac = np.where(ok[:, None, None], jac_new, jac)
+            t = np.where(ok, t_new, t)
+            rejected += ~ok
+            accepts = np.where(ok, accepts + 1, 0)
+            dt = np.where(ok, dt, dt * 0.5)
         if record:
             for k, t_k in zip(np.flatnonzero(ok).tolist(), t[ok].tolist()):
                 trajs[idx[k]].append((t_k, x[k].copy()))
 
-        steps += 1
-        updates += made
-        rejected += ~ok
-        accepts = np.where(ok, accepts + 1, 0)
+        # a row grows its step only after an accepted one
         grow = accepts >= GROW_AFTER
         accepts[grow] = 0
-        dt = np.where(grow, np.minimum(dt * 2.0, DT_MAX),
-                      np.where(ok, dt, dt * 0.5))
-        diverged = ok & (np.linalg.norm(x, axis=1) > DIVERGENCE)
+        np.minimum(dt * 2.0, DT_MAX, out=dt, where=grow)
+        diverged = ok & (_row_norms(x) > DIVERGENCE)
         # a path ends at T_CUTOFF, diverged, at the step cap or on a
         # rejection below DT_MIN; _finish labels it
         keep = ((t > T_CUTOFF) & (steps < MAX_STEPS) & (ok | (dt >= DT_MIN))
@@ -638,7 +662,13 @@ def _scale(points: np.ndarray, deg: int) -> np.ndarray:
     scale of the tracker's residual tolerances, since far from the origin
     the residual floor is about eps * |x|^deg."""
     with np.errstate(over="ignore"):
-        return 1.0 + np.linalg.norm(points, axis=1) ** deg
+        return 1.0 + _row_norms(points) ** deg
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1) of a complex (P, k) array, bit for bit: the
+    expression that function evaluates, without its argument handling."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=1))
 
 
 def _finish(h: Homotopy, deg: int, ended: list, results: list, trajs) -> None:
@@ -661,11 +691,22 @@ def _finish(h: Homotopy, deg: int, ended: list, results: list, trajs) -> None:
             for i in end:
                 trajs[ids[i]].append((0.0, X[i].copy()))
 
-    residual = np.full(len(X), np.inf)
+    residual, condition = np.full(len(X), np.inf), np.full(len(X), np.inf)
     finite = np.all(np.isfinite(X), axis=1)
     if finite.any():
-        residual[finite] = np.linalg.norm(target(X[finite])[0], axis=1)
-    far = ~finite | (np.linalg.norm(X, axis=1) > DIVERGENCE)
+        values, jac = target(X[finite])
+        residual[finite] = _row_norms(values)
+        # sigma_max / sigma_min of the target Jacobian, left inf where it
+        # is not finite or sigma_min is 0.  The real form [[Re, -Im], [Im,
+        # Re]] has the same singular values, each twice, and its SVD is the
+        # real LAPACK routine that the rest of the package already loads.
+        tame = np.all(np.isfinite(jac), axis=(1, 2))
+        J = jac[tame]
+        s = np.linalg.svd(np.block([[J.real, -J.imag], [J.imag, J.real]]), compute_uv=False)
+        with np.errstate(over="ignore"):
+            condition[np.flatnonzero(finite)[tame]] = np.divide(
+                s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] > 0)
+    far = ~finite | (_row_norms(X) > DIVERGENCE)
     good = residual <= TOL_END_REL * _scale(X, deg)
     status = np.where(far, "diverged", np.where(reached & good, "converged",
                                                 "step_underflow")).tolist()
@@ -676,7 +717,8 @@ def _finish(h: Homotopy, deg: int, ended: list, results: list, trajs) -> None:
                                  max_imag=float(max_imag[k]),
                                  trajectory=() if trajs is None else tuple(trajs[i]),
                                  newton_updates=int(updates[k]),
-                                 rejected_steps=n_rejected)
+                                 rejected_steps=n_rejected,
+                                 condition=float(condition[k]))
 
 
 def solve_total_degree(f, seed=None, budget: int | None = None,

@@ -339,6 +339,7 @@ def test_deform_reports_an_anchor_that_does_not_settle():
     assert step.real is True
     assert np.isnan(step.member_residual)
     assert step.result.residual == 1.569842129607382
+    assert np.isnan(step.result.condition)  # nothing was tracked
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -376,6 +377,7 @@ def _assert_same_result(a, b):
     assert (a.newton_updates, a.rejected_steps) == (b.newton_updates, b.rejected_steps)
     assert 0 <= a.rejected_steps <= a.steps and a.newton_updates >= 0
     assert (repr(a.residual), repr(a.max_imag)) == (repr(b.residual), repr(b.max_imag))
+    assert repr(a.condition) == repr(b.condition)
     assert len(a.trajectory) == len(b.trajectory)
     for (ta, xa), (tb, xb) in zip(a.trajectory, b.trajectory):
         assert ta == tb and np.array_equal(xa, xb)
@@ -789,11 +791,44 @@ def test_forked_shares_give_the_results_of_one_process(cores, monkeypatch):
     shared = solve_total_degree(_quintic(), seed=3, record=True)
     assert forks == [cores]
     assert len(shared) == len(alone) == 75
-    # the work counters come back through the pipe with the rest
+    # the work counters and condition numbers come back through the pipe
+    # with the rest
     for a, b in zip(shared, alone):
         _assert_same_result(a, b)
     assert all(r.newton_updates > 0 for r in shared)
+    assert not any(np.isnan(r.condition) for r in shared)
     assert any(r.rejected_steps > 0 for r in shared)
+
+
+def _parsed(variables, equations):
+    return PolySystem([MultiPoly(len(variables), RationalPoly.parse(text, variables).terms)
+                       for text in equations])
+
+
+def test_an_endpoint_carries_the_condition_number_of_its_target_jacobian():
+    """sigma_max / sigma_min of the target Jacobian at the endpoint: small at
+    the simple roots of the fractional system of tools/write_reports.py,
+    large or inf at a double root."""
+    fractional = solve_total_degree(_parsed(["x", "y"], ["x^2 + 1/3*y^2 - 2",
+                                                         "x*y - 1/2*x + 3/4"]), seed=0)
+    assert [r.status for r in fractional] == ["converged"] * 4
+    assert all(1.0 <= r.condition < 10.0 for r in fractional)
+    double = solve_total_degree(_parsed(["x", "y"], ["x^2 - 2*x*y + y^2", "x + y - 2"]),
+                                seed=0)
+    assert [r.status for r in double] == ["converged"] * 2
+    assert all(r.condition >= 1e5 for r in double)
+
+
+def test_an_endpoint_whose_target_jacobian_is_not_finite_has_condition_inf():
+    """A finite endpoint far enough out that the Jacobian overflows, here
+    to inf and NaN entries, which an SVD refuses."""
+    h = Homotopy(target=_univariate([1, 0, 0, -2]), start=_univariate([1, 0, 0, -1]))
+    results = [None]
+    ended = [(0, np.array([1e200 + 1e200j]), False, 1, 0, 0)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the evaluation's own
+        assert not np.isfinite(h.target.jacobian(ended[0][1])).any()
+        continuation._finish(h, 3, ended, results, None)
+    assert (results[0].status, results[0].condition) == ("diverged", np.inf)
 
 
 def test_no_more_processes_than_batches_of_starts(monkeypatch):
@@ -1074,6 +1109,23 @@ def test_the_complex_scatter_gives_the_bincount_parts_bit_for_bit(name):
     if name == "non_finite_imaginary":
         assert parts[0, :2].tolist() == [2.0, np.inf]
         assert parts[0, 2] == 4.0 and np.isnan(parts[0, 3])
+
+
+def test_evaluations_are_c_contiguous_at_a_point_and_at_a_batch():
+    """Each output of an evaluation is one C-contiguous array, as the
+    row sums it comes from are: rows of values, then of Jacobian entries."""
+    f, g = _dense_system((3, 2, 2), 51), _dense_system((2, 2, 2), 52)
+    h = Homotopy(target=f, start=g, gamma=complex(np.exp(0.2j)))
+    rng = np.random.default_rng(53)
+    for P in (None, 1, 5):
+        shape = (3,) if P is None else (P, 3)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        t = 0.25 if P is None else rng.uniform(size=P)
+        outputs = ((f._sums(x), f.evaluate(x), f.jacobian(x)) + f.evaluate_and_jacobian(x)
+                   + h.evaluate(x, t))
+        for out in outputs:
+            assert out.flags.c_contiguous
+            assert out.view(np.float64).shape[-1] == 2 * out.shape[-1]
 
 
 def test_a_call_leaves_every_earlier_output_unchanged():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import sympy
 
-from tensegrity import (RationalPoly, buchberger, load_fixture, normal_form_reduce,
+from tensegrity import (Configuration, RationalPoly, build_constraints, buchberger,
+                        load_fixture, normal_form_reduce, nullspace_decomposition,
                         ring_variables, symbolic_minors, verify_containment)
 from tensegrity.ideals import (SLINGSHOT_PINNED, SLINGSHOT_VARIABLES,
                                adjacent_minor_primes,
@@ -246,3 +247,36 @@ def test_the_prism_determinant_vanishes_at_the_fixture():
     assert abs(det.evaluate([Fraction(t) for t in top])) <= 1e-14
     top[0] += 0.1
     assert abs(det.evaluate([Fraction(t) for t in top])) >= 1e-2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_prism_determinant_vanishes_where_a_flex_and_a_stress_appear(seed):
+    """On a random line through a random top, D is a sextic in the line's
+    parameter, which its values at seven points give.  At a real root of
+    it the framework has one flex and one self stress; at the top, where D
+    is not zero, it has neither."""
+    _, det, _ = _prism_determinant()
+    graph, _, _ = load_fixture("3prism")
+    bottom = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+
+    def D(top):
+        return float(det.evaluate([Fraction(c) for c in top]))
+
+    def flexes_and_stresses(top):
+        p = Configuration(np.vstack([bottom, top.reshape(3, 3)]))
+        split = nullspace_decomposition(build_constraints(graph, p), p)
+        return split.flexes.shape[1], split.self_stresses.shape[1]
+
+    rng = np.random.default_rng(seed)
+    top = rng.uniform(-1.0, 1.0, size=9) + np.tile([0.0, 0.0, 1.0], 3)
+    assert abs(D(top)) >= 1e-3
+    assert flexes_and_stresses(top) == (0, 0)
+    s = np.arange(-3.0, 4.0)
+    real = np.array([])
+    while not real.size:  # a line whose sextic has no real root is drawn again
+        line = rng.normal(size=9)
+        roots = np.roots(np.polyfit(s, [D(top + c * line) for c in s], 6))
+        real = roots[np.abs(roots.imag) <= 1e-9].real
+    root = top + real[np.argmin(np.abs(real))] * line
+    assert abs(D(root)) <= 1e-9
+    assert flexes_and_stresses(root) == (1, 1)

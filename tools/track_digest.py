@@ -29,9 +29,18 @@ its generators, and every `verify_containment` that the CLI runs gets a
 line with the text of its remainders, in order.  Exact arithmetic has no
 last bits to move, so any change there shows as a difference.
 
+A `deform` command also gets a line per step of its walk: its status, the
+`repr` of its residual and member residual, and the sha256 of its point's
+bytes.  A step that ends `settle_failed` tracks no path, so this line is
+its only record.
+
 - `epscheck` on triangle and hinge, at seeds 0 and 5;
-- `deform --steps 3` on 3prism, square and hinge;
+- `deform --steps 3` on 3prism, square and hinge, and on the strained
+  square of `tools/write_reports.py`, whose walk ends `settle_failed`;
 - `solve` on the three systems of `tools/write_reports.py`;
+- `solve` on `seed34_system1`, `seed45_system2` and `seed102_system8` of
+  `tests/test_root_count.py`, each at its own seed: dense systems in three
+  and four variables, with a path to infinity and two tracking jumps;
 - `verify-ideals`;
 - `buchberger` on the slingshot's seven member constraints in lex order,
   called directly (496 S-pairs, 15 generators).
@@ -49,21 +58,38 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from tensegrity import cli, continuation, symbolic  # noqa: E402
 from tensegrity.cli import run_command  # noqa: E402
 from tensegrity.ideals import slingshot_member_constraints  # noqa: E402
-from write_reports import SEED, SYSTEMS  # noqa: E402
+from test_root_count import SYSTEMS as ROOT_COUNT_SYSTEMS  # noqa: E402
+from write_reports import SEED, STRAINED_SQUARE, SYSTEMS  # noqa: E402
+
+#: systems of tests/test_root_count.py solved at their own seeds
+DENSE = ("seed34_system1", "seed45_system2", "seed102_system8")
+
+
+def inputs() -> dict:
+    """The input documents by file stem."""
+    docs = dict(SYSTEMS, strained_square=STRAINED_SQUARE)
+    for name in DENSE:
+        variables, equations, _, _ = ROOT_COUNT_SYSTEMS[name]
+        docs[name] = {"variables": variables, "equations": equations}
+    return docs
 
 
 def commands(input_dir: Path) -> list:
     out = [["epscheck", fx, "--seed", seed]
            for seed in ("0", "5") for fx in ("triangle", "hinge")]
     out += [["deform", fx, "--steps", "3", "--seed", SEED]
-            for fx in ("3prism", "square", "hinge")]
+            for fx in ("3prism", "square", "hinge", str(input_dir / "strained_square.json"))]
     out += [["solve", str(input_dir / f"{name}.json"), "--seed", SEED]
             for name in SYSTEMS]
+    out += [["solve", str(input_dir / f"{name}.json"), "--seed",
+             str(ROOT_COUNT_SYSTEMS[name][2])] for name in DENSE]
     out.append(["verify-ideals"])
     return out
 
@@ -72,6 +98,12 @@ def basis_line(basis) -> str:
     return (f"  basis {basis.order} {basis.pairs_processed} "
             f"{basis.pairs_skipped} {basis.peak_basis_size}: "
             + "; ".join(map(str, basis.generators)))
+
+
+def step_line(k: int, step) -> str:
+    point = hashlib.sha256(step.point.tobytes()).hexdigest()
+    return (f"  step {k} {step.result.status} {step.result.residual!r} "
+            f"{step.member_residual!r} {point}")
 
 
 def digest(result) -> str:
@@ -88,11 +120,13 @@ def main(argv) -> int:
     captured = []
     harvest = []  # per polish call: endpoints polished, residuals at most 1e-10
     checks = []  # per ε-check: its witnesses
+    walks = []  # per deformation walk: its steps
     bases = []  # every Groebner basis, in the order they are computed
     containments = []  # every containment report of the CLI
     real = continuation.track_paths
     real_polish = continuation._polish_real
     real_check = cli.epsilon_rigidity_check
+    real_deform = cli.deform_framework
     real_buchberger = symbolic.buchberger
     real_containment = cli.verify_containment
 
@@ -113,6 +147,11 @@ def main(argv) -> int:
         checks.append(result.witnesses)
         return result
 
+    def deform(*args, **kwargs):
+        steps = real_deform(*args, **kwargs)
+        walks.append(steps)
+        return steps
+
     def buchberger(*args, **kwargs):
         basis = real_buchberger(*args, **kwargs)
         bases.append(basis)
@@ -127,17 +166,19 @@ def main(argv) -> int:
     continuation.track_paths = capture
     continuation._polish_real = polish
     cli.epsilon_rigidity_check = check
+    cli.deform_framework = deform
     symbolic.buchberger = buchberger
     cli.verify_containment = containment
     try:
         with tempfile.TemporaryDirectory() as tmp:
             input_dir = Path(tmp)
-            for name, doc in SYSTEMS.items():
+            for name, doc in inputs().items():
                 (input_dir / f"{name}.json").write_text(json.dumps(doc))
             for cmd in commands(input_dir):
                 captured.clear()
                 harvest.clear()
                 checks.clear()
+                walks.clear()
                 bases.clear()
                 containments.clear()
                 with contextlib.redirect_stdout(io.StringIO()):
@@ -153,6 +194,8 @@ def main(argv) -> int:
                         f"{sum(h[1] for h in harvest)} accepted, "
                         f"{len(witnesses)} witnesses "
                         f"{hashlib.sha256(coords.tobytes()).hexdigest()}")
+                lines += [step_line(k, step) for steps in walks
+                          for k, step in enumerate(steps)]
                 lines += map(basis_line, bases)
                 lines += ["  remainders: " + " | ".join(map(str, report.remainders))
                           for report in containments]
@@ -160,6 +203,7 @@ def main(argv) -> int:
         continuation.track_paths = real
         continuation._polish_real = real_polish
         cli.epsilon_rigidity_check = real_check
+        cli.deform_framework = real_deform
         symbolic.buchberger = real_buchberger
         cli.verify_containment = real_containment
     lines.append("buchberger on the slingshot member constraints, lex:")
