@@ -513,57 +513,54 @@ def _parse(text: str, variables) -> RationalPoly:
 
 
 class _Divisor:
-    """A nonzero g prepared for `_divide`: its leading exponents, the
-    variables they hold as bits of `support`, its total degree, and its tail
-    divided by the leading coefficient and negated (through Fraction, so
-    that an int lead never gives a float).
+    """A nonzero polynomial prepared for `_divide`, from its term map and
+    its leading exponents: the variables they hold as bits of `support`,
+    its total degree, and its tail divided by the leading coefficient and
+    negated (through Fraction, so that an int lead never gives a float).
     """
 
-    __slots__ = ("lead", "support", "degree", "tail", "_packed")
+    __slots__ = ("lead", "support", "degree", "tail")
 
-    def __init__(self, g: RationalPoly, order: str):
-        self.degree = g.total_degree()
-        self.lead, lc = g.leading(order)
-        scale = _exact(Fraction(-1, lc))
-        self.support = sum(1 << i for i, a in enumerate(self.lead) if a)
-        self.tail = [(e, _exact(c * scale)) for e, c in g.terms.items() if e != self.lead]
-        self._packed = {}
-
-    def packed(self, packing: _Packing):
-        """(leading key, packed leading key, tail as (key, coefficient)
-        pairs), computed once per field width."""
-        got = self._packed.get(packing.width)
-        if got is None:
-            key = packing.key
-            klead = key(self.lead)
-            got = self._packed[packing.width] = (
-                klead, -klead if packing.flip else klead,
-                [(key(e), c) for e, c in self.tail])
-        return got
+    def __init__(self, terms: dict, lead: tuple):
+        scale = _exact(Fraction(-1, terms[lead]))
+        self.lead = lead
+        self.support = sum(1 << i for i, a in enumerate(lead) if a)
+        self.degree = max(map(sum, terms))
+        self.tail = [(e, _exact(c * scale)) for e, c in terms.items() if e != lead]
 
 
 class _Divisors:
-    """Divisors in the order they are tried, with their ring (None if there
-    are none), the monomial order they are prepared for and their largest
-    degree.  Their keys are packed once for each field width asked for.
+    """The nonzero members of a list of polynomials, prepared for division
+    in the order they are tried, with their ring (None if there are none),
+    the monomial order and their largest degree.  Each member's keys are
+    packed once for each field width asked for.
     """
 
     __slots__ = ("order", "ring", "members", "degree", "_packed")
 
-    def __init__(self, order: str, ring, members):
-        self.order, self.ring, self.members = order, ring, list(members)
-        self.degree = max((d.degree for d in self.members), default=0)
-        self._packed = {}
+    def __init__(self, order: str, polys):
+        nonzero = [g for g in polys if not g.is_zero()]
+        self.ring = nonzero[0].variables if nonzero else None
+        if any(g.variables != self.ring for g in nonzero):
+            raise SymbolicError("polynomials live in different rings")
+        self.order, self.members, self.degree, self._packed = order, [], 0, {}
+        for g in nonzero:
+            self.append(g.terms, g.leading(order)[0])
 
-    def append(self, divisor: _Divisor):
+    def append(self, terms: dict, lead: tuple):
+        divisor = _Divisor(terms, lead)
         self.members.append(divisor)
         self.degree = max(self.degree, divisor.degree)
-        self._packed.clear()
 
     def at(self, packing: _Packing) -> list:
-        got = self._packed.get(packing.width)
-        if got is None:
-            got = self._packed[packing.width] = [d.packed(packing) for d in self.members]
+        """(leading key, packed leading key, tail as (key, coefficient)
+        pairs) of each member, keyed by packing."""
+        got = self._packed.setdefault(packing.width, [])
+        key = packing.key
+        for d in self.members[len(got):]:
+            klead = key(d.lead)
+            got.append((klead, -klead if packing.flip else klead,
+                        [(key(e), c) for e, c in d.tail]))
         return got
 
     def reduce(self, dividend, bound: int, n: int):
@@ -581,15 +578,6 @@ class _Divisors:
             if remainder is not None:
                 return packing, remainder
             bound = 1 << 2 * packing.width
-
-
-def _prepare(G, order: str) -> _Divisors:
-    """The nonzero members of G as divisors."""
-    nonzero = [g for g in G if not g.is_zero()]
-    ring = nonzero[0].variables if nonzero else None
-    if any(g.variables != ring for g in nonzero):
-        raise SymbolicError("polynomials live in different rings")
-    return _Divisors(order, ring, [_Divisor(g, order) for g in nonzero])
 
 
 def _remainder(p: dict, packing: _Packing, divisors: list) -> dict | None:
@@ -663,7 +651,7 @@ def normal_form_reduce(f: RationalPoly, G, order: str = "degrevlex") -> Rational
     G is prepared for division on every call; `GroebnerBasis.reduce`
     prepares its generators once.
     """
-    return _divide(f, _prepare(G, order))
+    return _divide(f, _Divisors(order, G))
 
 
 def s_polynomial(f: RationalPoly, g: RationalPoly, order: str = "degrevlex"):
@@ -696,7 +684,7 @@ class GroebnerBasis:
 
     @functools.cached_property
     def _divisors(self):
-        return _prepare(self.generators, self.order)
+        return _Divisors(self.order, self.generators)
 
     def reduce(self, f: RationalPoly) -> RationalPoly:
         return _divide(f, self._divisors)
@@ -718,15 +706,13 @@ def buchberger(gens, order: str = "degrevlex",
     """
     _order_key(order, 0)  # rejects an unknown order
     _natural(pair_budget, SymbolicError, "pair_budget")
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
-    if not basis:
+    divisors = _Divisors(order, gens)
+    members = divisors.members
+    if not members:
         return GroebnerBasis((), order)
-    variables = basis[0].variables
-    if any(g.variables != variables for g in basis):
-        raise SymbolicError("generators live in different rings")
-    divisors = _Divisors(order, variables, [_Divisor(g, order) for g in basis])
+    n = len(divisors.ring)
 
-    pairs = deque(itertools.combinations(range(len(basis)), 2))
+    pairs = deque(itertools.combinations(range(len(members)), 2))
     processed = skipped = 0
     while pairs:
         i, j = pairs.popleft()
@@ -734,27 +720,23 @@ def buchberger(gens, order: str = "degrevlex",
         if processed > pair_budget:
             raise PairBudgetError(
                 f"Buchberger exceeded the budget of {pair_budget} S-pairs")
-        di, dj = divisors.members[i], divisors.members[j]
+        di, dj = members[i], members[j]
         if not di.support & dj.support:
             skipped += 1
             continue  # coprime leading monomials reduce to zero
         lcm = tuple(map(max, di.lead, dj.lead))
         packing, rem = divisors.reduce(
-            functools.partial(_s_polynomial, divisors, i, j, lcm),
-            sum(lcm), len(variables))
+            functools.partial(_s_polynomial, divisors, i, j, lcm), sum(lcm), n)
         if rem:
-            exponents = packing.exponents
-            lc = Fraction(next(iter(rem.values())))  # of the leading term
-            g = RationalPoly._make(
-                variables, {exponents(k): c / lc for k, c in rem.items()})
-            basis.append(g)
-            divisors.append(_Divisor(g, order))
-            new = len(basis) - 1
+            # keyed in decreasing order: the first key is the leading one
+            terms = dict(zip(map(packing.exponents, rem), rem.values()))
+            divisors.append(terms, next(iter(terms)))
+            new = len(members) - 1
             pairs.extend((k, new) for k in range(new))
 
-    return GroebnerBasis(_reduce_basis(basis, divisors, order), order,
+    return GroebnerBasis(_reduce_basis(divisors), order,
                          pairs_processed=processed, pairs_skipped=skipped,
-                         peak_basis_size=len(basis))
+                         peak_basis_size=len(members))
 
 
 def _s_polynomial(divisors: _Divisors, i: int, j: int, lcm, packing: _Packing) -> dict:
@@ -778,28 +760,34 @@ def _s_polynomial(divisors: _Divisors, i: int, j: int, lcm, packing: _Packing) -
     return s
 
 
-def _reduce_basis(basis, divisors, order) -> tuple:
+def _reduce_basis(divisors: _Divisors) -> tuple:
     """Canonical reduced form: minimal leading monomials, tails reduced.
 
-    `divisors` are the members of `basis`, all monic, prepared for
-    division.  A member goes when another one's leading monomial divides
-    its own (of equal ones, the first stays).  Each kept member keeps its
-    leading term, which no other kept one divides, so it stays monic; the
-    kept ones are sorted by it, smallest first, and each coefficient goes
-    through `_exact`: an int when integral.
+    `divisors` is a Groebner basis.  A member goes when another one's
+    leading monomial divides its own (of equal ones, the first stays).
+    Each kept member is its leading monomial plus the normal form of its
+    monic tail modulo all the members, which is unique because they form
+    a Groebner basis, and has no term that a leading monomial divides;
+    so this is the unique reduced basis.  The kept ones are sorted by
+    leading monomial, smallest first, and each coefficient goes through
+    `_exact`: an int when integral.
     """
-    variables = basis[0].variables
-    packing = _order_key(order, len(variables), divisors.degree)
+    n = len(divisors.ring)
+    packing = _order_key(divisors.order, n, divisors.degree)
     guard = packing.guard
-    leads = [d.packed(packing)[:2] for d in divisors.members]  # (key, packed)
-    keep = [i for i, (_, a) in enumerate(leads)
+    packed = divisors.at(packing)
+    keep = [i for i, (_, a, _) in enumerate(packed)
             if not any(j != i and not (a - b) & guard and (b != a or j < i)
-                       for j, (_, b) in enumerate(leads))]
-    reduced = {i: _divide(basis[i], _Divisors(
-        order, variables, [divisors.members[j] for j in keep if j != i]), _exact)
-        for i in keep}
-    return tuple(reduced[i] for i in sorted(keep, key=lambda i: leads[i][0],
-                                              reverse=True))
+                       for j, (_, b, _) in enumerate(packed))]
+    out = []
+    for i in sorted(keep, key=lambda i: packed[i][0], reverse=True):
+        # the monic tail is the prepared one negated
+        keys, tail = divisors.reduce(
+            lambda p: {k: -c for k, c in divisors.at(p)[i][2]}, 0, n)
+        terms = {divisors.members[i].lead: 1}
+        terms.update(zip(map(keys.exponents, tail), map(_exact, tail.values())))
+        out.append(RationalPoly._make(divisors.ring, terms))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

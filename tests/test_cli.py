@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensegrity import cli, rigidity
+from tensegrity import SymbolicError, cli, ideals, rigidity
 from tensegrity.cli import (ARROW_COLORS, ARROW_HEAD, HEIGHT, ISOMETRIC, MARGIN,
                             MEMBER_COLORS, NODE_RADIUS, WIDTH, Scene, _fmt,
                             _projection, render_svg, report_json, run_command)
 from tensegrity.framework import FIXTURE_NAMES, load_fixture
+from tensegrity.ideals import slingshot_primes
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -128,6 +129,35 @@ def test_verify_ideals_report(tmp_path):
     assert all(r["contained"] for r in doc["adjacent_minors"]["containment"])
 
 
+def test_verify_ideals_exits_1_when_a_containment_fails(tmp_path, monkeypatch, capsys):
+    primes = slingshot_primes()
+    # the first prime without its first generator no longer holds every equation
+    monkeypatch.setattr(cli, "slingshot_primes", lambda: (primes[0][1:],) + primes[1:])
+    assert run_command(["verify-ideals", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "containment FAILED"
+    rows = _read(tmp_path / "reference_verify-ideals.json")["slingshot"]["containment"]
+    assert [r["contained"] for r in rows] == [False] + [True] * 7
+    assert rows[0]["worst_remainder"] is not None
+
+
+def test_a_stored_slingshot_entry_off_the_derivation_is_named(monkeypatch):
+    rows = [list(row) for row in ideals._MATRIX_ROWS]
+    rows[2][6] = "x42"
+    monkeypatch.setattr(ideals, "_MATRIX_ROWS", tuple(map(tuple, rows)))
+    with pytest.raises(SymbolicError, match=r"disagrees with the derivation at "
+                                            r"\(2, 6\): x42 vs x41"):
+        ideals.slingshot_minors()
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2)])
+def test_the_module_runs_as_a_program(argv, code):
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-m", "tensegrity", *argv],
+                         env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert out.returncode == code
+    assert "usage:" in (out.stdout if code == 0 else out.stderr)
+
+
 def test_plot_writes_svg(tmp_path):
     assert run_command(["plot", "square", "--out", str(tmp_path)]) == 0
     root = ET.parse(tmp_path / "square_plot.svg").getroot()
@@ -144,6 +174,9 @@ def test_render_svg_projections_and_validation():
     assert np.allclose(ISOMETRIC @ np.ones(3), 0.0)
     with pytest.raises(ValueError):
         _projection(4)
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="displacement field must have 4 rows"):
+        render_svg(Scene(nodes=nodes, displacements=np.zeros(3)))
 
 
 def test_render_svg_omits_zero_arrows():

@@ -183,6 +183,8 @@ def test_homotopy_validates_inputs():
         Homotopy(target=f, start=g, gamma=2.0)  # not on the unit circle
     with pytest.raises(ContinuationError):
         Homotopy(target=f, start=g, gamma=complex("nan"))
+    with pytest.raises(ContinuationError, match="must match in shape"):
+        Homotopy(target=f, start=PolySystem(list(g.polys) * 2))
     h = Homotopy(target=f, start=g, gamma=1.0)
     with pytest.raises(ContinuationError):
         # start point does not satisfy the start system
@@ -225,6 +227,19 @@ def test_non_square_system_rejected():
         solve_total_degree(f, seed=0)
 
 
+def test_an_empty_system_and_one_of_mixed_rings_are_refused():
+    with pytest.raises(ContinuationError, match="empty polynomial system"):
+        PolySystem([])
+    with pytest.raises(ContinuationError, match="variable count mismatch"):
+        PolySystem([MultiPoly.variable(1, 0), MultiPoly.variable(2, 0)])
+
+
+def test_a_constant_equation_has_no_total_degree_start():
+    f = PolySystem([MultiPoly(2, {(1, 0): 1.0}), MultiPoly.constant(2, 2.0)])
+    with pytest.raises(ContinuationError, match="every equation must have positive degree"):
+        solve_total_degree(f, seed=0)
+
+
 def test_a_system_without_variables_is_refused():
     for polys in ([MultiPoly(0, {})], [MultiPoly(0, {(): 2.0}), MultiPoly(0, {})]):
         with pytest.raises(ContinuationError, match="at least one variable"):
@@ -246,6 +261,8 @@ def test_pinned_member_system_prism(prism):
     assert np.max(np.abs(res)) <= 1e-12
     J = members.jacobian(values.astype(complex)).real
     assert numerical_nullspace(J).shape[1] == 1
+    with pytest.raises(FrameworkError, match="must be pinned via pin_moving_frame"):
+        pinned_member_system(sys_, p)
 
 
 def test_deform_zero_offset_returns_input_exactly(prism):
@@ -340,6 +357,28 @@ def test_deform_reports_an_anchor_that_does_not_settle():
     assert np.isnan(step.member_residual)
     assert step.result.residual == 1.569842129607382
     assert np.isnan(step.result.condition)  # nothing was tracked
+
+
+def test_a_direction_over_all_coordinates_is_its_free_restriction():
+    """A direction of n*d entries gives the steps, bit for bit, of its
+    entries at the free coordinates; one of another length, or a zero one,
+    is refused."""
+    graph, p, sys_ = load_fixture("square")
+    pp = pin_moving_frame(p)
+    sysp = build_constraints(graph, pp, rest_sq_lengths=sys_.rest_sq_lengths)
+    full = np.random.default_rng(0).normal(size=graph.n * graph.d)
+    free = full.reshape(graph.n, graph.d)[continuation.free_coordinate_mask(graph.n, graph.d)]
+    walks = [deform_framework(sysp, pp, direction=v, epsilon=0.05, steps=2, seed=3)
+             for v in (full, free)]
+    assert [s.result.status for s in walks[0]] == ["converged"] * 2
+    for a, b in zip(*walks):
+        assert a.point.tobytes() == b.point.tobytes()
+        assert (a.real, repr(a.member_residual)) == (b.real, repr(b.member_residual))
+        _assert_same_result(a.result, b.result)
+    for bad, message in ((np.ones(3), r"direction must have 5 \(or 8\) entries"),
+                         (np.zeros(free.size), "zero direction vector")):
+        with pytest.raises(FrameworkError, match=message):
+            deform_framework(sysp, pp, direction=bad, epsilon=0.05, seed=3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

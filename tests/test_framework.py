@@ -1,6 +1,7 @@
 """Framework ingestion and member-constraint evaluation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,33 @@ def test_rejections_keep_their_messages(key, value, message):
     with pytest.raises(FrameworkError) as info:
         load_framework(_spoilt_triangle(key, value))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "framework document must be a JSON object"),
+    ('{"dimension": 2, "nodes": [[0, 0]]}', "malformed framework document"),
+    ('{"dimension": 2, "nodes": [], "members": [{"i": 1, "j": 2}]}',
+     "'nodes' must be a nonempty list"),
+    ('{"dimension": 2, "nodes": [[0, 0], 5], "members": [{"i": 1, "j": 2}]}',
+     "each node must be a list of coordinates"),
+    ('{"dimension": 2, "nodes": [[0, 0], [1]], "members": [{"i": 1, "j": 2}]}',
+     "bad node coordinates"),
+    ('{"dimension": 2, "nodes": [[0, 0, 0], [1, 0, 0]], "members": [{"i": 1, "j": 2}]}',
+     "nodes must form an n x 2 array"),
+    ('{"dimension": 2, "nodes": [[0, 0], [1, 0]], "members": []}',
+     "'members' must be a nonempty list"),
+    ('{"dimension": 2, "nodes": [[0, 0], [1, 0], [0, 1]], "members": '
+     '[{"i": 1, "j": 2, "rest_sq_length": 1.0}, {"i": 1, "j": 3}]}',
+     "either all members or none"),
+    ('{"nodes"', "invalid JSON in"),
+    (None, "cannot read framework document")])
+def test_a_document_file_is_refused_with_its_message(tmp_path, text, message):
+    path = tmp_path  # a directory where text is None
+    if text is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+    with pytest.raises(FrameworkError, match=re.escape(message)):
+        load_framework(path)
 
 
 def test_numpy_numbers_in_a_dict_document_still_load():

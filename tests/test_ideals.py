@@ -188,17 +188,24 @@ def _prism_coordinates():
     return fixed + [[next(gens) for _ in range(3)] for _ in range(3)]
 
 
-def _prism_determinant():
-    """The 9x9 block of the symbolic rigidity matrix on the nine members
-    that are not bottom edges and the coordinates of nodes 4, 5, 6, and
-    its determinant."""
-    graph, p, _ = load_fixture("3prism")
-    matrix = symbolic_rigidity_matrix(graph, _prism_coordinates())
+def _prism_block(coords):
+    """The 9x9 block of the 3-prism's symbolic rigidity matrix over the
+    coordinate matrix `coords` on the nine members that are not bottom
+    edges and the coordinates of nodes 4, 5, 6."""
+    graph, _, _ = load_fixture("3prism")
+    matrix = symbolic_rigidity_matrix(graph, coords)
     block = [row[9:] for row, i, j in zip(matrix, graph.heads.tolist(),
                                           graph.tails.tolist()) if max(i, j) >= 3]
     assert len(block) == 9
+    return block
+
+
+def _prism_determinant():
+    """The block over the free top coordinates, its determinant and the
+    fixture's configuration."""
+    block = _prism_block(_prism_coordinates())
     det, = symbolic_minors(block, 9)
-    return block, det, p
+    return block, det, load_fixture("3prism")[1]
 
 
 def _face_concurrency(faces):
@@ -280,3 +287,69 @@ def test_the_prism_determinant_vanishes_where_a_flex_and_a_stress_appear(seed):
     root = top + real[np.argmin(np.abs(real))] * line
     assert abs(D(root)) <= 1e-9
     assert flexes_and_stresses(root) == (1, 1)
+
+
+# -- the 3-prism's twist family -----------------------------------------------
+
+TWIST_VARIABLES = ("c", "s", "q", "h")
+
+
+def twist_coordinates():
+    """The 3-prism's coordinate matrix over Q[c, s, q, h], q standing for
+    sqrt(3): the bottom nodes (1, 0, 0), (-1/2, q/2, 0), (-1/2, -q/2, 0),
+    and node k + 3 node k turned by the angle of cosine c and sine s and
+    lifted to height h."""
+    c, s, q, h = ring_variables(TWIST_VARIABLES)
+    zero = RationalPoly.zero(TWIST_VARIABLES)
+    half = RationalPoly.constant(TWIST_VARIABLES, Fraction(-1, 2))
+    bottom = [[zero + 1, zero, zero], [half, q / 2, zero], [half, -q / 2, zero]]
+    return bottom + [[c * x - s * y, s * x + c * y, h] for x, y, _ in bottom]
+
+
+def twist_normal_form():
+    """The determinant of the 3-prism's 9x9 block over the twist family,
+    and its normal form modulo q^2 - 3 and c^2 + s^2 - 1."""
+    c, s, q, _ = ring_variables(TWIST_VARIABLES)
+    det, = symbolic_minors(_prism_block(twist_coordinates()), 9)
+    return det, normal_form_reduce(det, [q ** 2 - 3, c ** 2 + s ** 2 - 1])
+
+
+def _twist(degrees, height):
+    """The twist family's configuration at an angle and height, from the
+    same coordinate matrix."""
+    theta = np.radians(degrees)
+    point = [Fraction(v) for v in (np.cos(theta), np.sin(theta), np.sqrt(3.0), height)]
+    return Configuration(np.array([[float(e.evaluate(point)) for e in row]
+                                   for row in twist_coordinates()]))
+
+
+def test_the_twist_determinant_is_h_cubed_times_3s_minus_root_3_c():
+    det, nf = twist_normal_form()
+    assert (len(det.terms), det.total_degree()) == (6, 10)
+    assert nf == RationalPoly.parse("-81/8*c*q*h^3 + 243/8*s*h^3", TWIST_VARIABLES)
+    c, s, q, h = ring_variables(TWIST_VARIABLES)
+    assert nf == h ** 3 * (3 * s - q * c) * Fraction(81, 8)
+
+
+def test_the_twist_family_is_singular_at_30_and_210_degrees():
+    _, nf = twist_normal_form()
+    c, s, q, _ = ring_variables(TWIST_VARIABLES)
+    # (c, s) = (q/2, 1/2) and (-q/2, -1/2): coprime leads, so a Groebner basis
+    for sign in (1, -1):
+        assert normal_form_reduce(nf, [q ** 2 - 3, 2 * c - sign * q, 2 * s - sign]).is_zero()
+    root3 = np.sqrt(3.0)
+    degrees = np.arange(360)
+    values = [float(nf.evaluate([Fraction(np.cos(t)), Fraction(np.sin(t)),
+                                 Fraction(root3), 1]))
+              for t in np.radians(degrees)]
+    assert degrees[np.abs(values) <= 1e-9].tolist() == [30, 210]
+    assert np.allclose(_twist(210, 3).coords, load_fixture("3prism")[1].coords)
+
+
+@pytest.mark.parametrize("degrees, split", [(30, (1, 1)), (210, (1, 1)), (90, (0, 0)),
+                                            (150, (0, 0)), (200, (0, 0)), (211, (0, 0))])
+def test_the_twist_family_has_a_flex_and_a_stress_at_the_singular_twists(degrees, split):
+    graph, _, _ = load_fixture("3prism")
+    p = _twist(degrees, 3)
+    found = nullspace_decomposition(build_constraints(graph, p), p)
+    assert (found.flexes.shape[1], found.self_stresses.shape[1]) == split

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import sympy
 
-from tensegrity import (Configuration, FrameworkError, build_constraints,
-                        evaluate_members, incidence_matrix, jacobian_at,
+from tensegrity import (Configuration, FrameworkError, FrameworkGraph,
+                        build_constraints, evaluate_members, incidence_matrix, jacobian_at,
                         laplacian_eigenpairs, load_fixture, numerical_nullspace,
                         nullspace_decomposition, pin_moving_frame,
                         rigid_motion_basis, rigidity_and_incidence,
@@ -232,6 +232,15 @@ def test_pinning_rejects_degenerate_leading_nodes():
     flat = Configuration([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(FrameworkError):
         pin_moving_frame(flat)
+    with pytest.raises(FrameworkError, match="need at least d=3 nodes"):
+        pin_moving_frame(Configuration([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+
+
+def test_coincident_endpoints_are_degenerate_members():
+    graph = FrameworkGraph(n=2, d=3, members=((1, 2, "bar"),))
+    sys_ = build_constraints(graph, Configuration([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    with pytest.raises(FrameworkError, match=r"degenerate members .*\[\(1, 2\)\]"):
+        rigidity_and_incidence(sys_, Configuration(np.zeros((2, 3))))
 
 
 def test_degenerate_embedding_reports_actual_rigid_dimension():

@@ -1,6 +1,7 @@
 """Exact polynomial ring, Buchberger, and containment verification."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,7 +11,7 @@ import sympy
 from tensegrity import (GroebnerBasis, PairBudgetError, RationalPoly,
                         SymbolicError, buchberger, normal_form_reduce,
                         ring_variables, symbolic_minors, verify_containment)
-from tensegrity.ideals import (adjacent_minor_primes, adjacent_minors,
+from tensegrity.ideals import (adjacent_minor_primes, adjacent_minors, column_minor,
                                slingshot_equations, slingshot_member_constraints,
                                slingshot_primes)
 from tensegrity.symbolic import _order_key, s_polynomial
@@ -43,6 +44,8 @@ def test_parse_handles_fractions_and_signs():
     # any whitespace may stand around a fraction's slash
     for text in ("1\t/2*x", "1/\n2*x"):
         assert RationalPoly.parse(text, ("x", "y")) == x * Fraction(1, 2)
+    # and trailing whitespace is no error
+    assert RationalPoly.parse("x + 1 ", ("x", "y")) == x + 1
 
 
 def test_exact_arithmetic_matches_pointwise():
@@ -177,6 +180,22 @@ def test_mixed_rings_are_rejected():
         _ = x + u
     with pytest.raises(SymbolicError):
         buchberger([x, u])
+    with pytest.raises(SymbolicError, match="polynomials live in different rings"):
+        normal_form_reduce(x, [u])
+    with pytest.raises(SymbolicError, match="matrix entries live in different rings"):
+        symbolic_minors([[x, u]], 1)
+
+
+def test_empty_matrices_zero_leads_and_short_points_are_refused():
+    x, = ring_variables(("x",))
+    with pytest.raises(SymbolicError, match="matrix must be rectangular and nonempty"):
+        symbolic_minors([], 1)
+    with pytest.raises(SymbolicError, match="zero polynomial has no leading term"):
+        RationalPoly.zero(("x",)).leading()
+    with pytest.raises(SymbolicError, match="point has wrong length"):
+        x.evaluate([1, 2])
+    with pytest.raises(SymbolicError, match="columns must satisfy"):
+        column_minor(3, 2)
 
 
 # -- division kernel ----------------------------------------------------------
@@ -437,6 +456,15 @@ def test_minors_name_an_entry_that_is_not_a_polynomial():
         symbolic_minors([[1]], 1)
     with pytest.raises(SymbolicError, match=r"entry \(1, 0\)"):
         symbolic_minors([[x, x], ["x", x]], 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x $ y", "cannot parse ' $ y'"), ("", "empty polynomial text"),
+    ("z + 1", "unknown variable 'z'"), ("3 x", "missing operator before 'x'"),
+    ("x + ", "dangling operator"), ("^2", "unexpected '^'")])
+def test_malformed_text_is_refused_with_its_message(text, message):
+    with pytest.raises(SymbolicError, match=re.escape(message)):
+        RationalPoly.parse(text, ("x", "y"))
 
 
 @pytest.mark.parametrize("text", ["x^-1", "x^1/2", "x^y"])

@@ -42,8 +42,13 @@ its only record.
   `tests/test_root_count.py`, each at its own seed: dense systems in three
   and four variables, with a path to infinity and two tracking jumps;
 - `verify-ideals`;
-- `buchberger` on the slingshot's seven member constraints in lex order,
-  called directly (496 S-pairs, 15 generators).
+- `buchberger` on the slingshot's seven member constraints in lex order
+  (496 S-pairs, 15 generators) and in degrevlex order (253 S-pairs, 8
+  generators), called directly: unlike every basis of `verify-ideals`,
+  each of them grows past its generators before the final reduction;
+- the 3-prism's twist family of `tests/test_ideals.py`: the determinant of
+  its 9x9 block and that determinant's normal form modulo q^2 - 3 and
+  c^2 + s^2 - 1.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from tensegrity import cli, continuation, symbolic  # noqa: E402
 from tensegrity.cli import run_command  # noqa: E402
 from tensegrity.ideals import slingshot_member_constraints  # noqa: E402
+from test_ideals import twist_normal_form  # noqa: E402
 from test_root_count import SYSTEMS as ROOT_COUNT_SYSTEMS  # noqa: E402
 from write_reports import SEED, STRAINED_SQUARE, SYSTEMS  # noqa: E402
 
@@ -206,8 +212,13 @@ def main(argv) -> int:
         cli.deform_framework = real_deform
         symbolic.buchberger = real_buchberger
         cli.verify_containment = real_containment
-    lines.append("buchberger on the slingshot member constraints, lex:")
-    lines.append(basis_line(symbolic.buchberger(slingshot_member_constraints(), "lex")))
+    for order in ("lex", "degrevlex"):
+        lines.append(f"buchberger on the slingshot member constraints, {order}:")
+        lines.append(basis_line(symbolic.buchberger(slingshot_member_constraints(), order)))
+    det, normal_form = twist_normal_form()
+    lines.append("the 3-prism's twist family:")
+    lines.append(f"  determinant: {det}")
+    lines.append(f"  normal form: {normal_form}")
     Path(argv[0]).write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} lines to {argv[0]}")
     return 0
